@@ -15,15 +15,15 @@ constexpr std::uint32_t kMagic = 0x50574346;  // "FCWP"
 constexpr std::uint8_t kFormatVersion = 1;
 constexpr std::uint32_t kMaxTensors = 1u << 20;
 
-// Thread-local scratch for the variable-size intermediates (scheme bodies,
-// update vectors, top-k workspaces). Pool workers are long-lived, so the
-// capacity is reused across rounds and the steady-state encode path
-// allocates nothing.
+// Thread-local scratch for the variable-size intermediates (update vectors,
+// top-k workspaces). Pool workers are long-lived, so the capacity is reused
+// across rounds and the steady-state encode path allocates nothing. Scheme
+// bodies are written straight into the caller's frame.
 struct EncodeScratch {
-  std::vector<std::uint8_t> body;
   std::vector<float> update;
-  std::vector<float> mags;
-  std::vector<float> order;
+  std::vector<std::uint32_t> mags;       // top-k magnitude bit patterns
+  std::vector<std::uint32_t> histogram;  // radix-select buckets
+  std::vector<std::uint32_t> indices;    // top-k survivors, ascending
 };
 
 EncodeScratch& Scratch() {
@@ -65,13 +65,14 @@ std::size_t HeaderBytes(std::size_t tensors) {
   return 8 + 4 + 4 * tensors + 8 + 8;
 }
 
-// Wraps a finished scheme body into a full frame (header + body + CRC).
-void AssembleFrame(Scheme scheme, const ShapeTable& shapes,
-                   std::uint64_t param_count,
-                   const std::vector<std::uint8_t>& body,
-                   std::vector<std::uint8_t>& frame) {
+// Clears `frame` and writes its header with a zero body length; the scheme
+// body is then appended in place and SealFrame finishes the frame. Returns
+// the body's offset.
+std::size_t BeginFrame(Scheme scheme, const ShapeTable& shapes,
+                       std::uint64_t param_count,
+                       std::vector<std::uint8_t>& frame) {
   frame.clear();
-  frame.reserve(HeaderBytes(shapes.size()) + body.size() + 4);
+  frame.reserve(HeaderBytes(shapes.size()));
   AppendPod(frame, kMagic);
   AppendPod(frame, kFormatVersion);
   AppendPod(frame, static_cast<std::uint8_t>(scheme));
@@ -79,8 +80,16 @@ void AssembleFrame(Scheme scheme, const ShapeTable& shapes,
   AppendPod(frame, static_cast<std::uint32_t>(shapes.size()));
   for (std::uint32_t len : shapes) AppendPod(frame, len);
   AppendPod(frame, param_count);
-  AppendPod(frame, static_cast<std::uint64_t>(body.size()));
-  AppendRaw(frame, body.data(), body.size());
+  AppendPod(frame, std::uint64_t{0});  // body length, patched by SealFrame
+  return frame.size();
+}
+
+// Patches the body length (everything appended since BeginFrame) and
+// appends the CRC of every preceding byte.
+void SealFrame(std::size_t body_offset, std::vector<std::uint8_t>& frame) {
+  const std::uint64_t body_bytes = frame.size() - body_offset;
+  std::memcpy(frame.data() + body_offset - sizeof(body_bytes), &body_bytes,
+              sizeof(body_bytes));
   AppendPod(frame, Crc32({frame.data(), frame.size()}));
 }
 
@@ -254,26 +263,46 @@ void EncodeInt8Body(const ShapeTable& shapes, const std::vector<float>& update,
 // Deterministic top-k selection over magnitudes: strictly-larger values
 // first, ties broken toward the lowest index. Non-finite coordinates rank
 // as +inf so corrupted values always survive into the frame (and get
-// screened server-side). Fills `selected` as an n-bit bitmap.
+// screened server-side). Sets the survivors' bits in the zeroed n-bit
+// `bitmap` and lists them, ascending, in scratch.indices.
+//
+// The threshold -- the k-th largest magnitude -- comes from an exact O(n)
+// radix select. The magnitudes are fabs values with non-finite ones mapped
+// to +inf, so they are non-negative and never NaN, and such floats order
+// exactly like their uint32 bit patterns. One 16-bit histogram over the
+// high halves finds the threshold's bucket, a second over the low halves
+// inside that bucket finds the pattern itself.
 void SelectTopK(const std::vector<float>& update, std::uint64_t k,
-                std::vector<float>& mags, std::vector<float>& order,
-                std::vector<std::uint8_t>& bitmap,
-                std::vector<std::uint32_t>& indices) {
+                EncodeScratch& scratch, std::uint8_t* bitmap) {
+  constexpr std::uint32_t kInfBits = 0x7f800000u;
+  constexpr std::size_t kBuckets = 1u << 16;
   const std::size_t n = update.size();
+  std::vector<std::uint32_t>& mags = scratch.mags;
+  std::vector<std::uint32_t>& histogram = scratch.histogram;
   mags.resize(n);
+  histogram.assign(kBuckets, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    float a = std::fabs(update[i]);
-    mags[i] = std::isfinite(a) ? a : std::numeric_limits<float>::infinity();
+    // fabs clears the sign bit; every NaN pattern lies above +inf's.
+    const std::uint32_t bits =
+        std::min(FloatBits(std::fabs(update[i])), kInfBits);
+    mags[i] = bits;
+    ++histogram[bits >> 16];
   }
-  order = mags;
-  std::nth_element(order.begin(), order.begin() + (k - 1), order.end(),
-                   std::greater<float>());
-  const float threshold = order[k - 1];
+  // Walk buckets down from +inf's until they hold k magnitudes; `above`
+  // counts those strictly above the threshold throughout.
   std::uint64_t above = 0;
-  for (float m : mags) above += m > threshold ? 1 : 0;
+  std::uint32_t high = kInfBits >> 16;
+  while (above + histogram[high] < k) above += histogram[high--];
+  std::fill(histogram.begin(), histogram.end(), 0);
+  for (std::uint32_t m : mags) {
+    if ((m >> 16) == high) ++histogram[m & 0xffffu];
+  }
+  std::uint32_t low = kBuckets - 1;
+  while (above + histogram[low] < k) above += histogram[low--];
+  const std::uint32_t threshold = (high << 16) | low;
   std::uint64_t at_threshold = k - above;
 
-  bitmap.assign((n + 7) / 8, 0);
+  std::vector<std::uint32_t>& indices = scratch.indices;
   indices.clear();
   for (std::size_t i = 0; i < n; ++i) {
     bool take = mags[i] > threshold;
@@ -295,18 +324,22 @@ void EncodeTopKBody(bool quantize, double fraction,
                     std::vector<std::uint8_t>& body) {
   const std::size_t n = update.size();
   const std::uint64_t k = TopKCount(n, fraction);
-  thread_local std::vector<std::uint8_t> bitmap;
-  thread_local std::vector<std::uint32_t> indices;
-  SelectTopK(update, k, Scratch().mags, Scratch().order, bitmap, indices);
-
+  EncodeScratch& scratch = Scratch();
   AppendPod(body, k);
-  AppendRaw(body, bitmap.data(), bitmap.size());
+  const std::size_t bitmap_offset = body.size();
+  body.resize(bitmap_offset + (n + 7) / 8, 0);
+  SelectTopK(update, k, scratch, body.data() + bitmap_offset);
+  const std::vector<std::uint32_t>& indices = scratch.indices;
+
   if (finite) {
     for (std::size_t i = 0; i < n; ++i) residual[i] = update[i];
   }
   if (!quantize) {
+    std::size_t at = body.size();
+    body.resize(at + indices.size() * sizeof(float));
     for (std::uint32_t i : indices) {
-      AppendPod(body, update[i]);
+      std::memcpy(body.data() + at, &update[i], sizeof(float));
+      at += sizeof(float);
       if (finite) residual[i] = 0.0f;
     }
     return;
@@ -325,9 +358,11 @@ void EncodeTopKBody(bool quantize, double fraction,
       for (std::uint32_t i : indices) residual[i] = update[i];
     }
   } else {
+    std::size_t at = body.size();
+    body.resize(at + indices.size());
     for (std::uint32_t i : indices) {
       std::int8_t q = QuantizeStochastic(update[i], scale, rng);
-      body.push_back(static_cast<std::uint8_t>(q));
+      body[at++] = static_cast<std::uint8_t>(q);
       residual[i] = update[i] - q * scale;
     }
   }
@@ -394,10 +429,19 @@ util::Status DecodeTopKBody(bool quantized, const ParsedFrame& frame,
   std::span<const std::uint8_t> bitmap =
       frame.body.subspan(offset, bitmap_bytes);
   offset += bitmap_bytes;
-  std::uint64_t set_bits = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    set_bits += (bitmap[i / 8] >> (i % 8)) & 1u;
+  // Bits past n in the last byte select nothing: mask them out of the
+  // population count and the walk.
+  const std::size_t full_bytes = n / 8;
+  const unsigned tail =
+      n % 8 == 0 ? 0u : bitmap[full_bytes] & ((1u << (n % 8)) - 1u);
+  std::uint64_t set_bits = std::popcount(tail);
+  std::size_t b = 0;
+  for (; b + sizeof(std::uint64_t) <= full_bytes; b += sizeof(std::uint64_t)) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, bitmap.data() + b, sizeof(word));
+    set_bits += std::popcount(word);
   }
+  for (; b < full_bytes; ++b) set_bits += std::popcount(bitmap[b]);
   if (set_bits != k) return Malformed("top-k bitmap population mismatch");
 
   float scale = 0.0f;
@@ -408,17 +452,26 @@ util::Status DecodeTopKBody(bool quantized, const ParsedFrame& frame,
   if (frame.body.size() != offset + value_bytes) {
     return Malformed("top-k body size");
   }
+  // Unselected coordinates decode as reference + 0.0f, not as a copy: a
+  // -0.0 reference coordinate decodes to +0.0.
   out.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    float delta = 0.0f;
-    if ((bitmap[i / 8] >> (i % 8)) & 1u) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = reference[i] + 0.0f;
+  // The k values follow the bitmap in index order.
+  const std::uint8_t* values = frame.body.data() + offset;
+  for (std::size_t byte = 0; byte < bitmap_bytes; ++byte) {
+    unsigned bits = byte == full_bytes ? tail : bitmap[byte];
+    while (bits != 0) {
+      const std::size_t i = byte * 8 + std::countr_zero(bits);
+      bits &= bits - 1;
+      float delta = 0.0f;
       if (quantized) {
-        delta = static_cast<std::int8_t>(frame.body[offset++]) * scale;
+        delta = static_cast<std::int8_t>(*values++) * scale;
       } else {
-        ReadPod(frame.body, offset, delta);
+        std::memcpy(&delta, values, sizeof(delta));
+        values += sizeof(delta);
       }
+      out[i] = reference[i] + delta;
     }
-    out[i] = reference[i] + delta;
   }
   return util::Status::Ok();
 }
@@ -512,10 +565,11 @@ std::uint64_t TopKCount(std::uint64_t params, double fraction) {
 void EncodeDispatch(std::span<const float> params, const ShapeTable& shapes,
                     std::vector<std::uint8_t>& frame) {
   FC_CHECK_EQ(params.size(), ShapeSum(shapes));
-  std::vector<std::uint8_t>& body = Scratch().body;
-  body.clear();
-  AppendRaw(body, params.data(), params.size() * sizeof(float));
-  AssembleFrame(Scheme::kIdentity, shapes, params.size(), body, frame);
+  frame.reserve(DispatchWireBytes(params.size(), shapes));
+  const std::size_t body_offset =
+      BeginFrame(Scheme::kIdentity, shapes, params.size(), frame);
+  AppendRaw(frame, params.data(), params.size() * sizeof(float));
+  SealFrame(body_offset, frame);
 }
 
 util::Status DecodeDispatch(std::span<const std::uint8_t> frame,
@@ -541,16 +595,16 @@ void EncodeUpload(const CodecOptions& options, std::span<const float> trained,
   const std::size_t n = trained.size();
   FC_CHECK_EQ(n, reference.size());
   FC_CHECK_EQ(n, ShapeSum(shapes));
-  std::vector<std::uint8_t>& body = Scratch().body;
-  body.clear();
+  // The scheme body is appended straight to the frame.
+  const std::size_t body_offset = BeginFrame(options.scheme, shapes, n, frame);
 
   switch (options.scheme) {
     case Scheme::kIdentity:
-      AppendRaw(body, trained.data(), n * sizeof(float));
+      AppendRaw(frame, trained.data(), n * sizeof(float));
       break;
     case Scheme::kDelta:
       for (std::size_t i = 0; i < n; ++i) {
-        AppendVarint(body,
+        AppendVarint(frame,
                      ZigZag(FloatBits(trained[i]) - FloatBits(reference[i])));
       }
       break;
@@ -562,16 +616,16 @@ void EncodeUpload(const CodecOptions& options, std::span<const float> trained,
       std::vector<float>& update = Scratch().update;
       bool finite = BuildUpdate(trained, reference, residual, update);
       if (options.scheme == Scheme::kInt8) {
-        EncodeInt8Body(shapes, update, finite, rng, residual, body);
+        EncodeInt8Body(shapes, update, finite, rng, residual, frame);
       } else {
         EncodeTopKBody(options.scheme == Scheme::kInt8TopK,
                        options.topk_fraction, update, finite, rng, residual,
-                       body);
+                       frame);
       }
       break;
     }
   }
-  AssembleFrame(options.scheme, shapes, n, body, frame);
+  SealFrame(body_offset, frame);
 }
 
 util::Status DecodeUpload(std::span<const std::uint8_t> frame,

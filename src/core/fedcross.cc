@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "fl/flat_ops.h"
+#include "fl/parallel.h"
 #include "tensor/tensor_ops.h"
 
 namespace fedcross::core {
@@ -99,33 +100,88 @@ double FedCross::AlphaAt(int round) const {
          (options_.alpha - options_.dynamic_alpha_start) * fraction;
 }
 
+namespace {
+
+int InOrderCollaborator(int model_index, int round, int k) {
+  return (model_index + (round % (k - 1) + 1)) % k;
+}
+
+// The one CoModelSel pick loop, over row[j] = Similarity(model i, model j):
+// j ascending with strict comparisons, so ties keep the lowest index. A row
+// in which nothing compares (NaN similarities from a non-finite upload)
+// falls back to the in-order collaborator.
+int PickCollaborator(SelectionStrategy strategy, int model_index, int round,
+                     int k, const double* row) {
+  int best = -1;
+  if (strategy != SelectionStrategy::kInOrder) {
+    const bool highest = strategy == SelectionStrategy::kHighestSimilarity;
+    double best_sim = highest ? -1e300 : 1e300;
+    for (int j = 0; j < k; ++j) {
+      if (j == model_index) continue;
+      const double sim = row[j];
+      if ((highest && sim > best_sim) || (!highest && sim < best_sim)) {
+        best_sim = sim;
+        best = j;
+      }
+    }
+  }
+  if (best < 0) best = InOrderCollaborator(model_index, round, k);
+  FC_CHECK(best >= 0 && best < k && best != model_index)
+      << "collaborator " << best << " for model " << model_index << " of "
+      << k;
+  return best;
+}
+
+}  // namespace
+
 int FedCross::SelectCollaborator(
     int model_index, int round,
     const std::vector<fl::FlatParams>& uploaded) const {
-  int k = static_cast<int>(uploaded.size());
+  const int k = static_cast<int>(uploaded.size());
   FC_CHECK_GT(k, 1);
-  switch (options_.strategy) {
-    case SelectionStrategy::kInOrder:
-      return (model_index + (round % (k - 1) + 1)) % k;
-    case SelectionStrategy::kHighestSimilarity:
-    case SelectionStrategy::kLowestSimilarity: {
-      bool highest = options_.strategy == SelectionStrategy::kHighestSimilarity;
-      int best = -1;
-      double best_sim = highest ? -1e300 : 1e300;
-      for (int j = 0; j < k; ++j) {
-        if (j == model_index) continue;
-        double sim = ModelSimilarity(uploaded[model_index], uploaded[j],
-                                     options_.similarity);
-        if ((highest && sim > best_sim) || (!highest && sim < best_sim)) {
-          best_sim = sim;
-          best = j;
-        }
-      }
-      return best;
+  FC_CHECK_GE(model_index, 0);
+  FC_CHECK_LT(model_index, k);
+  std::vector<double> row(k);
+  if (options_.strategy != SelectionStrategy::kInOrder) {
+    for (int j = 0; j < k; ++j) {
+      if (j == model_index) continue;
+      row[j] = ModelSimilarity(uploaded[model_index], uploaded[j],
+                               options_.similarity);
     }
   }
-  FC_CHECK(false) << "unreachable";
-  return -1;
+  return PickCollaborator(options_.strategy, model_index, round, k,
+                          row.data());
+}
+
+void FedCross::SelectCollaborators(int round,
+                                   const std::vector<fl::FlatParams>& uploaded,
+                                   std::vector<int>& collaborators) {
+  const int k = static_cast<int>(uploaded.size());
+  FC_CHECK_GT(k, 1);
+  collaborators.resize(k);
+  similarity_.resize(static_cast<std::size_t>(k) * k);
+  if (options_.strategy != SelectionStrategy::kInOrder) {
+    // ModelSimilarity is bitwise symmetric: cosine sums x*y == y*x per lane
+    // and sqrt(a)*sqrt(b) commutes; Euclidean squares x-y, and y-x is
+    // exactly -(x-y). So each unordered pair is scanned once and fills both
+    // cells with the value SelectCollaborator computes for either row.
+    pairs_.clear();
+    for (int i = 0; i < k; ++i) {
+      for (int j = i + 1; j < k; ++j) pairs_.emplace_back(i, j);
+    }
+    fl::ParallelFor(static_cast<int>(pairs_.size()), [&](int p) {
+      const auto [i, j] = pairs_[p];
+      const double sim =
+          ModelSimilarity(uploaded[i], uploaded[j], options_.similarity);
+      similarity_[static_cast<std::size_t>(i) * k + j] = sim;
+      similarity_[static_cast<std::size_t>(j) * k + i] = sim;
+    });
+  }
+  for (int i = 0; i < k; ++i) {
+    collaborators[i] = PickCollaborator(
+        options_.strategy, i, round, k,
+        similarity_.data() + static_cast<std::size_t>(i) * k);
+  }
 }
 
 fl::FlatParams FedCross::CrossAggregate(const fl::FlatParams& model,
@@ -149,7 +205,7 @@ std::vector<int> FedCross::SelectPropellerIndices(int model_index, int round,
   // duplicate-free by construction.
   std::vector<int> indices;
   indices.reserve(count);
-  int j = (model_index + (round % (k - 1) + 1)) % k;
+  int j = InOrderCollaborator(model_index, round, k);
   while (static_cast<int>(indices.size()) < count) {
     if (j != model_index) indices.push_back(j);
     j = (j + 1) % k;
@@ -215,8 +271,8 @@ void FedCross::RunRound(int round) {
   bool use_propellers = options_.propeller_count > 0 &&
                         round < options_.propeller_rounds;
   next_.resize(k);
-  for (int i = 0; i < k; ++i) {
-    if (use_propellers) {
+  if (use_propellers) {
+    for (int i = 0; i < k; ++i) {
       // Propeller acceleration: average propeller_count distinct in-order-
       // selected models to share the (1 - alpha) mass.
       std::vector<int> propellers =
@@ -229,11 +285,14 @@ void FedCross::RunRound(int round) {
                           1.0f / static_cast<float>(propellers.size()));
       fl::flat_ops::LinearCombine(a, uploaded_[i], 1.0f - a, propeller_mean_,
                                   next_[i]);
-    } else {
-      int co = SelectCollaborator(i, round, uploaded_);
-      fl::flat_ops::LinearCombine(a, uploaded_[i], 1.0f - a, uploaded_[co],
-                                  next_[i]);
     }
+  } else {
+    // Each fused model reads two uploads and writes only its own buffer.
+    SelectCollaborators(round, uploaded_, collaborators_);
+    fl::ParallelFor(k, [&](int i) {
+      fl::flat_ops::LinearCombine(a, uploaded_[i], 1.0f - a,
+                                  uploaded_[collaborators_[i]], next_[i]);
+    });
   }
   // Swap, don't move-assign: middleware_'s buffers become next round's
   // next_ scratch, so the pair recycles indefinitely.

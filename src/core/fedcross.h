@@ -2,6 +2,7 @@
 #define FEDCROSS_CORE_FEDCROSS_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fl/algorithm.h"
@@ -86,9 +87,20 @@ class FedCross : public fl::FlAlgorithm {
   double AlphaAt(int round) const;
 
   // CoModelSel: index of the collaborative model for uploaded model i in
-  // `round` under the configured strategy. Exposed for tests/ablation.
+  // `round` under the configured strategy. The per-model reference; exposed
+  // for tests/ablation. When no candidate compares (a non-finite upload
+  // makes its whole similarity row NaN), the pick falls back to the
+  // in-order collaborator.
   int SelectCollaborator(int model_index, int round,
                          const std::vector<fl::FlatParams>& uploaded) const;
+
+  // CoModelSel for every model at once, as RunRound does it: the K(K-1)/2
+  // pair similarities are computed once, in parallel, into a symmetric
+  // K x K matrix, and each row is picked with SelectCollaborator's loop.
+  // collaborators[i] equals SelectCollaborator(i, round, uploaded).
+  void SelectCollaborators(int round,
+                           const std::vector<fl::FlatParams>& uploaded,
+                           std::vector<int>& collaborators);
 
   // CrossAggr: alpha*v + (1-alpha)*co.
   static fl::FlatParams CrossAggregate(const fl::FlatParams& model,
@@ -116,6 +128,11 @@ class FedCross : public fl::FlAlgorithm {
   std::vector<fl::FlatParams> uploaded_;
   std::vector<fl::FlatParams> next_;
   fl::FlatParams propeller_mean_;
+  // CoModelSel scratch: the (i < j) pair list, the row-major K x K
+  // similarity matrix it fills, and the round's collaborator choices.
+  std::vector<std::pair<int, int>> pairs_;
+  std::vector<double> similarity_;
+  std::vector<int> collaborators_;
 };
 
 }  // namespace fedcross::core

@@ -14,7 +14,6 @@
 #include "privacy/dp.h"
 #include "util/logging.h"
 #include "util/mem_stats.h"
-#include "util/thread_pool.h"
 
 namespace fedcross::fl {
 namespace {
@@ -442,12 +441,7 @@ const std::vector<LocalTrainResult>& FlAlgorithm::TrainClients(
     if (use_plan) {
       TrainClientsPlan(round, salt, jobs);
     } else {
-      util::ThreadPool* pool = AcquireFlPool();
-      if (pool != nullptr && count > 1) {
-        pool->ParallelFor(count, train_slot);
-      } else {
-        for (int slot = 0; slot < count; ++slot) train_slot(slot);
-      }
+      ParallelFor(count, train_slot);
     }
   }
   // Bookkeeping and upload screening on the calling thread, in job order,
@@ -690,16 +684,20 @@ void FlAlgorithm::TrainClientsPlan(int round, int salt,
         util::Rng(privacy::PrivacySeed(config_.seed, round, salt, slot)),
         FaultDecision{}, false});
   }
+  // Fault draws and the dispatch codec run per slot on the pool, as they do
+  // inside TrainClientJob on the layer path. Slots share nothing: each owns
+  // its streams, its WireScratch and its residual (pinned by TrainClients
+  // before this call), and encode scratch is thread_local.
+  ParallelFor(count, [&](int slot) {
+    ctx[slot].trains = PrepareClientJob(
+        jobs[slot], *client_slots_[slot], ctx[slot].fault_rng,
+        config_.faults.round_deadline, wire_scratch_[slot], results_[slot],
+        ctx[slot].decision);
+  });
   std::vector<PlanJob> plan_jobs;
   plan_jobs.reserve(count);
   for (int slot = 0; slot < count; ++slot) {
-    if (!PrepareClientJob(jobs[slot], *client_slots_[slot],
-                          ctx[slot].fault_rng, config_.faults.round_deadline,
-                          wire_scratch_[slot], results_[slot],
-                          ctx[slot].decision)) {
-      continue;
-    }
-    ctx[slot].trains = true;
+    if (!ctx[slot].trains) continue;
     PlanJob pj;
     pj.client = client_slots_[slot];
     pj.init_params = &wire_scratch_[slot].dispatched;
@@ -709,35 +707,27 @@ void FlAlgorithm::TrainClientsPlan(int round, int salt,
     plan_jobs.push_back(pj);
   }
 
-  int n = static_cast<int>(plan_jobs.size());
-  if (n > 0) {
-    util::ThreadPool* tp = AcquireFlPool();
-    if (tp != nullptr && n > 1) {
-      // One lockstep cohort per contiguous chunk. Chunking only changes how
-      // many replicas each fused GEMM spans; every job's bits come from its
-      // own per-slot streams, so the split is schedule-invariant.
-      int chunks = std::min(n, std::max(1, FlThreads()));
-      tp->ParallelFor(chunks, [&](int c) {
-        int begin =
-            static_cast<int>(static_cast<std::int64_t>(n) * c / chunks);
-        int end =
-            static_cast<int>(static_cast<std::int64_t>(n) * (c + 1) / chunks);
-        if (end > begin) {
-          RunPlanJobs(pool_, plan_jobs.data() + begin, end - begin);
-        }
-      });
-    } else {
-      RunPlanJobs(pool_, plan_jobs.data(), n);
-    }
-  }
+  // One lockstep cohort per contiguous chunk. Chunking only changes how
+  // many replicas each fused GEMM spans; every job's bits come from its own
+  // per-slot streams, so the split is schedule-invariant.
+  const int n = static_cast<int>(plan_jobs.size());
+  const int chunks = std::min(n, FlThreads());
+  ParallelFor(chunks, [&](int c) {
+    int begin = static_cast<int>(static_cast<std::int64_t>(n) * c / chunks);
+    int end =
+        static_cast<int>(static_cast<std::int64_t>(n) * (c + 1) / chunks);
+    RunPlanJobs(pool_, plan_jobs.data() + begin, end - begin);
+  });
 
-  for (int slot = 0; slot < count; ++slot) {
-    if (!ctx[slot].trains) continue;
+  // DP sanitisation, corruption and the upload codec, fanned out the same
+  // way.
+  ParallelFor(count, [&](int slot) {
+    if (!ctx[slot].trains) return;
     FinishClientJob(jobs[slot], residual_slots_[slot], ctx[slot].decision,
                     ctx[slot].fault_rng, ctx[slot].codec_rng,
                     ctx[slot].privacy_rng, wire_scratch_[slot],
                     results_[slot]);
-  }
+  });
 }
 
 const std::vector<LocalTrainResult>& FlAlgorithm::TrainClientsAsync(
@@ -851,12 +841,7 @@ const std::vector<LocalTrainResult>& FlAlgorithm::TrainClientsAsync(
   };
   {
     PhaseScope phase(*this, RoundPhase::kTrain);
-    util::ThreadPool* pool = AcquireFlPool();
-    if (pool != nullptr && count > 1) {
-      pool->ParallelFor(count, dispatch_slot);
-    } else {
-      for (int slot = 0; slot < count; ++slot) dispatch_slot(slot);
-    }
+    ParallelFor(count, dispatch_slot);
   }
 
   PhaseScope phase(*this, RoundPhase::kScreen);

@@ -42,6 +42,15 @@ util::ThreadPool* AcquireFlPool() {
   return g_pool.get();
 }
 
+void ParallelFor(int count, const std::function<void(int)>& fn) {
+  util::ThreadPool* pool = count > 1 ? AcquireFlPool() : nullptr;
+  if (pool == nullptr) {
+    for (int i = 0; i < count; ++i) fn(i);
+    return;
+  }
+  pool->ParallelFor(count, fn);
+}
+
 void ParallelRanges(std::int64_t n, std::int64_t min_per_range,
                     const std::function<void(std::int64_t, std::int64_t)>& fn) {
   if (n <= 0) return;

@@ -25,6 +25,12 @@ int FlThreads();
 // rebuilt when SetFlThreads changes the size.
 util::ThreadPool* AcquireFlPool();
 
+// Runs fn(i) for every i in [0, count) on the shared pool, or inline in
+// index order when the pool is off or there is only one index. fn(i) must
+// touch nothing another index writes; the result is then the same at every
+// thread count and schedule.
+void ParallelFor(int count, const std::function<void(int)>& fn);
+
 // Splits [0, n) into at most FlThreads() contiguous ranges of at least
 // min_per_range elements each and runs fn(begin, end) on every range via the
 // shared pool (inline when the pool is off or the range is too small). The

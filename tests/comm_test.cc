@@ -5,8 +5,10 @@
 // rejection of malformed / truncated / CRC-corrupt frames.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
@@ -388,6 +390,239 @@ TEST(WireTopKTest, SingleParamModelAlwaysShipsItsOneCoordinate) {
   EXPECT_EQ(decoded[0], -1.5f);
 }
 
+// --- radix select vs the nth_element reference ------------------------------
+
+template <typename T>
+void AppendBytes(Frame& out, T value) {
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(&value);
+  out.insert(out.end(), bytes, bytes + sizeof(T));
+}
+
+// The top-k upload encoder as it stood before the radix select: copy the
+// magnitudes and let std::nth_element find the k-th largest. EncodeUpload
+// must reproduce its frames and residuals byte for byte.
+Frame ReferenceTopKUpload(bool quantize, double fraction,
+                          const std::vector<float>& trained,
+                          const std::vector<float>& reference,
+                          const ShapeTable& shapes,
+                          std::vector<float>& residual, util::Rng& rng) {
+  const std::size_t n = trained.size();
+  if (residual.empty()) residual.assign(n, 0.0f);
+  std::vector<float> update(n);
+  bool finite = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    update[i] = trained[i] - reference[i] + residual[i];
+    finite &= std::isfinite(update[i]) != 0;
+  }
+  const std::uint64_t k = TopKCount(n, fraction);
+  std::vector<float> mags(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    float a = std::fabs(update[i]);
+    mags[i] = std::isfinite(a) ? a : std::numeric_limits<float>::infinity();
+  }
+  std::vector<float> order = mags;
+  std::nth_element(order.begin(), order.begin() + (k - 1), order.end(),
+                   std::greater<float>());
+  const float threshold = order[k - 1];
+  std::uint64_t above = 0;
+  for (float m : mags) above += m > threshold ? 1 : 0;
+  std::uint64_t at_threshold = k - above;
+  std::vector<std::uint8_t> bitmap((n + 7) / 8, 0);
+  std::vector<std::uint32_t> indices;
+  for (std::size_t i = 0; i < n; ++i) {
+    bool take = mags[i] > threshold;
+    if (!take && mags[i] == threshold && at_threshold > 0) {
+      take = true;
+      --at_threshold;
+    }
+    if (take) {
+      bitmap[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
+      indices.push_back(static_cast<std::uint32_t>(i));
+    }
+  }
+
+  Frame body;
+  AppendBytes(body, k);
+  body.insert(body.end(), bitmap.begin(), bitmap.end());
+  if (finite) residual = update;
+  if (!quantize) {
+    for (std::uint32_t i : indices) {
+      AppendBytes(body, update[i]);
+      if (finite) residual[i] = 0.0f;
+    }
+  } else {
+    float maxabs = 0.0f;
+    for (std::uint32_t i : indices) {
+      float a = std::fabs(update[i]);
+      if (std::isfinite(a) && a > maxabs) maxabs = a;
+    }
+    float scale =
+        finite ? maxabs / 127.0f : std::numeric_limits<float>::quiet_NaN();
+    AppendBytes(body, scale);
+    for (std::uint32_t i : indices) {
+      if (!finite || scale == 0.0f) {
+        body.push_back(0);
+        if (finite) residual[i] = update[i];
+        continue;
+      }
+      float y = std::clamp(update[i] / scale, -127.0f, 127.0f);
+      float lo = std::floor(y);
+      int q = static_cast<int>(lo) + (rng.Uniform() < y - lo ? 1 : 0);
+      auto q8 = static_cast<std::int8_t>(std::clamp(q, -127, 127));
+      body.push_back(static_cast<std::uint8_t>(q8));
+      residual[i] = update[i] - q8 * scale;
+    }
+  }
+
+  Frame frame;
+  AppendBytes(frame, std::uint32_t{0x50574346});  // "FCWP"
+  AppendBytes(frame, std::uint8_t{1});
+  AppendBytes(frame, static_cast<std::uint8_t>(quantize ? Scheme::kInt8TopK
+                                                        : Scheme::kTopK));
+  AppendBytes(frame, std::uint16_t{0});
+  AppendBytes(frame, static_cast<std::uint32_t>(shapes.size()));
+  for (std::uint32_t len : shapes) AppendBytes(frame, len);
+  AppendBytes(frame, static_cast<std::uint64_t>(n));
+  AppendBytes(frame, static_cast<std::uint64_t>(body.size()));
+  frame.insert(frame.end(), body.begin(), body.end());
+  AppendBytes(frame, Crc32({frame.data(), frame.size()}));
+  return frame;
+}
+
+// The top-k decoder as it stood before the popcount walk: one shift and
+// branch per coordinate.
+std::vector<float> ReferenceTopKDecode(bool quantized, const Frame& frame,
+                                       const std::vector<float>& reference,
+                                       const ShapeTable& shapes) {
+  const std::size_t n = reference.size();
+  std::size_t offset = BodyLenOffset(shapes) + 8 + 8;  // past the u64 k
+  const std::uint8_t* bitmap = frame.data() + offset;
+  offset += (n + 7) / 8;
+  float scale = 0.0f;
+  if (quantized) {
+    std::memcpy(&scale, frame.data() + offset, sizeof(scale));
+    offset += sizeof(scale);
+  }
+  std::vector<float> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    float delta = 0.0f;
+    if ((bitmap[i / 8] >> (i % 8)) & 1u) {
+      if (quantized) {
+        delta = static_cast<std::int8_t>(frame[offset++]) * scale;
+      } else {
+        std::memcpy(&delta, frame.data() + offset, sizeof(delta));
+        offset += sizeof(delta);
+      }
+    }
+    out[i] = reference[i] + delta;
+  }
+  return out;
+}
+
+float FromBits(std::uint32_t bits) {
+  float value = 0.0f;
+  std::memcpy(&value, &bits, sizeof(value));
+  return value;
+}
+
+TEST(WireTopKTest, RadixSelectMatchesNthElementReference) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  struct Case {
+    const char* name;
+    std::vector<float> trained;
+    std::vector<float> reference;
+    std::vector<float> residual;  // EF state going in; empty means zeros
+  };
+  std::vector<Case> cases;
+  auto add = [&](const char* name, std::vector<float> trained,
+                 std::vector<float> residual = {}) {
+    std::vector<float> reference(trained.size(), 0.0f);
+    // Signed zeros in the reference: unselected coordinates must decode
+    // to reference + 0.0f, turning -0.0 into +0.0.
+    for (std::size_t i = 0; i < reference.size(); i += 3) reference[i] = -0.0f;
+    cases.push_back({name, std::move(trained), std::move(reference),
+                     std::move(residual)});
+  };
+  {
+    std::vector<float> v(29);
+    for (std::size_t i = 0; i < v.size(); ++i) v[i] = i % 2 ? 1.5f : -1.5f;
+    add("all-equal magnitudes", v);
+  }
+  {
+    // Three magnitude levels; most thresholds land inside a run of ties.
+    util::Rng rng(11);
+    std::vector<float> v(203);
+    for (float& x : v) {
+      x = static_cast<float>(0.25 * (1 + rng.UniformInt(3)));
+      if (rng.Uniform() < 0.5) x = -x;
+    }
+    add("ties straddling the threshold", v);
+  }
+  {
+    // Same high 16 bits, different low bits: the second histogram pass
+    // decides every selection.
+    util::Rng rng(12);
+    std::vector<float> v(77);
+    for (float& x : v) {
+      auto ulps = static_cast<std::uint32_t>(rng.UniformInt(40));
+      x = FromBits(0x3f800000u + ulps);  // 1.0f plus a few ulps
+    }
+    add("one high bucket", v);
+  }
+  add("signed zeros", {0.0f, -0.0f, 0.0f, 1.0f, -0.0f, 0.0f, -2.0f, -0.0f,
+                       0.0f, 0.0f, -0.0f},
+      std::vector<float>(11, -0.0f));
+  add("denormals", {FromBits(1), -FromBits(2), FromBits(0x007fffffu), 0.0f,
+                    -FromBits(1), FromBits(0x00000100u), 1e-38f, -FromBits(2),
+                    FromBits(3), 0.0f, -FromBits(0x007fffffu), FromBits(1),
+                    FromBits(0x00800000u)});
+  add("infinities", {1.0f, inf, -2.0f, -inf, 0.5f, inf, 3.0f, 0.0f, -inf});
+  add("nan", {0.1f, nan, 0.2f, -nan, 0.3f, 0.4f, 0.5f, 0.6f, nan, -0.7f});
+  {
+    util::Rng rng(13);
+    std::vector<float> v(1000);
+    for (float& x : v) x = static_cast<float>(rng.Normal(0.0, 0.01));
+    std::vector<float> residual(v.size());
+    for (float& r : residual) r = static_cast<float>(rng.Normal(0.0, 0.001));
+    add("gaussian with residual", v, residual);
+  }
+  add("single coordinate", {-3.0f});
+
+  for (const Case& c : cases) {
+    const ShapeTable shapes = {static_cast<std::uint32_t>(c.trained.size())};
+    // k = 1, a few interior k, and k = n.
+    for (double fraction : {0.0, 0.1, 0.37, 0.5, 0.9, 1.0}) {
+      for (Scheme scheme : {Scheme::kTopK, Scheme::kInt8TopK}) {
+        SCOPED_TRACE(std::string(c.name) + " " + SchemeName(scheme) +
+                     " fraction " + std::to_string(fraction));
+        const bool quantize = scheme == Scheme::kInt8TopK;
+        CodecOptions options;
+        options.scheme = scheme;
+        options.topk_fraction = fraction;
+        std::vector<float> residual = c.residual;
+        util::Rng rng(7);
+        Frame frame;
+        EncodeUpload(options, c.trained, c.reference, shapes, residual, rng,
+                     frame);
+        std::vector<float> expected_residual = c.residual;
+        util::Rng expected_rng(7);
+        Frame expected = ReferenceTopKUpload(
+            quantize, fraction, c.trained, c.reference, shapes,
+            expected_residual, expected_rng);
+        ASSERT_EQ(frame.size(), expected.size());
+        EXPECT_EQ(std::memcmp(frame.data(), expected.data(), frame.size()), 0);
+        ExpectBitIdentical(residual, expected_residual);
+
+        std::vector<float> decoded;
+        ASSERT_TRUE(DecodeUpload(frame, c.reference, shapes, decoded).ok());
+        ExpectBitIdentical(decoded, ReferenceTopKDecode(quantize, expected,
+                                                        c.reference, shapes));
+      }
+    }
+  }
+}
+
 // --- corrupted uploads stay screenable -------------------------------------
 
 TEST(WireCorruptionTest, NonFiniteUploadDecodesNonFiniteAndSparesResidual) {
@@ -555,6 +790,21 @@ TEST_F(WireRejectTest, TopKCountOutOfRangeIsRejected) {
   util::Status status = Decode(frame, out);
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.ToString().find("out of range"), std::string::npos);
+}
+
+TEST_F(WireRejectTest, TopKBitsPastTheLastParamAreIgnored) {
+  // n = 20 leaves 4 unused bits in the bitmap's last byte; they select
+  // nothing, count toward nothing, and decode exactly as before.
+  Frame frame =
+      EncodeSimpleUpload(Scheme::kTopK, trained_, reference_, shapes_, 0.25);
+  std::vector<float> clean;
+  ASSERT_TRUE(Decode(frame, clean).ok());
+  std::size_t bitmap_at = BodyLenOffset(shapes_) + 8 + 8;
+  frame[bitmap_at + 2] |= 0xf0;
+  FixCrc(frame);
+  std::vector<float> out;
+  ASSERT_TRUE(Decode(frame, out).ok());
+  ExpectBitIdentical(out, clean);
 }
 
 TEST_F(WireRejectTest, EmptyAndForeignBuffersAreRejected) {

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <set>
 
 #include "core/fedcross.h"
+#include "fl/parallel.h"
 #include "nn/linear.h"
 #include "tensor/tensor_ops.h"
 #include "test_util.h"
@@ -265,6 +268,130 @@ TEST(CoModelSelTest, SimilarityNeverSelectsSelf) {
       EXPECT_GE(co, 0);
       EXPECT_LT(co, 4);
     }
+  }
+}
+
+
+// Restores the sequential default even if an assertion aborts the test body.
+struct FlThreadsGuard {
+  ~FlThreadsGuard() { fl::SetFlThreads(1); }
+};
+
+std::vector<FlatParams> RandomModels(int k, std::size_t dim,
+                                     std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<FlatParams> models(k, FlatParams(dim));
+  for (auto& model : models) {
+    for (float& value : model) value = static_cast<float>(rng.Normal());
+  }
+  return models;
+}
+
+TEST(CoModelSelTest, SimilarityIsBitwiseSymmetric) {
+  // The round's K x K matrix scans each unordered pair once; that is exact
+  // only if Similarity(x, y) and Similarity(y, x) are the same double.
+  for (std::size_t dim : {1u, 3u, 4u, 37u, 1001u}) {
+    std::vector<FlatParams> models = RandomModels(2, dim, dim);
+    for (SimilarityMeasure measure :
+         {SimilarityMeasure::kCosine, SimilarityMeasure::kNegativeEuclidean}) {
+      double xy = ModelSimilarity(models[0], models[1], measure);
+      double yx = ModelSimilarity(models[1], models[0], measure);
+      EXPECT_EQ(std::memcmp(&xy, &yx, sizeof(double)), 0)
+          << SimilarityMeasureName(measure) << " dim " << dim;
+    }
+  }
+}
+
+TEST(CoModelSelTest, MatrixSelectionMatchesPerModelReference) {
+  FlThreadsGuard guard;
+  for (int threads : {1, 4}) {
+    fl::SetFlThreads(threads);
+    for (SelectionStrategy strategy :
+         {SelectionStrategy::kInOrder, SelectionStrategy::kHighestSimilarity,
+          SelectionStrategy::kLowestSimilarity}) {
+      for (SimilarityMeasure measure :
+           {SimilarityMeasure::kCosine,
+            SimilarityMeasure::kNegativeEuclidean}) {
+        FedCrossOptions options;
+        options.strategy = strategy;
+        options.similarity = measure;
+        FedCross fedcross = MakeToyFedCross(options, 4);
+        for (int k : {2, 3, 16}) {
+          // 37 coordinates: the cosine kernel's 4-lane tail is exercised.
+          std::vector<FlatParams> distinct = RandomModels(k, 37, 100 + k);
+          // Exact ties: duplicates make whole similarity values repeat, so
+          // the pick must keep the lowest index on both paths.
+          std::vector<FlatParams> duplicated = distinct;
+          for (int i = 2; i < k; i += 2) duplicated[i] = duplicated[0];
+          if (k >= 4) duplicated[3] = duplicated[1];
+          for (const auto* uploaded : {&distinct, &duplicated}) {
+            for (int round : {0, 1, 7}) {
+              std::vector<int> collaborators;
+              fedcross.SelectCollaborators(round, *uploaded, collaborators);
+              ASSERT_EQ(collaborators.size(), static_cast<std::size_t>(k));
+              for (int i = 0; i < k; ++i) {
+                EXPECT_EQ(collaborators[i],
+                          fedcross.SelectCollaborator(i, round, *uploaded))
+                    << SelectionStrategyName(strategy) << " "
+                    << SimilarityMeasureName(measure) << " k=" << k
+                    << " i=" << i << " round=" << round
+                    << " threads=" << threads;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(CoModelSelTest, NonFiniteUploadFallsBackToInOrder) {
+  // Every similarity in a NaN model's row is NaN, so no candidate compares;
+  // the pick falls back to the in-order collaborator instead of returning
+  // an out-of-range index. The other rows still choose among real values.
+  const int k = 5;
+  std::vector<FlatParams> uploaded = RandomModels(k, 9, 3);
+  uploaded[2].assign(9, std::numeric_limits<float>::quiet_NaN());
+  for (SelectionStrategy strategy : {SelectionStrategy::kHighestSimilarity,
+                                     SelectionStrategy::kLowestSimilarity}) {
+    for (SimilarityMeasure measure :
+         {SimilarityMeasure::kCosine, SimilarityMeasure::kNegativeEuclidean}) {
+      FedCrossOptions options;
+      options.strategy = strategy;
+      options.similarity = measure;
+      FedCross fedcross = MakeToyFedCross(options, 4);
+      for (int round : {0, 1, 2, 3}) {
+        EXPECT_EQ(fedcross.SelectCollaborator(2, round, uploaded),
+                  (2 + (round % (k - 1) + 1)) % k);
+        std::vector<int> collaborators;
+        fedcross.SelectCollaborators(round, uploaded, collaborators);
+        for (int i = 0; i < k; ++i) {
+          int co = fedcross.SelectCollaborator(i, round, uploaded);
+          EXPECT_EQ(collaborators[i], co);
+          EXPECT_NE(co, i);
+          EXPECT_GE(co, 0);
+          EXPECT_LT(co, k);
+          if (i != 2) {
+            EXPECT_NE(co, 2) << "NaN never wins a comparison";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(FedCrossTest, UnscreenedNanUploadsDoNotBreakTheRound) {
+  // Regression: with every upload NaN-corrupted and screening off, every
+  // similarity row was NaN and the round indexed uploaded_[-1].
+  AlgorithmConfig config = ToyConfig(3);
+  config.faults.profile.corrupt_prob = 1.0;
+  config.faults.profile.corruption = fl::CorruptionKind::kNanInject;
+  FedCross fedcross(config, MakeToyFederated(8, 40, 4, true, 41),
+                    LinearFactory(4), FedCrossOptions());
+  for (int round = 0; round < 3; ++round) fedcross.RunRound(round);
+  ASSERT_EQ(fedcross.middleware().size(), 3u);
+  for (const FlatParams& model : fedcross.middleware()) {
+    EXPECT_EQ(model.size(), static_cast<std::size_t>(fedcross.model_size()));
   }
 }
 

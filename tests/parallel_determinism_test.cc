@@ -311,5 +311,63 @@ TEST(ParallelDeterminismTest, DeltaCodecTrainsIdenticallyToIdentity) {
   ExpectBitIdentical(identity, delta);
 }
 
+// --------------------------------------------------------------------------
+// Plan-path determinism
+// --------------------------------------------------------------------------
+
+// The plan executor runs each slot's fault draws and dispatch codec, then
+// its DP, corruption and upload codec, as pool fan-outs around the lockstep
+// training. These runs pin that path at 1, 2 and 4 threads, and against the
+// layer path it must match bit for bit.
+FlatParams RunFedCrossExec(int threads, ExecMode exec,
+                           AlgorithmConfig config) {
+  SetFlThreads(threads);
+  config.train.exec = exec;
+  core::FedCrossOptions options;
+  options.alpha = 0.9;
+  core::FedCross fedcross(config, MakeToyFederated(8, 40, 4, 41),
+                          LinearFactory(4), options);
+  for (int r = 0; r < 4; ++r) fedcross.RunRound(r);
+  return fedcross.GlobalParams();
+}
+
+void ExpectPlanPathThreadCountInvariant(const AlgorithmConfig& config) {
+  FlatParams one = RunFedCrossExec(1, ExecMode::kPlan, config);
+  FlatParams two = RunFedCrossExec(2, ExecMode::kPlan, config);
+  FlatParams four = RunFedCrossExec(4, ExecMode::kPlan, config);
+  ExpectBitIdentical(one, two);
+  ExpectBitIdentical(one, four);
+  ExpectBitIdentical(one, RunFedCrossExec(2, ExecMode::kLayers, config));
+}
+
+TEST(ParallelDeterminismTest, PlanPathCodecsAreThreadCountInvariant) {
+  FlThreadsGuard guard;
+  for (comm::Scheme scheme :
+       {comm::Scheme::kDelta, comm::Scheme::kInt8, comm::Scheme::kTopK,
+        comm::Scheme::kInt8TopK}) {
+    SCOPED_TRACE(comm::SchemeName(scheme));
+    AlgorithmConfig config = ToyConfig();
+    config.codec.scheme = scheme;
+    config.codec.topk_fraction = 0.25;
+    ExpectPlanPathThreadCountInvariant(config);
+  }
+}
+
+TEST(ParallelDeterminismTest,
+     PlanPathDpFaultsAndScreeningAreThreadCountInvariant) {
+  // Dropout (ToyConfig), NaN corruption caught by the finite screen, and
+  // DP clipping plus noise, all under a lossy uplink.
+  FlThreadsGuard guard;
+  AlgorithmConfig config = ToyConfig();
+  config.dp.clip_norm = 0.5f;
+  config.dp.noise_multiplier = 1.0f;
+  config.faults.profile.corrupt_prob = 0.25;
+  config.faults.profile.corruption = CorruptionKind::kNanInject;
+  config.screening.check_finite = true;
+  config.codec.scheme = comm::Scheme::kInt8TopK;
+  config.codec.topk_fraction = 0.25;
+  ExpectPlanPathThreadCountInvariant(config);
+}
+
 }  // namespace
 }  // namespace fedcross::fl
