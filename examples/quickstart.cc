@@ -27,7 +27,9 @@
 //                [--dp_noise 0]  (Gaussian noise multiplier on the clip)
 //                [--dp_delta 1e-5]  (delta the RDP accountant reports at)
 //                [--secure_agg false]  (pairwise-masked aggregation overlay)
-//                [--fl_threads 0]   (0 = all cores, 1 = sequential)
+//                [--fl_threads 0]   (pool workers: 0 = one per core, and
+//                                    the caller joins each fan-out as one
+//                                    more thread; 1 = sequential)
 //                [--trace_out t.json] [--metrics_out m.json]
 //                [--events_out e.jsonl] [--log_level info]
 //

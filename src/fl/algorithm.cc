@@ -707,17 +707,16 @@ void FlAlgorithm::TrainClientsPlan(int round, int salt,
     plan_jobs.push_back(pj);
   }
 
-  // One lockstep cohort per contiguous chunk. Chunking only changes how
-  // many replicas each fused GEMM spans; every job's bits come from its own
-  // per-slot streams, so the split is schedule-invariant.
-  const int n = static_cast<int>(plan_jobs.size());
-  const int chunks = std::min(n, FlThreads());
-  ParallelFor(chunks, [&](int c) {
-    int begin = static_cast<int>(static_cast<std::int64_t>(n) * c / chunks);
-    int end =
-        static_cast<int>(static_cast<std::int64_t>(n) * (c + 1) / chunks);
-    RunPlanJobs(pool_, plan_jobs.data() + begin, end - begin);
-  });
+  // One lockstep cohort per contiguous range of jobs, at most one per thread
+  // the fan-out runs on. Cohort boundaries only change how many replicas
+  // each fused GEMM spans; every job's bits come from its own per-slot
+  // streams, so the split is schedule-invariant.
+  ParallelRanges(static_cast<std::int64_t>(plan_jobs.size()),
+                 /*min_per_range=*/1,
+                 [&](std::int64_t begin, std::int64_t end) {
+                   RunPlanJobs(pool_, plan_jobs.data() + begin,
+                               static_cast<int>(end - begin));
+                 });
 
   // DP sanitisation, corruption and the upload codec, fanned out the same
   // way.

@@ -1,6 +1,7 @@
 #include "fl/evaluator.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 
 #include "fl/parallel.h"
@@ -76,36 +77,22 @@ EvalResult EvaluateParams(ModelPool& pool, const FlatParams& params,
   if (total == 0) return EvalResult{};
   int num_batches = (total + batch_size - 1) / batch_size;
 
-  util::ThreadPool* workers = AcquireFlPool();
-  int shards = 1;
-  if (workers != nullptr) {
-    shards = std::min(workers->num_threads(), num_batches);
-  }
-
   // Per-batch partials, indexed by batch number regardless of which shard
   // produced them.
   std::vector<double> batch_loss(num_batches, 0.0);
   std::vector<int> batch_correct(num_batches, 0);
 
-  if (shards <= 1) {
-    ModelPool::Lease lease = pool.Acquire();
-    lease->model.ParamsFromFlat(params);
-    EvalBatchRange(*lease, dataset, batch_size, 0, num_batches, batch_loss,
-                   batch_correct);
-  } else {
-    // Contiguous batch shards: shard s gets batches [s*per + min(s, extra) +
-    // ...) — each worker slot checks out its own replica.
-    int per_shard = num_batches / shards;
-    int extra = num_batches % shards;
-    workers->ParallelFor(shards, [&](int shard) {
-      int begin = shard * per_shard + std::min(shard, extra);
-      int end = begin + per_shard + (shard < extra ? 1 : 0);
-      ModelPool::Lease lease = pool.Acquire();
-      lease->model.ParamsFromFlat(params);
-      EvalBatchRange(*lease, dataset, batch_size, begin, end, batch_loss,
-                     batch_correct);
-    });
-  }
+  // Contiguous batch shards, at most one per thread the fan-out runs on;
+  // each shard checks out its own replica. A single shard runs inline.
+  ParallelRanges(num_batches, /*min_per_range=*/1,
+                 [&](std::int64_t begin, std::int64_t end) {
+                   ModelPool::Lease lease = pool.Acquire();
+                   lease->model.ParamsFromFlat(params);
+                   EvalBatchRange(*lease, dataset, batch_size,
+                                  static_cast<int>(begin),
+                                  static_cast<int>(end), batch_loss,
+                                  batch_correct);
+                 });
 
   // Reduce in batch order with double accumulation: the summation order is
   // fixed by construction, never by thread scheduling.

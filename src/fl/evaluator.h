@@ -9,11 +9,11 @@
 namespace fedcross::fl {
 
 // Evaluates flat parameters on a dataset using pooled model replicas: test
-// batches are fanned out over the shared FL thread pool (see fl/parallel.h),
-// one replica per worker slot, and per-batch results are reduced in batch
-// order with double accumulation — so the result is bit-identical for every
-// thread count, including the serial path. At steady state no replica or
-// batch-buffer allocations occur.
+// batches are cut into min(ParallelWidth(), batches) contiguous shards by
+// fl::ParallelRanges (see fl/parallel.h), one replica per shard, and
+// per-batch results are reduced in batch order with double accumulation —
+// so the result is bit-identical for every thread count, one inline shard
+// included. At steady state no replica or batch-buffer allocations occur.
 EvalResult EvaluateParams(ModelPool& pool, const FlatParams& params,
                           const data::Dataset& dataset, int batch_size = 100);
 

@@ -1,8 +1,11 @@
 #include "fl/parallel.h"
 
+#include <algorithm>
 #include <memory>
 #include <mutex>
 #include <thread>
+
+#include "util/thread_pool.h"
 
 namespace fedcross::fl {
 namespace {
@@ -19,6 +22,19 @@ int ResolveThreads(int requested) {
   return threads < 1 ? 1 : threads;
 }
 
+// The shared worker pool with FlThreads() workers, or nullptr when
+// FlThreads() == 1 (callers run inline). The pool is built lazily and
+// rebuilt when SetFlThreads changes the size.
+util::ThreadPool* AcquireFlPool() {
+  std::lock_guard<std::mutex> lock(g_pool_mutex);
+  int want = ResolveThreads(g_requested_threads);
+  if (want == 1) return nullptr;
+  if (g_pool == nullptr || g_pool->num_threads() != want) {
+    g_pool = std::make_unique<util::ThreadPool>(want);
+  }
+  return g_pool.get();
+}
+
 }  // namespace
 
 void SetFlThreads(int n) {
@@ -32,14 +48,9 @@ int FlThreads() {
   return ResolveThreads(g_requested_threads);
 }
 
-util::ThreadPool* AcquireFlPool() {
-  std::lock_guard<std::mutex> lock(g_pool_mutex);
-  int want = ResolveThreads(g_requested_threads);
-  if (want == 1) return nullptr;
-  if (g_pool == nullptr || g_pool->num_threads() != want) {
-    g_pool = std::make_unique<util::ThreadPool>(want);
-  }
-  return g_pool.get();
+int ParallelWidth() {
+  const int workers = FlThreads();
+  return workers == 1 ? 1 : workers + 1;
 }
 
 void ParallelFor(int count, const std::function<void(int)>& fn) {
@@ -55,17 +66,11 @@ void ParallelRanges(std::int64_t n, std::int64_t min_per_range,
                     const std::function<void(std::int64_t, std::int64_t)>& fn) {
   if (n <= 0) return;
   if (min_per_range < 1) min_per_range = 1;
-  util::ThreadPool* pool = AcquireFlPool();
-  std::int64_t ranges = pool == nullptr ? 1 : n / min_per_range;
-  if (ranges > FlThreads()) ranges = FlThreads();
-  if (ranges <= 1) {
-    fn(0, n);
-    return;
-  }
-  pool->ParallelFor(static_cast<int>(ranges), [&](int r) {
-    std::int64_t begin = n * r / ranges;
-    std::int64_t end = n * (r + 1) / ranges;
-    if (begin < end) fn(begin, end);
+  // ranges <= n, so every range is non-empty.
+  const std::int64_t ranges = std::clamp<std::int64_t>(
+      n / min_per_range, 1, ParallelWidth());
+  ParallelFor(static_cast<int>(ranges), [&](int r) {
+    fn(n * r / ranges, n * (r + 1) / ranges);
   });
 }
 

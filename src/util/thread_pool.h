@@ -30,9 +30,10 @@ class ThreadPool {
 
   // Runs fn(i) for i in [0, count), distributing across the pool, and
   // returns once every index has finished. The calling thread participates
-  // in the loop, so ParallelFor may be called from inside a pool task
-  // (nested parallelism) without deadlocking: the nested call drains its own
-  // indices even when every other worker is busy.
+  // in the loop, so the loop runs on up to num_threads()+1 threads, and
+  // ParallelFor may be called from inside a pool task (nested parallelism)
+  // without deadlocking: the nested call drains its own indices even when
+  // every other worker is busy.
   void ParallelFor(int count, const std::function<void(int)>& fn);
 
   int num_threads() const { return static_cast<int>(workers_.size()); }

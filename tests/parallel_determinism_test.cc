@@ -6,8 +6,12 @@
 // equal GlobalParams() after 5 rounds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <memory>
+#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "comm/wire.h"
@@ -114,6 +118,67 @@ TEST(ParallelDeterminismTest, FlThreadsResolvesRequests) {
   EXPECT_GE(FlThreads(), 1);
 }
 
+TEST(ParallelDeterminismTest, ParallelWidthCountsTheCallingThread) {
+  // --fl_threads N means N pool workers; the caller joins every fan-out as
+  // one more thread, except at N = 1, where there is no pool.
+  FlThreadsGuard guard;
+  SetFlThreads(1);
+  EXPECT_EQ(ParallelWidth(), 1);
+  SetFlThreads(2);
+  EXPECT_EQ(ParallelWidth(), 3);
+  SetFlThreads(4);
+  EXPECT_EQ(ParallelWidth(), 5);
+}
+
+// The [begin, end) ranges ParallelRanges hands to fn, sorted by begin.
+std::vector<std::pair<std::int64_t, std::int64_t>> RangesOf(
+    std::int64_t n, std::int64_t min_per_range) {
+  std::mutex mutex;
+  std::vector<std::pair<std::int64_t, std::int64_t>> ranges;
+  ParallelRanges(n, min_per_range, [&](std::int64_t begin, std::int64_t end) {
+    std::lock_guard<std::mutex> lock(mutex);
+    ranges.emplace_back(begin, end);
+  });
+  std::sort(ranges.begin(), ranges.end());
+  return ranges;
+}
+
+// Every range is non-empty, each starts where the previous one ended, and
+// together they cover [0, n).
+void ExpectContiguousCover(
+    const std::vector<std::pair<std::int64_t, std::int64_t>>& ranges,
+    std::int64_t n) {
+  ASSERT_FALSE(ranges.empty());
+  std::int64_t next = 0;
+  for (const auto& [begin, end] : ranges) {
+    EXPECT_EQ(begin, next);
+    EXPECT_LT(begin, end);
+    next = end;
+  }
+  EXPECT_EQ(next, n);
+}
+
+TEST(ParallelDeterminismTest, ParallelRangesSpanTheFanOutWidth) {
+  FlThreadsGuard guard;
+  const std::int64_t min_per_range = 16;
+  SetFlThreads(2);
+  for (std::int64_t n : {3 * min_per_range, 3 * min_per_range + 5,
+                         std::int64_t{1000}}) {
+    SCOPED_TRACE(n);
+    auto ranges = RangesOf(n, min_per_range);
+    EXPECT_EQ(ranges.size(), 3u);
+    ExpectContiguousCover(ranges, n);
+  }
+  auto two = RangesOf(2 * min_per_range, min_per_range);
+  EXPECT_EQ(two.size(), 2u);
+  ExpectContiguousCover(two, 2 * min_per_range);
+
+  SetFlThreads(1);
+  auto one = RangesOf(1000, min_per_range);
+  EXPECT_EQ(one.size(), 1u);
+  ExpectContiguousCover(one, 1000);
+}
+
 TEST(ParallelDeterminismTest, FedAvgIsThreadCountInvariant) {
   FlThreadsGuard guard;
   FlatParams sequential = RunFedAvg(/*threads=*/1, /*rounds=*/5);
@@ -141,11 +206,16 @@ TEST(ParallelDeterminismTest, EvaluationIsThreadCountInvariant) {
   FlatParams params = fedavg.GlobalParams();
 
   EvalResult serial = fedavg.Evaluate(params);
+  SetFlThreads(2);
+  ASSERT_EQ(ParallelWidth(), 3);  // 3 shards of 2 batches each
+  EvalResult two = fedavg.Evaluate(params);
   SetFlThreads(4);
   EvalResult four = fedavg.Evaluate(params);
   SetFlThreads(3);
   EvalResult three = fedavg.Evaluate(params);
 
+  EXPECT_EQ(serial.loss, two.loss);
+  EXPECT_EQ(serial.accuracy, two.accuracy);
   EXPECT_EQ(serial.loss, four.loss);
   EXPECT_EQ(serial.accuracy, four.accuracy);
   EXPECT_EQ(serial.loss, three.loss);

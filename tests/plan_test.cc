@@ -9,9 +9,12 @@
 // cut the pooled arena bytes roughly in half.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -32,6 +35,7 @@
 #include "nn/linear.h"
 #include "nn/plan.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "tensor/tensor_ops.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -350,6 +354,81 @@ TEST(PlanExecutionTest, AllAlgorithmsBitIdenticalAcrossExecAndThreads) {
     ExpectBitIdentical(layers1, plan1, std::string(algo) + ": plan@1");
     ExpectBitIdentical(layers1, plan4, std::string(algo) + ": plan@4");
   }
+}
+
+// ---------------------------------------------------------------------------
+// Lockstep cohorts: one per thread the fan-out runs on
+// ---------------------------------------------------------------------------
+
+struct TracingGuard {
+  ~TracingGuard() {
+    obs::SetTracingEnabled(false);
+    obs::TraceRecorder::Global().Clear();
+  }
+};
+
+struct CohortRun {
+  FlatParams params;
+  std::vector<int> cohorts;  // job count of each plan.lockstep span, sorted
+};
+
+// One traced plan-path FedCross round with K middleware models at the given
+// --fl_threads. Every slot trains (no client dropout), so the cohorts
+// partition all K jobs.
+CohortRun RunTracedFedCrossRound(int k, int threads) {
+  SetFlThreads(threads);
+  AlgorithmConfig config = ToyConfig(ExecMode::kPlan);
+  config.clients_per_round = k;
+  config.dropout_prob = 0.0;
+  core::FedCrossOptions options;
+  options.alpha = 0.9;
+  core::FedCross fedcross(config, MakeToyFederated(12, 35, 6, 41),
+                          MlpFactory(6, 2), options);
+  obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
+  recorder.Clear();
+  obs::SetTracingEnabled(true);
+  fedcross.RunRound(0);
+  obs::SetTracingEnabled(false);
+
+  CohortRun run;
+  run.params = fedcross.GlobalParams();
+  const std::string path = ::testing::TempDir() + "plan_cohort_trace.json";
+  EXPECT_TRUE(recorder.WriteJson(path));
+  recorder.Clear();
+  std::ifstream in(path);
+  static const char kArg[] = "\"args\":{\"v\":";
+  for (std::string line; std::getline(in, line);) {
+    if (line.find("\"name\":\"plan.lockstep\"") == std::string::npos) {
+      continue;
+    }
+    std::size_t at = line.find(kArg);
+    EXPECT_NE(at, std::string::npos) << line;
+    if (at == std::string::npos) continue;
+    run.cohorts.push_back(std::atoi(line.c_str() + at + sizeof(kArg) - 1));
+  }
+  std::remove(path.c_str());
+  std::sort(run.cohorts.begin(), run.cohorts.end());
+  return run;
+}
+
+TEST(PlanExecutionTest, LockstepCohortsSpanTheFanOutWidth) {
+  // --fl_threads N runs each fan-out on N workers plus the caller, so the
+  // plan path cuts its jobs into min(K, N + 1) contiguous cohorts. Cohort
+  // boundaries only change how many replicas share a grouped kernel call,
+  // never the bits.
+  FlThreadsGuard guard;
+  TracingGuard tracing;
+  CohortRun k10_one = RunTracedFedCrossRound(10, 1);
+  CohortRun k10_two = RunTracedFedCrossRound(10, 2);
+  EXPECT_EQ(k10_one.cohorts, (std::vector<int>{10}));
+  EXPECT_EQ(k10_two.cohorts, (std::vector<int>{3, 3, 4}));
+  ExpectBitIdentical(k10_one.params, k10_two.params, "K=10: 1 vs 2 workers");
+
+  CohortRun k2_one = RunTracedFedCrossRound(2, 1);
+  CohortRun k2_four = RunTracedFedCrossRound(2, 4);
+  EXPECT_EQ(k2_one.cohorts, (std::vector<int>{2}));
+  EXPECT_EQ(k2_four.cohorts, (std::vector<int>{1, 1}));
+  ExpectBitIdentical(k2_one.params, k2_four.params, "K=2: 1 vs 4 workers");
 }
 
 // ---------------------------------------------------------------------------
