@@ -5,6 +5,8 @@
 // (flat parameter views make CrossAggr / similarity O(P) passes).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -161,6 +163,126 @@ void BM_ConvBackward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConvBackward)->Arg(4)->Arg(8)->Arg(16);
+
+// Conv lowering at the fcbench shapes (arg = row of kConvShapes): the
+// bordered Im2Col/Col2Im per image, and the forward GEMMs of one replica's
+// mini-batch run per image (the layer path, and the plan's fallback) vs
+// once over the whole batch plus the per-image transpose back (the plan's
+// batch-wide path). Both GEMM variants start from filled columns.
+struct ConvShape {
+  const char* name;
+  int batch, channels, side, out_channels, kernel, stride, pad;
+};
+constexpr ConvShape kConvShapes[] = {
+    {"cnn-sync/conv1", 10, 3, 8, 16, 5, 1, 2},
+    {"cnn-sync/conv2", 10, 16, 4, 32, 5, 1, 2},
+    {"resnet-async/stem", 5, 3, 8, 8, 3, 1, 1},
+    {"resnet-async/stage2.conv1", 5, 8, 8, 16, 3, 2, 1},
+    {"resnet-async/stage3.conv2", 5, 32, 2, 32, 3, 1, 1},
+};
+constexpr int kNumConvShapes = sizeof(kConvShapes) / sizeof(kConvShapes[0]);
+
+struct ConvGeometry {
+  explicit ConvGeometry(const ConvShape& s)
+      : shape(s),
+        out_side(ops::ConvOutSize(s.side, s.kernel, s.stride, s.pad)),
+        area(out_side * out_side),
+        patch(s.channels * s.kernel * s.kernel),
+        image(s.channels * s.side * s.side) {}
+  ConvShape shape;
+  int out_side, area, patch, image;
+};
+
+std::vector<float> RandomFloats(std::size_t n, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<float> v(n);
+  for (float& x : v) x = static_cast<float>(rng.Normal(0.0, 1.0));
+  return v;
+}
+
+void BM_Im2Col(benchmark::State& state) {
+  const ConvGeometry g(kConvShapes[state.range(0)]);
+  const ConvShape& s = g.shape;
+  std::vector<float> image = RandomFloats(g.image, 11);
+  std::vector<float> columns(static_cast<std::size_t>(g.patch) * g.area);
+  for (auto _ : state) {
+    ops::Im2Col(image.data(), s.channels, s.side, s.side, s.kernel, s.kernel,
+                s.stride, s.pad, columns.data());
+    benchmark::DoNotOptimize(columns.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(s.name);
+  state.SetItemsProcessed(state.iterations());  // images
+}
+BENCHMARK(BM_Im2Col)->DenseRange(0, kNumConvShapes - 1);
+
+void BM_Col2Im(benchmark::State& state) {
+  const ConvGeometry g(kConvShapes[state.range(0)]);
+  const ConvShape& s = g.shape;
+  std::vector<float> columns =
+      RandomFloats(static_cast<std::size_t>(g.patch) * g.area, 12);
+  std::vector<float> image(g.image, 0.0f);
+  for (auto _ : state) {
+    // Callers zero the image for an accumulating Col2Im; an overwriting one
+    // does it internally, so the fill belongs to the measured work.
+    std::fill(image.begin(), image.end(), 0.0f);
+    ops::Col2Im(columns.data(), s.channels, s.side, s.side, s.kernel,
+                s.kernel, s.stride, s.pad, image.data());
+    benchmark::DoNotOptimize(image.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(s.name);
+  state.SetItemsProcessed(state.iterations());  // images
+}
+BENCHMARK(BM_Col2Im)->DenseRange(0, kNumConvShapes - 1);
+
+void RunConvForwardGemms(benchmark::State& state, bool batch_wide) {
+  const ConvGeometry g(kConvShapes[state.range(0)]);
+  const ConvShape& s = g.shape;
+  const int m = s.out_channels, n = g.area, k = g.patch, batch = s.batch;
+  const std::int64_t wide_n = static_cast<std::int64_t>(batch) * n;
+  std::vector<float> weights = RandomFloats(static_cast<std::size_t>(m) * k, 13);
+  std::vector<float> columns =
+      RandomFloats(static_cast<std::size_t>(k) * wide_n, 14);
+  std::vector<float> wide(static_cast<std::size_t>(m) * wide_n);
+  std::vector<float> output(static_cast<std::size_t>(m) * wide_n);
+  const std::size_t row_bytes = static_cast<std::size_t>(n) * sizeof(float);
+  for (auto _ : state) {
+    if (batch_wide) {
+      ops::Gemm(false, false, m, static_cast<int>(wide_n), k, 1.0f,
+                weights.data(), k, columns.data(), static_cast<int>(wide_n),
+                0.0f, wide.data(), static_cast<int>(wide_n));
+      for (int b = 0; b < batch; ++b) {
+        for (int i = 0; i < m; ++i) {
+          std::memcpy(output.data() + (static_cast<std::int64_t>(b) * m + i) * n,
+                      wide.data() + i * wide_n + static_cast<std::int64_t>(b) * n,
+                      row_bytes);
+        }
+      }
+    } else {
+      for (int b = 0; b < batch; ++b) {
+        ops::Gemm(false, false, m, n, k, 1.0f, weights.data(), k,
+                  columns.data() + static_cast<std::int64_t>(b) * k * n, n,
+                  0.0f, output.data() + static_cast<std::int64_t>(b) * m * n,
+                  n);
+      }
+    }
+    benchmark::DoNotOptimize(output.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(s.name);
+  state.SetItemsProcessed(state.iterations() * 2LL * m * n * k * batch);
+}
+
+void BM_ConvForwardPerImage(benchmark::State& state) {
+  RunConvForwardGemms(state, false);
+}
+BENCHMARK(BM_ConvForwardPerImage)->DenseRange(0, kNumConvShapes - 1);
+
+void BM_ConvForwardBatchWide(benchmark::State& state) {
+  RunConvForwardGemms(state, true);
+}
+BENCHMARK(BM_ConvForwardBatchWide)->DenseRange(0, kNumConvShapes - 1);
 
 nn::Sequential ZooModel(int scale) {
   models::VggConfig config;

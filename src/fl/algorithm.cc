@@ -391,6 +391,29 @@ std::vector<std::int64_t> FlAlgorithm::SampleClients() {
   return std::vector<std::int64_t>(legacy.begin(), legacy.end());
 }
 
+void FlAlgorithm::PinClientSlots(const std::vector<ClientJob>& jobs) {
+  // Materialising the sampled clients is dispatch work; on a spilling
+  // virtual population it is most of the round outside training, so it is
+  // timed rather than left outside every phase.
+  PhaseScope phase(*this, RoundPhase::kDispatch);
+  // The population cache and the state store are not thread-safe, and both
+  // guarantee pointer stability until their next BeginBatch. Workers then
+  // only dereference pre-pinned pointers.
+  population_.BeginBatch();
+  residual_store_.BeginBatch();
+  const bool lossy = comm::SchemeIsLossy(config_.codec.scheme);
+  const int count = static_cast<int>(jobs.size());
+  client_slots_.resize(count);
+  residual_slots_.resize(count);
+  for (int slot = 0; slot < count; ++slot) {
+    FC_CHECK_GE(jobs[slot].client_id, 0);
+    FC_CHECK_LT(jobs[slot].client_id, num_clients());
+    client_slots_[slot] = &population_.Client(jobs[slot].client_id);
+    residual_slots_[slot] =
+        lossy ? &residual_store_.Touch(jobs[slot].client_id) : nullptr;
+  }
+}
+
 const std::vector<LocalTrainResult>& FlAlgorithm::TrainClients(
     int round, int salt, const std::vector<ClientJob>& jobs) {
   if (config_.async.mode == RoundMode::kAsync) {
@@ -403,22 +426,7 @@ const std::vector<LocalTrainResult>& FlAlgorithm::TrainClients(
   if (static_cast<int>(wire_scratch_.size()) < count) {
     wire_scratch_.resize(count);
   }
-  // Resolve every slot's client and residual entry on the calling thread
-  // before the fan-out: the population cache and the state store are not
-  // thread-safe, and both guarantee pointer stability until their next
-  // BeginBatch. Workers then only dereference pre-pinned pointers.
-  population_.BeginBatch();
-  residual_store_.BeginBatch();
-  const bool lossy = comm::SchemeIsLossy(config_.codec.scheme);
-  client_slots_.resize(count);
-  residual_slots_.resize(count);
-  for (int slot = 0; slot < count; ++slot) {
-    FC_CHECK_GE(jobs[slot].client_id, 0);
-    FC_CHECK_LT(jobs[slot].client_id, num_clients());
-    client_slots_[slot] = &population_.Client(jobs[slot].client_id);
-    residual_slots_[slot] =
-        lossy ? &residual_store_.Touch(jobs[slot].client_id) : nullptr;
-  }
+  PinClientSlots(jobs);
   auto train_slot = [&](int slot) {
     util::Rng job_rng(ClientJobSeed(config_.seed, round, salt, slot));
     // The fault stream is derived independently of the training stream, so
@@ -736,18 +744,7 @@ const std::vector<LocalTrainResult>& FlAlgorithm::TrainClientsAsync(
   if (static_cast<int>(wire_scratch_.size()) < count) {
     wire_scratch_.resize(count);
   }
-  population_.BeginBatch();
-  residual_store_.BeginBatch();
-  const bool lossy = comm::SchemeIsLossy(config_.codec.scheme);
-  client_slots_.resize(count);
-  residual_slots_.resize(count);
-  for (int slot = 0; slot < count; ++slot) {
-    FC_CHECK_GE(jobs[slot].client_id, 0);
-    FC_CHECK_LT(jobs[slot].client_id, num_clients());
-    client_slots_[slot] = &population_.Client(jobs[slot].client_id);
-    residual_slots_[slot] =
-        lossy ? &residual_store_.Touch(jobs[slot].client_id) : nullptr;
-  }
+  PinClientSlots(jobs);
   async_outcomes_.resize(count);
 
   const AsyncOptions& async = config_.async;

@@ -229,9 +229,10 @@ class FlAlgorithm {
 
   // The phases a round decomposes into for observability. The base class
   // times kTrain/kScreen (TrainClients), kAggregate (Aggregate), kEval and
-  // kCheckpoint (Run); subclasses wrap their sampling / job construction in
-  // a kDispatch scope, and bespoke aggregation (FedCross's cross-aggregation)
-  // in a kAggregate scope.
+  // kCheckpoint (Run), and the client pinning TrainClients does before its
+  // fan-out as kDispatch; subclasses wrap their sampling / job construction
+  // in a kDispatch scope too, and bespoke aggregation (FedCross's
+  // cross-aggregation) in a kAggregate scope.
   enum class RoundPhase {
     kDispatch = 0,
     kTrain,
@@ -434,6 +435,11 @@ class FlAlgorithm {
   // that follows.
   const std::vector<LocalTrainResult>& TrainClientsAsync(
       int round, int salt, const std::vector<ClientJob>& jobs);
+
+  // Resolves every slot's client and codec residual into client_slots_ /
+  // residual_slots_ on the calling thread, before the fan-out, timed as
+  // RoundPhase::kDispatch.
+  void PinClientSlots(const std::vector<ClientJob>& jobs);
 
   // The kTrain phase body for ExecMode::kPlan: Prepare every slot, run the
   // surviving jobs through the lockstep plan runner (contiguous chunks

@@ -73,8 +73,8 @@ const Tensor& Conv2d::Backward(const Tensor& grad_output) {
   int out_area = out_h * out_w;
   int patch = in_channels_ * kernel_ * kernel_;
 
+  // Col2Im below overwrites every image of grad_input_.
   grad_input_.ResizeTo({batch, in_channels_, cached_height_, cached_width_});
-  grad_input_.Fill(0.0f);  // Col2Im accumulates into the image
   // Same scratch-reuse as Forward: the dColumns GEMM runs with beta = 0, so
   // the buffer is fully overwritten each iteration.
   if (grad_columns_.ndim() != 2 || grad_columns_.dim(0) != patch ||

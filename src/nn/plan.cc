@@ -16,6 +16,7 @@
 #include "nn/pooling.h"
 #include "nn/residual.h"
 #include "obs/metrics.h"
+#include "tensor/gemm_kernels.h"
 #include "tensor/tensor_ops.h"
 #include "util/check.h"
 
@@ -31,6 +32,9 @@ std::int64_t NumelOf(const Tensor::Shape& shape) {
 // Counts capacity growth across ALL executor scratch (grouped instance
 // tables, staging slots) so the steady-state test can pin it at zero.
 std::atomic<std::int64_t> g_scratch_reallocs{0};
+
+// Test switch: false compiles every conv step on the per-image path.
+std::atomic<bool> g_batch_wide_conv{true};
 
 // Process-wide logical arena bytes across live PlanStates, mirrored to the
 // fl.pool.arena_bytes gauge by Bind() and ~PlanState().
@@ -146,9 +150,25 @@ void StageFlush(int slot, PlanState& st, Ref ref, std::int64_t n, int r,
                     st.arena16.data() + ref.offset, n);
 }
 
-// Plain fp32 compute scratch in both modes (LSTM step workspaces).
+// Plain fp32 compute scratch in both modes (LSTM step workspaces, the
+// batch-wide conv GEMM operands).
 float* ScratchSlot(int slot, std::int64_t n, int r, int count) {
   return SlotPtr(slot, n, r, count);
+}
+
+// dst[j][i][:] = src[i][j][:] for src of shape [outer, inner, area]: moves a
+// conv operand between the arena's per-image [batch, rows, area] layout and
+// the batch-wide GEMM's [rows, batch*area] (image b at column b*area).
+void SwapOuterDims(const float* src, int outer, int inner, std::int64_t area,
+                   float* dst) {
+  const std::size_t bytes = static_cast<std::size_t>(area) * sizeof(float);
+  for (int i = 0; i < outer; ++i) {
+    for (int j = 0; j < inner; ++j) {
+      std::memcpy(dst + (static_cast<std::int64_t>(j) * outer + i) * area,
+                  src + (static_cast<std::int64_t>(i) * inner + j) * area,
+                  bytes);
+    }
+  }
 }
 
 // A window into an arena slab: the ref `base.offset + delta`.
@@ -162,6 +182,10 @@ Ref Window(Ref base, std::int64_t delta) {
 namespace testing {
 std::int64_t ScratchReallocEvents() {
   return g_scratch_reallocs.load(std::memory_order_relaxed);
+}
+
+void SetBatchWideConv(bool enabled) {
+  g_batch_wide_conv.store(enabled, std::memory_order_relaxed);
 }
 }  // namespace testing
 
@@ -204,8 +228,18 @@ std::optional<Program> Program::Compile(Sequential& model,
     std::int64_t patch =
         static_cast<std::int64_t>(op.channels) * op.kernel * op.kernel;
     std::int64_t out_area = static_cast<std::int64_t>(op.out_h) * op.out_w;
+    // One image has nothing to batch; the per-image path also keeps the
+    // cross-replica interleave for it.
+    const bool batched =
+        op.batch > 1 && g_batch_wide_conv.load(std::memory_order_relaxed);
+    op.wide_y = batched && ops::detail::BatchWideGemmExact(
+                               op.out_channels, out_area, patch, op.batch);
+    op.wide_dx = batched && !op.skip_dx &&
+                 ops::detail::BatchWideGemmExact(patch, out_area,
+                                                 op.out_channels, op.batch);
     op.s0 = alloc(op.batch * patch * out_area);  // im2col, kept for backward
-    if (!op.skip_dx) op.s1 = alloc(patch * out_area);  // dColumns, per image
+    // dColumns of one image; the batch-wide dx GEMM uses executor scratch.
+    if (!op.skip_dx && !op.wide_dx) op.s1 = alloc(patch * out_area);
     return op;
   };
 
@@ -603,6 +637,11 @@ void ExecuteStep(const Program& p, PlanState* const* states,
         std::int64_t xn = op.batch * in_stride;
         std::int64_t cn = op.batch * col_size;
         std::int64_t yn = op.batch * out_stride;
+        // Image b's columns: a column block of one [patch, batch*out_area]
+        // matrix (wide_y) or its own dense [patch, out_area] block.
+        const std::int64_t wide_n = op.batch * out_area;
+        const std::int64_t col_ld = op.wide_y ? wide_n : out_area;
+        const std::int64_t col_image = op.wide_y ? out_area : col_size;
         for (int r = 0; r < count; ++r) {
           const float* x =
               StageIn(0, *states[r], batches[r], op.x, xn, r, count);
@@ -611,9 +650,26 @@ void ExecuteStep(const Program& p, PlanState* const* states,
           for (int b = 0; b < op.batch; ++b) {
             ops::Im2Col(x + b * in_stride, op.channels, op.height, op.width,
                         op.kernel, op.kernel, op.stride, op.pad,
-                        cols + b * col_size);
+                        cols + b * col_image, col_ld);
           }
+          if (!op.wide_y) continue;
+          // One GEMM over the whole batch into fp32 scratch (one buffer
+          // serves every replica in turn), transposed per image into y.
+          Conv2d* conv = states[r]->bindings[j].conv;
+          float* wide = ScratchSlot(4, yn, 0, 1);
+          ops::Gemm(false, false, op.out_channels, static_cast<int>(wide_n),
+                    static_cast<int>(patch), 1.0f,
+                    conv->weight_param().value.data(), static_cast<int>(patch),
+                    cols, static_cast<int>(wide_n), 0.0f, wide,
+                    static_cast<int>(wide_n));
+          float* y = StageOut(2, *states[r], batches[r], op.y, yn, r, count);
+          SwapOuterDims(wide, op.out_channels, op.batch, out_area, y);
+          kernels::ConvBiasAdd(y, conv->bias_param().value.data(), op.batch,
+                               op.out_channels, static_cast<int>(out_area));
+          StageFlush(1, *states[r], op.s0, cn, r, count);
+          StageFlush(2, *states[r], op.y, yn, r, count);
         }
+        if (op.wide_y) break;
         // One fused cross-replica grouped conv over all images.
         auto& cgroups = ConvScratch(count);
         for (int r = 0; r < count; ++r) {
@@ -916,31 +972,32 @@ void ExecuteStep(const Program& p, PlanState* const* states,
         std::int64_t xn = op.batch * in_stride;
         std::int64_t cn = op.batch * col_size;
         std::int64_t yn = op.batch * out_stride;
+        // The forward's column layout (see there).
+        const std::int64_t wide_n = op.batch * out_area;
+        const std::int64_t col_ld = op.wide_y ? wide_n : out_area;
+        const std::int64_t col_image = op.wide_y ? out_area : col_size;
         for (int r = 0; r < count; ++r) {
           StageIn(0, *states[r], batches[r], op.dy, yn, r, count);
           StageIn(1, *states[r], batches[r], op.s0, cn, r, count);
-          if (!op.skip_dx) {
-            float* dx =
-                StageOut(2, *states[r], batches[r], op.dx, xn, r, count);
-            std::fill(dx, dx + xn, 0.0f);
-          }
         }
         auto& groups = GroupScratch(count);
         for (int b = 0; b < op.batch; ++b) {
-          // dW += dY_b * columns_b^T
+          // dW += dY_b * columns_b^T, one image at a time: the beta = 1
+          // chain over images is the layer path's summation order, which a
+          // batch-wide dW GEMM would merge.
           for (int r = 0; r < count; ++r) {
             groups[r] = {
                 StageOut(0, *states[r], batches[r], op.dy, yn, r, count) +
                     b * out_stride,
                 StageOut(1, *states[r], batches[r], op.s0, cn, r, count) +
-                    b * col_size,
+                    b * col_image,
                 states[r]->bindings[j].conv->weight_param().grad.data()};
           }
           ops::GemmGrouped(false, true, op.out_channels,
                            static_cast<int>(patch),
                            static_cast<int>(out_area), 1.0f,
                            static_cast<int>(out_area),
-                           static_cast<int>(out_area), 1.0f,
+                           static_cast<int>(col_ld), 1.0f,
                            static_cast<int>(patch), groups.data(), count);
           // db += spatial sums of dY_b
           for (int r = 0; r < count; ++r) {
@@ -950,38 +1007,59 @@ void ExecuteStep(const Program& p, PlanState* const* states,
                 states[r]->bindings[j].conv->bias_param().grad.data(),
                 op.out_channels, static_cast<int>(out_area));
           }
-          if (!op.skip_dx) {
-            // dColumns = W^T * dY_b, scattered back by Col2Im. In bf16 mode
-            // the dColumns buffer is staged-only scratch (never flushed).
-            for (int r = 0; r < count; ++r) {
-              groups[r] = {
-                  states[r]->bindings[j].conv->weight_param().value.data(),
-                  StageOut(0, *states[r], batches[r], op.dy, yn, r, count) +
-                      b * out_stride,
-                  StageOut(3, *states[r], batches[r], op.s1, col_size, r,
-                           count)};
-            }
-            ops::GemmGrouped(true, false, static_cast<int>(patch),
-                             static_cast<int>(out_area), op.out_channels,
-                             1.0f, static_cast<int>(patch),
-                             static_cast<int>(out_area), 0.0f,
-                             static_cast<int>(out_area), groups.data(),
-                             count);
-            for (int r = 0; r < count; ++r) {
-              ops::Col2Im(
-                  StageOut(3, *states[r], batches[r], op.s1, col_size, r,
-                           count),
-                  op.channels, op.height, op.width, op.kernel, op.kernel,
-                  op.stride, op.pad,
-                  StageOut(2, *states[r], batches[r], op.dx, xn, r, count) +
-                      b * in_stride);
-            }
-          }
         }
-        if (!op.skip_dx) {
+        if (op.skip_dx) break;
+        // dColumns = W^T * dY, scattered back by Col2Im (which overwrites
+        // each image of dx). dColumns is fp32 scratch in both modes.
+        if (op.wide_dx) {
           for (int r = 0; r < count; ++r) {
+            float* dy_wide = ScratchSlot(4, yn, 0, 1);
+            SwapOuterDims(
+                StageOut(0, *states[r], batches[r], op.dy, yn, r, count),
+                op.batch, op.out_channels, out_area, dy_wide);
+            float* dcols = ScratchSlot(5, cn, 0, 1);
+            ops::Gemm(true, false, static_cast<int>(patch),
+                      static_cast<int>(wide_n), op.out_channels, 1.0f,
+                      states[r]->bindings[j].conv->weight_param().value.data(),
+                      static_cast<int>(patch), dy_wide,
+                      static_cast<int>(wide_n), 0.0f, dcols,
+                      static_cast<int>(wide_n));
+            float* dx = StageOut(2, *states[r], batches[r], op.dx, xn, r, count);
+            for (int b = 0; b < op.batch; ++b) {
+              ops::Col2Im(dcols + b * out_area, op.channels, op.height,
+                          op.width, op.kernel, op.kernel, op.stride, op.pad,
+                          dx + b * in_stride, wide_n);
+            }
             StageFlush(2, *states[r], op.dx, xn, r, count);
           }
+          break;
+        }
+        for (int b = 0; b < op.batch; ++b) {
+          for (int r = 0; r < count; ++r) {
+            groups[r] = {
+                states[r]->bindings[j].conv->weight_param().value.data(),
+                StageOut(0, *states[r], batches[r], op.dy, yn, r, count) +
+                    b * out_stride,
+                StageOut(3, *states[r], batches[r], op.s1, col_size, r,
+                         count)};
+          }
+          ops::GemmGrouped(true, false, static_cast<int>(patch),
+                           static_cast<int>(out_area), op.out_channels, 1.0f,
+                           static_cast<int>(patch),
+                           static_cast<int>(out_area), 0.0f,
+                           static_cast<int>(out_area), groups.data(), count);
+          for (int r = 0; r < count; ++r) {
+            ops::Col2Im(
+                StageOut(3, *states[r], batches[r], op.s1, col_size, r,
+                         count),
+                op.channels, op.height, op.width, op.kernel, op.kernel,
+                op.stride, op.pad,
+                StageOut(2, *states[r], batches[r], op.dx, xn, r, count) +
+                    b * in_stride);
+          }
+        }
+        for (int r = 0; r < count; ++r) {
+          StageFlush(2, *states[r], op.dx, xn, r, count);
         }
         break;
       }

@@ -28,14 +28,19 @@ namespace plan {
 // gradient refs alias so the join's backward is free) — and one bounded
 // per-timestep loop (kLstm walks T gate steps over arena slabs). The plan
 // executor runs K same-topology replicas in lockstep, fusing each GEMM
-// across replicas into one ops::GemmGrouped call and each conv-forward
-// image batch into one ops::ConvGrouped call (replica-interleaved SIMD
-// lanes for small shapes).
+// across replicas into one ops::GemmGrouped call. A conv step runs its
+// forward and input-gradient GEMMs once over the whole mini-batch per
+// replica (Op::wide_y / wide_dx) where that is bit-identical to the
+// per-image calls, and otherwise fuses the per-image forward GEMMs of all
+// replicas into one ops::ConvGrouped call (replica-interleaved SIMD lanes
+// for small shapes).
 //
 // Invariant: a plan step is bit-identical to Layer::Forward / loss /
 // Layer::Backward on the same replica. Three mechanisms enforce this:
 //  * every GEMM goes through ops::Gemm / ops::GemmGrouped / ops::ConvGrouped,
-//    whose grouped instances are bit-identical to standalone calls;
+//    whose grouped instances are bit-identical to standalone calls, and a
+//    batch-wide conv GEMM runs only where ops::detail::BatchWideGemmExact
+//    proves it equal to the layer path's per-image calls;
 //  * every non-GEMM arithmetic loop is a shared out-of-line kernel in
 //    nn/kernels.cc, called by both the layer classes and the executor, so
 //    no expression can be FP-contracted differently in two TUs;
@@ -104,6 +109,13 @@ struct Op {
                // groupnorm xhat+inv_std, lstm gates+cells
   Ref s2;      // lstm hiddens slab ((time+1) windows; window 0 is h_{-1}=0)
   int argmax_slot = -1;  // MaxPool argmax / Embedding token ids
+
+  // kConv: run the forward (wide_y) / input-gradient (wide_dx) GEMM once
+  // over all batch images instead of once per image. Set only where
+  // ops::detail::BatchWideGemmExact says the bytes cannot change. wide_y
+  // also lays s0 out as one [patch, batch*out_area] matrix rather than
+  // `batch` dense [patch, out_area] blocks; wide_dx leaves s1 unallocated.
+  bool wide_y = false, wide_dx = false;
 
   // Geometry (fields unused by a kind stay zero).
   std::int64_t numel = 0;             // elementwise ops
@@ -202,6 +214,12 @@ namespace testing {
 // steady-state training must not grow scratch; the steady-state test pins
 // this alongside Tensor::HeapAllocations.
 std::int64_t ScratchReallocEvents();
+
+// Programs compiled while disabled put every conv step on the per-image
+// GEMM path (Op::wide_y/wide_dx false): the reference the batch-wide path
+// is checked against where no layer-path reference exists (bf16 arenas).
+// Defaults to enabled. Not thread-safe; call only from test setup.
+void SetBatchWideConv(bool enabled);
 }  // namespace testing
 
 }  // namespace plan

@@ -13,6 +13,26 @@ namespace fedcross::ops::detail {
 // choice is what makes the grouped path bit-identical per instance.
 constexpr std::int64_t kSmallGemmOps = 16 * 1024;
 
+// Depth of one packed panel of the blocked kernel: it accumulates each
+// output element as a sum of kKc-deep partial chains, while the small
+// kernel runs one chain over all of k.
+constexpr int kKc = 256;
+
+// True when one untransposed-B Gemm over `parts` side-by-side column blocks
+// of width n (alpha = 1, beta = 0) writes, per output element, exactly the
+// bytes of `parts` separate Gemm calls of width n. Column position never
+// changes an element's chain, but the kernel choice can: the small and
+// blocked kernels compute the same ascending-k chain only while k fits one
+// blocked panel. Both kernels contract their multiply-adds alike on every
+// tier (fused iff the tier has FMA), which is what makes the k <= kKc case
+// exact. The plan executor's batch-wide conv GEMMs take this as their rule.
+constexpr bool BatchWideGemmExact(std::int64_t m, std::int64_t n,
+                                  std::int64_t k, std::int64_t parts) {
+  const bool part_small = m * n * k <= kSmallGemmOps;
+  const bool whole_small = m * n * parts * k <= kSmallGemmOps;
+  return part_small == whole_small || k <= kKc;
+}
+
 // One ISA tier of the GEMM kernels. The function pointers are resolved once
 // at startup (see ActiveSimdTier in tensor_ops.h); every tier is compiled
 // from the same source include (gemm_tiers.inc) so the tiers differ only in

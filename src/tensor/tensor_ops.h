@@ -82,17 +82,30 @@ void ConvGrouped(int batch, int out_channels, int out_area, int patch,
 Tensor MatMul(const Tensor& a, const Tensor& b);
 
 // Unrolls conv patches of a single image (channels x height x width) into a
-// column matrix of shape (channels*kh*kw) x (out_h*out_w), zero-padding the
-// borders. out_h/out_w follow the usual conv arithmetic.
+// column matrix of (channels*kh*kw) rows — row (c, kh, kw) — by
+// (out_h*out_w) columns, zero-padding the borders. out_h/out_w follow
+// ConvOutSize. Row r starts at columns + r * ld_columns; ld_columns == 0
+// means dense rows (out_h*out_w), and a wider ld_columns lets B images sit
+// side by side in one [patch, B*out_area] matrix (image b at column offset
+// b*out_area) for a batch-wide GEMM. Writes exactly the out_h*out_w leading
+// entries of every row and nothing else.
 void Im2Col(const float* image, int channels, int height, int width,
-            int kernel_h, int kernel_w, int stride, int pad, float* columns);
+            int kernel_h, int kernel_w, int stride, int pad, float* columns,
+            std::int64_t ld_columns = 0);
 
-// Adjoint of Im2Col: accumulates columns back into the (pre-zeroed) image
-// gradient buffer.
+// Adjoint of Im2Col: sums every column entry back onto the pixel it was
+// read from and OVERWRITES the image with the result (the image's prior
+// contents are ignored, so callers need not zero it). Per pixel the sum
+// starts at +0 and adds contributions in (c, kh, kw, oh, ow) order, the
+// same chain as accumulating into a pre-zeroed image. ld_columns as in
+// Im2Col.
 void Col2Im(const float* columns, int channels, int height, int width,
-            int kernel_h, int kernel_w, int stride, int pad, float* image);
+            int kernel_h, int kernel_w, int stride, int pad, float* image,
+            std::int64_t ld_columns = 0);
 
-// Output spatial size for a conv/pool dimension.
+// Output spatial size for a conv/pool dimension. The window must fit the
+// padded input (kernel <= in_size + 2*pad); anything else aborts, in every
+// build, rather than truncating to a size Im2Col would read past.
 int ConvOutSize(int in_size, int kernel, int stride, int pad);
 
 // Numerically-stable in-place softmax over the last dimension of a 2-d

@@ -16,8 +16,11 @@
 
 #include "comm/wire.h"
 #include "core/fedcross.h"
+#include "data/partition.h"
+#include "data/synthetic_image.h"
 #include "fl/algorithm.h"
 #include "fl/fedavg.h"
+#include "models/model_zoo.h"
 #include "nn/linear.h"
 
 namespace fedcross::fl {
@@ -220,6 +223,47 @@ TEST(ParallelDeterminismTest, EvaluationIsThreadCountInvariant) {
   EXPECT_EQ(serial.accuracy, four.accuracy);
   EXPECT_EQ(serial.loss, three.loss);
   EXPECT_EQ(serial.accuracy, three.accuracy);
+}
+
+TEST(ParallelDeterminismTest, CnnEvaluationIsThreadCountInvariant) {
+  // Conv evaluation runs Im2Col on every eval shard's thread at once, each
+  // through its own thread-local bordered scratch; no shard may see
+  // another's planes, whatever the thread count.
+  FlThreadsGuard guard;
+  SetFlThreads(1);
+  data::SyntheticImageOptions image;
+  image.num_classes = 4;
+  image.height = image.width = 8;
+  image.train_per_class = 10;
+  image.test_per_class = 8;  // 32 test images -> batches 7,7,7,7,4
+  image.seed = 3;
+  data::ImageCorpus corpus = data::MakeSyntheticImageCorpus(image);
+  util::Rng rng(4);
+  data::FederatedDataset federated;
+  federated.num_classes = 4;
+  federated.client_train = data::MakeClientShards(
+      corpus.train, data::IidPartition(*corpus.train, 4, rng));
+  federated.test = corpus.test;
+  models::CnnConfig cnn;
+  cnn.height = cnn.width = 8;
+  cnn.num_classes = 4;
+  AlgorithmConfig config = ToyConfig();
+  config.eval_batch_size = 7;
+  FedAvg fedavg(config, std::move(federated), models::MakeCnn(cnn));
+  fedavg.RunRound(0);
+  FlatParams params = fedavg.GlobalParams();
+
+  EvalResult serial = fedavg.Evaluate(params);
+  SetFlThreads(2);
+  EvalResult two = fedavg.Evaluate(params);
+  SetFlThreads(4);
+  ASSERT_EQ(ParallelWidth(), 5);  // one batch per shard
+  EvalResult four = fedavg.Evaluate(params);
+
+  EXPECT_EQ(serial.loss, two.loss);
+  EXPECT_EQ(serial.accuracy, two.accuracy);
+  EXPECT_EQ(serial.loss, four.loss);
+  EXPECT_EQ(serial.accuracy, four.accuracy);
 }
 
 TEST(ParallelDeterminismTest, OddThreadCountMatchesToo) {

@@ -31,11 +31,14 @@
 #include "models/model_zoo.h"
 #include "models/plan_support.h"
 #include "nn/activations.h"
+#include "nn/conv2d.h"
 #include "nn/dropout.h"
+#include "nn/flatten.h"
 #include "nn/linear.h"
 #include "nn/plan.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "tensor/gemm_kernels.h"
 #include "tensor/tensor_ops.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -204,6 +207,178 @@ TEST(PlanConvTest, GroupedBitIdenticalAvx2Tier) {
 TEST(PlanConvTest, GroupedBitIdenticalAvx512Tier) {
   SimdTierGuard guard;
   CheckConvGroupedMatchesStandalone(ops::SimdTier::kAvx512);
+}
+
+// ---------------------------------------------------------------------------
+// Batch-wide conv GEMMs: one call over all images == the per-image calls,
+// bitwise, wherever BatchWideGemmExact says so, on every available tier
+// ---------------------------------------------------------------------------
+
+TEST(PlanConvTest, BatchWidePredicateHoldsOnlyWhereTheChainsAgree) {
+  using ops::detail::BatchWideGemmExact;
+  using ops::detail::kKc;
+  using ops::detail::kSmallGemmOps;
+  // Per-image blocked => batch-wide blocked: the same kKc-chunked chain,
+  // however deep k is (fcbench cnn conv2: 32 x 16 x 400 per image).
+  EXPECT_GT(32 * 16 * 400, kSmallGemmOps);
+  EXPECT_TRUE(BatchWideGemmExact(32, 16, 400, 10));
+  // Per-image small => batch-wide blocked: one chain on both sides while
+  // k fits one blocked panel, including the boundary itself.
+  EXPECT_TRUE(BatchWideGemmExact(8, 16, 100, 10));
+  EXPECT_TRUE(BatchWideGemmExact(1, 16, kKc, 10));
+  // Small on both sides: the same kernel, whatever k.
+  EXPECT_TRUE(BatchWideGemmExact(1, 2, 300, 2));
+  // Per-image small => batch-wide blocked with k > kKc: the blocked kernel
+  // would split each chain into panels the per-image call never splits.
+  EXPECT_FALSE(BatchWideGemmExact(4, 8, 500, 4));
+  EXPECT_FALSE(BatchWideGemmExact(1, 16, kKc + 1, 10));
+  // One part is always its own per-image call.
+  EXPECT_TRUE(BatchWideGemmExact(4, 8, 500, 1));
+}
+
+struct WideCase {
+  bool trans_a;  // the input-gradient GEMM reads W transposed
+  int m, n, k, parts;
+  const char* what;
+};
+
+// Runs op(A) * [B_0 | ... | B_{parts-1}] once and per part, from the same
+// operands; true when every output byte agrees.
+bool WideMatchesPerPart(const WideCase& c, util::Rng& rng) {
+  const std::int64_t wide_n = static_cast<std::int64_t>(c.n) * c.parts;
+  std::vector<float> a(static_cast<std::size_t>(c.m) * c.k);
+  std::vector<float> b(static_cast<std::size_t>(c.k) * wide_n);
+  std::vector<float> wide(static_cast<std::size_t>(c.m) * wide_n, 7.0f);
+  FillNormal(a, rng);
+  FillNormal(b, rng);
+  const int lda = c.trans_a ? c.m : c.k;
+  ops::Gemm(c.trans_a, false, c.m, static_cast<int>(wide_n), c.k, 1.0f,
+            a.data(), lda, b.data(), static_cast<int>(wide_n), 0.0f,
+            wide.data(), static_cast<int>(wide_n));
+  bool same = true;
+  std::vector<float> part_b(static_cast<std::size_t>(c.k) * c.n);
+  std::vector<float> part_c(static_cast<std::size_t>(c.m) * c.n);
+  for (int part = 0; part < c.parts; ++part) {
+    // The per-image call reads a dense [k, n] block, as the layer path does.
+    for (int p = 0; p < c.k; ++p) {
+      std::memcpy(part_b.data() + static_cast<std::int64_t>(p) * c.n,
+                  b.data() + p * wide_n + part * c.n, c.n * sizeof(float));
+    }
+    std::fill(part_c.begin(), part_c.end(), -3.0f);
+    ops::Gemm(c.trans_a, false, c.m, c.n, c.k, 1.0f, a.data(), lda,
+              part_b.data(), c.n, 0.0f, part_c.data(), c.n);
+    for (int i = 0; i < c.m; ++i) {
+      same = same &&
+             std::memcmp(part_c.data() + static_cast<std::int64_t>(i) * c.n,
+                         wide.data() + i * wide_n + part * c.n,
+                         c.n * sizeof(float)) == 0;
+    }
+  }
+  return same;
+}
+
+void CheckBatchWideMatchesPerImage(ops::SimdTier tier) {
+  if (!ops::testing::ForceSimdTier(tier)) {
+    GTEST_SKIP() << "tier " << ops::SimdTierName(tier)
+                 << " unavailable on this CPU/build";
+  }
+  const WideCase exact[] = {
+      {false, 8, 16, 100, 10, "per-image small, k <= kKc"},
+      {false, 32, 16, 400, 10, "per-image blocked, k > kKc"},
+      {false, 16, 64, 75, 10, "fcbench cnn conv1 forward"},
+      {true, 400, 16, 32, 10, "fcbench cnn conv2 input gradient"},
+      {true, 100, 16, 8, 5, "per-image small input gradient"},
+      {false, 32, 4, 288, 5, "fcbench resnet stage-3 conv2 forward"},
+  };
+  util::Rng rng(77);
+  for (const WideCase& c : exact) {
+    ASSERT_TRUE(ops::detail::BatchWideGemmExact(c.m, c.n, c.k, c.parts))
+        << c.what;
+    EXPECT_TRUE(WideMatchesPerPart(c, rng))
+        << ops::SimdTierName(tier) << ": " << c.what;
+  }
+  // Per-image small with k > kKc: the batch-wide call switches to the
+  // panel-split blocked chain, so the predicate must keep it per image.
+  // With 128 outputs of 500-term sums, some last bit differs.
+  const WideCase split = {false, 4, 8, 500, 4, "per-image small, k > kKc"};
+  EXPECT_FALSE(ops::detail::BatchWideGemmExact(split.m, split.n, split.k,
+                                               split.parts));
+  EXPECT_FALSE(WideMatchesPerPart(split, rng)) << ops::SimdTierName(tier);
+  ops::testing::ResetForcedSimdTier();
+}
+
+TEST(PlanConvTest, BatchWideBitIdenticalGenericTier) {
+  SimdTierGuard guard;
+  CheckBatchWideMatchesPerImage(ops::SimdTier::kGeneric);
+}
+
+TEST(PlanConvTest, BatchWideBitIdenticalAvx2Tier) {
+  SimdTierGuard guard;
+  CheckBatchWideMatchesPerImage(ops::SimdTier::kAvx2);
+}
+
+TEST(PlanConvTest, BatchWideBitIdenticalAvx512Tier) {
+  SimdTierGuard guard;
+  CheckBatchWideMatchesPerImage(ops::SimdTier::kAvx512);
+}
+
+// A conv whose per-image forward GEMM is small with k > kKc (patch 288 on
+// a 2x2 map): it must stay on the per-image path, while its input gradient
+// (k = 8 output channels) still goes batch-wide.
+models::ModelFactory DeepPatchConvFactory() {
+  return []() {
+    util::Rng rng(5);
+    nn::Sequential model;
+    model.Add(std::make_unique<nn::Conv2d>(3, 32, 3, 2, 1, rng));  // 8 -> 4
+    model.Add(std::make_unique<nn::Relu>());
+    model.Add(std::make_unique<nn::Conv2d>(32, 8, 3, 2, 1, rng));  // 4 -> 2
+    model.Add(std::make_unique<nn::Relu>());
+    model.Add(std::make_unique<nn::Flatten>());
+    model.Add(std::make_unique<nn::Linear>(8 * 2 * 2, 4, rng));
+    return model;
+  };
+}
+
+std::vector<const nn::plan::Op*> ConvOps(const nn::plan::Program& program) {
+  std::vector<const nn::plan::Op*> convs;
+  for (const nn::plan::Op& op : program.ops) {
+    if (op.kind == nn::plan::OpKind::kConv) convs.push_back(&op);
+  }
+  return convs;
+}
+
+TEST(PlanConvTest, CompiledConvStepsPickTheBatchWidePathByShape) {
+  models::CnnConfig cnn;  // the fcbench cnn-sync geometry
+  cnn.height = cnn.width = 8;
+  nn::Sequential model = models::MakeCnn(cnn)();
+  std::optional<nn::plan::Program> ten =
+      nn::plan::Program::Compile(model, {10, 3, 8, 8});
+  ASSERT_TRUE(ten.has_value());
+  std::vector<const nn::plan::Op*> convs = ConvOps(*ten);
+  ASSERT_EQ(convs.size(), 2u);
+  for (const nn::plan::Op* op : convs) {
+    EXPECT_TRUE(op->wide_y);
+    EXPECT_EQ(op->wide_dx, !op->skip_dx);
+    EXPECT_EQ(op->s1.space, nn::plan::Ref::Space::kNone);  // no dColumns slab
+  }
+  // One image has nothing to batch.
+  std::optional<nn::plan::Program> one =
+      nn::plan::Program::Compile(model, {1, 3, 8, 8});
+  ASSERT_TRUE(one.has_value());
+  for (const nn::plan::Op* op : ConvOps(*one)) {
+    EXPECT_FALSE(op->wide_y);
+    EXPECT_FALSE(op->wide_dx);
+  }
+
+  nn::Sequential deep = DeepPatchConvFactory()();
+  std::optional<nn::plan::Program> mixed =
+      nn::plan::Program::Compile(deep, {10, 3, 8, 8});
+  ASSERT_TRUE(mixed.has_value());
+  convs = ConvOps(*mixed);
+  ASSERT_EQ(convs.size(), 2u);
+  EXPECT_TRUE(convs[0]->wide_y);
+  EXPECT_FALSE(convs[1]->wide_y);  // 8 x 4 x 288 per image: small, k > kKc
+  EXPECT_TRUE(convs[1]->wide_dx);
 }
 
 // ---------------------------------------------------------------------------
@@ -560,6 +735,71 @@ TEST(PlanExecutionTest, LstmBitIdenticalAcrossThreadsAndRoundModes) {
 }
 
 // ---------------------------------------------------------------------------
+// Batch-wide conv steps across batch geometries: plan == layers in fp32, and
+// in bf16 (no layer reference) the batch-wide plan == the per-image plan
+// ---------------------------------------------------------------------------
+
+struct BatchWideConvGuard {
+  ~BatchWideConvGuard() { nn::plan::testing::SetBatchWideConv(true); }
+};
+
+FlatParams RunConvFedAvg(const models::ModelFactory& factory, ExecMode exec,
+                         int batch_size, bool bf16) {
+  AlgorithmConfig config;
+  config.clients_per_round = 3;
+  config.train.local_epochs = 1;
+  config.train.batch_size = batch_size;
+  config.train.lr = 0.05f;
+  config.train.exec = exec;
+  config.train.plan_bf16 = bf16;
+  config.seed = 23;
+  FedAvg server(config, MakeImageFederated(4, 9), factory);
+  for (int r = 0; r < 2; ++r) server.RunRound(r);
+  return server.GlobalParams();
+}
+
+TEST(PlanConvTest, BatchWidePathBitIdenticalAcrossBatchGeometries) {
+  FlThreadsGuard threads;
+  BatchWideConvGuard wide;
+  SetFlThreads(1);  // one cohort of 3 replicas: the per-image path fuses
+  models::CnnConfig cnn;
+  cnn.height = cnn.width = 8;
+  cnn.num_classes = 4;
+  cnn.conv1_channels = 4;  // conv2: 8 x 16 x 100 per image, small
+  cnn.conv2_channels = 8;
+  cnn.fc_dim = 16;
+  struct Model {
+    const char* name;
+    models::ModelFactory factory;
+  };
+  const Model zoo[] = {{"cnn", models::MakeCnn(cnn)},
+                       {"resnet", models::MakeResNet(SmallResNet())},
+                       {"deep-patch", DeepPatchConvFactory()}};
+  // 20 examples per client: batches 1, 5 and 10 tile them; 7 leaves a
+  // ragged 6-image tail every epoch.
+  for (const Model& model : zoo) {
+    for (int batch : {1, 5, 10, 7}) {
+      const std::string tag =
+          std::string(model.name) + " batch " + std::to_string(batch);
+      FlatParams layers =
+          RunConvFedAvg(model.factory, ExecMode::kLayers, batch, false);
+      FlatParams plan = RunConvFedAvg(model.factory, ExecMode::kPlan, batch,
+                                      false);
+      ExpectBitIdentical(layers, plan, tag + ": fp32 plan vs layers");
+
+      FlatParams bf16_wide =
+          RunConvFedAvg(model.factory, ExecMode::kPlan, batch, true);
+      nn::plan::testing::SetBatchWideConv(false);
+      FlatParams bf16_per_image =
+          RunConvFedAvg(model.factory, ExecMode::kPlan, batch, true);
+      nn::plan::testing::SetBatchWideConv(true);
+      ExpectBitIdentical(bf16_per_image, bf16_wide,
+                         tag + ": bf16 batch-wide vs per-image");
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Support matrix + program properties
 // ---------------------------------------------------------------------------
 
@@ -661,14 +901,14 @@ TEST(PlanExecutionTest, SteadyStatePlanTrainingAllocatesNoTensors) {
   EXPECT_EQ(pool.replicas_created(), 1u);
 }
 
-// The ResNet plan (grouped conv + residual skip refs) must also hold the
-// allocation-free line once warm, and the executor's thread-local scratch
-// (grouped instance tables, im2col buffers, staging slots) must stop
-// growing: per-op scratch is size-asserted, so any regrowth is a bug.
-TEST(PlanExecutionTest, SteadyStateResNetPlanIsAllocationAndScratchFree) {
+// The conv plans (batch-wide and grouped conv steps, residual skip refs)
+// must also hold the allocation-free line once warm, and the executor's
+// thread-local scratch (grouped instance tables, batch-wide GEMM operands,
+// staging slots) must stop growing: per-op scratch is size-asserted, so any
+// regrowth is a bug.
+void CheckSteadyStateConvPlan(const models::ModelFactory& factory) {
   data::FederatedDataset federated = MakeImageFederated(2, 5);
   FlClient client(0, federated.client_train[0]);
-  models::ModelFactory factory = models::MakeResNet(SmallResNet());
   ModelPool pool(factory);
   FlatParams init = factory().ParamsToFlat();
 
@@ -694,6 +934,17 @@ TEST(PlanExecutionTest, SteadyStateResNetPlanIsAllocationAndScratchFree) {
   EXPECT_EQ(Tensor::HeapAllocations(), 0u);
   EXPECT_EQ(nn::plan::testing::ScratchReallocEvents(), scratch_before);
   EXPECT_EQ(pool.replicas_created(), 1u);
+}
+
+TEST(PlanExecutionTest, SteadyStateResNetPlanIsAllocationAndScratchFree) {
+  CheckSteadyStateConvPlan(models::MakeResNet(SmallResNet()));
+}
+
+TEST(PlanExecutionTest, SteadyStateCnnPlanIsAllocationAndScratchFree) {
+  models::CnnConfig cnn;
+  cnn.height = cnn.width = 8;
+  cnn.num_classes = 4;
+  CheckSteadyStateConvPlan(models::MakeCnn(cnn));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
@@ -256,6 +262,201 @@ TEST(ConvOutSizeTest, StandardArithmetic) {
   EXPECT_EQ(ops::ConvOutSize(16, 2, 2, 0), 8);
   EXPECT_EQ(ops::ConvOutSize(16, 5, 1, 2), 16);
   EXPECT_EQ(ops::ConvOutSize(16, 3, 2, 1), 8);
+  EXPECT_EQ(ops::ConvOutSize(1, 3, 1, 1), 1);  // window exactly fits
+}
+
+TEST(ConvOutSizeDeathTest, RejectsWindowLargerThanPaddedInput) {
+  // (2 + 2 - 5) / 2 truncates to 0, which used to come out as 1 pixel whose
+  // window reaches past the padded input.
+  EXPECT_DEATH(ops::ConvOutSize(2, 5, 2, 1), "conv window larger");
+  EXPECT_DEATH(ops::ConvOutSize(1, 2, 2, 0), "conv window larger");
+}
+
+// The per-element lowering the bordered Im2Col/Col2Im replaced: the
+// reference every fast path must reproduce byte for byte.
+void ReferenceIm2Col(const float* image, int channels, int height, int width,
+                     int kernel, int stride, int pad, float* columns) {
+  int out_h = ops::ConvOutSize(height, kernel, stride, pad);
+  int out_w = ops::ConvOutSize(width, kernel, stride, pad);
+  int out_area = out_h * out_w;
+  for (int c = 0; c < channels; ++c) {
+    const float* channel = image + c * height * width;
+    for (int kh = 0; kh < kernel; ++kh) {
+      for (int kw = 0; kw < kernel; ++kw) {
+        float* out_row = columns + ((c * kernel + kh) * kernel + kw) * out_area;
+        for (int oh = 0; oh < out_h; ++oh) {
+          int ih = oh * stride - pad + kh;
+          for (int ow = 0; ow < out_w; ++ow) {
+            int iw = ow * stride - pad + kw;
+            bool inside = ih >= 0 && ih < height && iw >= 0 && iw < width;
+            out_row[oh * out_w + ow] = inside ? channel[ih * width + iw] : 0.0f;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Accumulates into `image`, which the caller pre-zeroes.
+void ReferenceCol2Im(const float* columns, int channels, int height, int width,
+                     int kernel, int stride, int pad, float* image) {
+  int out_h = ops::ConvOutSize(height, kernel, stride, pad);
+  int out_w = ops::ConvOutSize(width, kernel, stride, pad);
+  int out_area = out_h * out_w;
+  for (int c = 0; c < channels; ++c) {
+    float* channel = image + c * height * width;
+    for (int kh = 0; kh < kernel; ++kh) {
+      for (int kw = 0; kw < kernel; ++kw) {
+        const float* in_row =
+            columns + ((c * kernel + kh) * kernel + kw) * out_area;
+        for (int oh = 0; oh < out_h; ++oh) {
+          int ih = oh * stride - pad + kh;
+          if (ih < 0 || ih >= height) continue;
+          for (int ow = 0; ow < out_w; ++ow) {
+            int iw = ow * stride - pad + kw;
+            if (iw >= 0 && iw < width) {
+              channel[ih * width + iw] += in_row[oh * out_w + ow];
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+std::vector<float> NormalVector(std::size_t n, util::Rng& rng) {
+  std::vector<float> v(n);
+  for (float& x : v) x = static_cast<float>(rng.Normal());
+  return v;
+}
+
+bool SameBytes(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+struct LoweringCase {
+  int channels, height, width, kernel, stride, pad;
+};
+
+// Channels {1, 3, 16} x sizes 1-9 and 16 x kernels {1, 3, 5} x strides
+// {1, 2, 3} x pads {0, 1, 2}, on square images (the specialised copies) and
+// on images one row taller (the generic fallback, which also keeps a
+// row/column mix-up from hiding). Windows larger than the padded input are
+// skipped: ConvOutSize rejects them.
+std::vector<LoweringCase> LoweringGrid() {
+  std::vector<LoweringCase> grid;
+  for (int channels : {1, 3, 16}) {
+    for (int size : {1, 2, 3, 4, 5, 6, 7, 8, 9, 16}) {
+      for (int kernel : {1, 3, 5}) {
+        for (int stride : {1, 2, 3}) {
+          for (int pad : {0, 1, 2}) {
+            if (kernel > size + 2 * pad) continue;
+            for (int extra_row : {0, 1}) {
+              grid.push_back(
+                  {channels, size + extra_row, size, kernel, stride, pad});
+            }
+          }
+        }
+      }
+    }
+  }
+  return grid;
+}
+
+TEST(ConvLoweringTest, MatchesPerElementReferenceOverShapeGrid) {
+  const float kSentinel = -123.0f;
+  const float kGarbage = std::numeric_limits<float>::quiet_NaN();
+  util::Rng rng(17);
+  // (out_w, stride) of every square output: the specialisation keys.
+  std::set<std::pair<int, int>> square;
+  const std::vector<LoweringCase> grid = LoweringGrid();
+  EXPECT_GT(grid.size(), 1000u);
+  for (const LoweringCase& t : grid) {
+    const int out_h = ops::ConvOutSize(t.height, t.kernel, t.stride, t.pad);
+    const int out_w = ops::ConvOutSize(t.width, t.kernel, t.stride, t.pad);
+    const int area = out_h * out_w;
+    const int rows = t.channels * t.kernel * t.kernel;
+    if (out_h == out_w) square.insert({out_w, t.stride});
+    const std::string shape =
+        "c=" + std::to_string(t.channels) + " h=" + std::to_string(t.height) +
+        " w=" + std::to_string(t.width) + " k=" + std::to_string(t.kernel) +
+        " s=" + std::to_string(t.stride) + " p=" + std::to_string(t.pad);
+    std::vector<float> image = NormalVector(
+        static_cast<std::size_t>(t.channels) * t.height * t.width, rng);
+    std::vector<float> want(static_cast<std::size_t>(rows) * area);
+    ReferenceIm2Col(image.data(), t.channels, t.height, t.width, t.kernel,
+                    t.stride, t.pad, want.data());
+
+    // Dense rows.
+    std::vector<float> got(want.size(), kSentinel);
+    ops::Im2Col(image.data(), t.channels, t.height, t.width, t.kernel,
+                t.kernel, t.stride, t.pad, got.data());
+    ASSERT_TRUE(SameBytes(got, want)) << "Im2Col " << shape;
+
+    // Strided rows (image 1 of 3 in a batch-wide matrix): only this image's
+    // column block is written.
+    const std::int64_t ld = 3 * area;
+    std::vector<float> wide(static_cast<std::size_t>(rows) * ld, kSentinel);
+    ops::Im2Col(image.data(), t.channels, t.height, t.width, t.kernel,
+                t.kernel, t.stride, t.pad, wide.data() + area, ld);
+    for (int r = 0; r < rows; ++r) {
+      for (std::int64_t e = 0; e < ld; ++e) {
+        const bool mine = e >= area && e < 2 * area;
+        const float expect = mine ? want[r * area + e - area] : kSentinel;
+        ASSERT_EQ(std::memcmp(&wide[r * ld + e], &expect, sizeof(float)), 0)
+            << "strided Im2Col " << shape << " row " << r << " col " << e;
+      }
+    }
+
+    // Col2Im from dense and strided columns, into non-zero images.
+    std::vector<float> columns = NormalVector(want.size(), rng);
+    std::vector<float> back(image.size(), 0.0f);
+    ReferenceCol2Im(columns.data(), t.channels, t.height, t.width, t.kernel,
+                    t.stride, t.pad, back.data());
+    std::vector<float> dense(image.size(), kGarbage);
+    ops::Col2Im(columns.data(), t.channels, t.height, t.width, t.kernel,
+                t.kernel, t.stride, t.pad, dense.data());
+    ASSERT_TRUE(SameBytes(dense, back)) << "Col2Im " << shape;
+    for (int r = 0; r < rows; ++r) {
+      std::memcpy(wide.data() + r * ld + area, columns.data() + r * area,
+                  area * sizeof(float));
+    }
+    std::vector<float> strided(image.size(), kGarbage);
+    ops::Col2Im(wide.data() + area, t.channels, t.height, t.width, t.kernel,
+                t.kernel, t.stride, t.pad, strided.data(), ld);
+    ASSERT_TRUE(SameBytes(strided, back)) << "strided Col2Im " << shape;
+  }
+  // Every specialisation ran (widths 8/4/2 at stride 1, 4/2 at stride 2),
+  // and the generic fallback on square outputs next to them (width 1, odd
+  // widths, 16 at stride 1, 8 at stride 2, stride 3) as well as on the
+  // non-square ones.
+  for (int w : {2, 4, 8}) {
+    EXPECT_EQ(square.count({w, 1}), 1u) << "width " << w << " stride 1";
+  }
+  for (int w : {2, 4}) {
+    EXPECT_EQ(square.count({w, 2}), 1u) << "width " << w << " stride 2";
+  }
+  for (std::pair<int, int> fallback :
+       {std::pair<int, int>{1, 1}, {3, 1}, {16, 1}, {1, 2}, {8, 2}, {2, 3}}) {
+    EXPECT_EQ(square.count(fallback), 1u)
+        << "fallback width " << fallback.first << " stride "
+        << fallback.second;
+  }
+}
+
+TEST(Col2ImTest, OverwritesNonZeroImage) {
+  // 1 channel, 2x2 image, 1x1 kernel: Col2Im is a plain copy, so every
+  // stale pixel must be replaced rather than added to.
+  std::vector<float> columns = {1, 2, 3, 4};
+  std::vector<float> image = {100, -100, 7, 8};
+  ops::Col2Im(columns.data(), 1, 2, 2, 1, 1, 1, 0, image.data());
+  EXPECT_EQ(image, columns);
+  // Padded windows: the border sums are dropped, the interior overwritten.
+  std::vector<float> ones(9, 1.0f);  // 1x1 image, 3x3 kernel, pad 1
+  std::vector<float> pixel = {50.0f};
+  ops::Col2Im(ones.data(), 1, 1, 1, 3, 3, 1, 1, pixel.data());
+  EXPECT_EQ(pixel[0], 1.0f);
 }
 
 TEST(Im2ColTest, IdentityKernel) {
