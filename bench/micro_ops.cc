@@ -330,6 +330,53 @@ void BM_CosineSimilarity(benchmark::State& state) {
 }
 BENCHMARK(BM_CosineSimilarity)->Arg(1)->Arg(2)->Arg(4);
 
+// CoModelSel's whole K x K cosine matrix (the benchmark arg is K) at the
+// fcbench wide-server model size, on one thread. Bytes are counted as K(K-1)/2
+// pair scans of two models each, so the rate compares directly with
+// BM_CosineSimilarity's per-pair rate.
+constexpr std::size_t kWideServerParams = 263882;
+
+void BM_CosineMatrix(benchmark::State& state) {
+  fl::SetFlThreads(1);
+  const int k = static_cast<int>(state.range(0));
+  util::Rng rng(7);
+  std::vector<fl::FlatParams> models(k, fl::FlatParams(kWideServerParams));
+  for (fl::FlatParams& model : models) {
+    for (float& v : model) v = static_cast<float>(rng.Normal());
+  }
+  std::vector<const fl::FlatParams*> pointers;
+  for (const fl::FlatParams& model : models) pointers.push_back(&model);
+  std::vector<double> matrix;
+  for (auto _ : state) {
+    core::SimilarityMatrix(pointers, core::SimilarityMeasure::kCosine, matrix);
+    benchmark::DoNotOptimize(matrix.data());
+    benchmark::ClobberMemory();
+  }
+  const std::int64_t pairs = static_cast<std::int64_t>(k) * (k - 1) / 2;
+  state.SetItemsProcessed(state.iterations() * pairs);
+  state.SetBytesProcessed(state.iterations() * pairs * 2 *
+                          static_cast<std::int64_t>(kWideServerParams) *
+                          static_cast<std::int64_t>(sizeof(float)));
+}
+BENCHMARK(BM_CosineMatrix)->Arg(10)->Arg(16);
+
+// The wire checksum over 64 KiB and 1 MiB (one wide-server dispatch frame
+// is ~1 MiB and is checksummed at encode and again at decode).
+void BM_Crc32(benchmark::State& state) {
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(state.range(0)));
+  util::Rng rng(11);
+  for (std::uint8_t& b : bytes) {
+    b = static_cast<std::uint8_t>(rng.UniformInt(256));
+  }
+  for (auto _ : state) {
+    std::uint32_t crc = comm::Crc32(bytes);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Crc32)->Arg(64 << 10)->Arg(1 << 20);
+
 // One K=8-client FedAvg round vs --fl_threads (the benchmark arg). The
 // per-(round, slot) seeded client Rngs make every thread count produce the
 // same model, so this measures pure scheduling speedup: on an N-core

@@ -8,6 +8,15 @@
 
 #include "util/check.h"
 
+// The carry-less-multiply CRC fold: x86 only, compiled under a function
+// target attribute and picked at run time, so portable builds carry it too.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+#define FEDCROSS_CRC32_CLMUL 1
+#else
+#define FEDCROSS_CRC32_CLMUL 0
+#endif
+
 namespace fedcross::comm {
 namespace {
 
@@ -510,11 +519,14 @@ bool SchemeIsLossy(Scheme scheme) {
          scheme == Scheme::kInt8TopK;
 }
 
-std::uint32_t Crc32(std::span<const std::uint8_t> bytes) {
-  // Slice-by-8: same polynomial and values as the textbook byte-at-a-time
-  // loop, but eight table lookups per 8-byte block break the serial
-  // crc -> crc dependency chain that made the checksum show up beside the
-  // GEMMs in round profiles (every frame is checksummed twice per hop).
+namespace {
+
+// Advances the CRC register `crc` (the running value before the final
+// inversion) over p[0, n). Slice-by-8: same polynomial and values as the
+// textbook byte-at-a-time loop, but eight table lookups per 8-byte block
+// break the serial crc -> crc dependency chain.
+std::uint32_t Crc32SliceBy8(std::uint32_t crc, const std::uint8_t* p,
+                            std::size_t n) {
   static const auto* tables = [] {
     auto* t = new std::uint32_t[8][256];
     for (std::uint32_t i = 0; i < 256; ++i) {
@@ -531,9 +543,6 @@ std::uint32_t Crc32(std::span<const std::uint8_t> bytes) {
     }
     return t;
   }();
-  std::uint32_t crc = 0xffffffffu;
-  const std::uint8_t* p = bytes.data();
-  std::size_t n = bytes.size();
   if constexpr (std::endian::native == std::endian::little) {
     while (n >= 8) {
       std::uint32_t lo = 0;
@@ -552,7 +561,98 @@ std::uint32_t Crc32(std::span<const std::uint8_t> bytes) {
   for (; n > 0; --n, ++p) {
     crc = tables[0][(crc ^ *p) & 0xffu] ^ (crc >> 8);
   }
-  return crc ^ 0xffffffffu;
+  return crc;
+}
+
+#if FEDCROSS_CRC32_CLMUL
+
+// One fold step: lane x carried forward by the distance the constant pair k
+// encodes, plus the next 16 message bytes (carry-less:
+// x.lo * k.lo ^ x.hi * k.hi ^ next).
+__attribute__((target("pclmul,sse4.1"))) inline __m128i FoldLane(
+    __m128i x, __m128i k, __m128i next) {
+  return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                                     _mm_clmulepi64_si128(x, k, 0x11)),
+                       next);
+}
+
+inline __m128i Load16(const std::uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+// Advances the CRC register over p[0, n), n >= 64 and a multiple of 16, by
+// carry-less multiplication (Gopal et al., "Fast CRC Computation for Generic
+// Polynomials Using PCLMULQDQ Instruction", Intel 2009): four 128-bit lanes
+// fold 64-byte blocks, fold into one lane, then 64 and 32 bits, and a
+// Barrett reduction gives the register. The constants are the paper's
+// bit-reflected ones for the IEEE polynomial P, the same in zlib-ng,
+// Chromium's zlib and Linux's crc32-pclmul: x^(512 +- 32) mod P carry the
+// four lanes 64 bytes ahead, x^(128 +- 32) mod P one lane 16 bytes ahead,
+// x^64 mod P takes 64 bits to 32, and P with floor(x^64 / P) drive the
+// Barrett step.
+__attribute__((target("pclmul,sse4.1"))) std::uint32_t Crc32Clmul(
+    std::uint32_t crc, const std::uint8_t* p, std::size_t n) {
+  const __m128i fold4 = _mm_set_epi64x(0x1c6e41596, 0x154442bd4);
+  const __m128i fold1 = _mm_set_epi64x(0x0ccaa009e, 0x1751997d0);
+  const __m128i fold64 = _mm_set_epi64x(0, 0x163cd6124);
+  const __m128i barrett = _mm_set_epi64x(0x1f7011641, 0x1db710641);
+  const __m128i low32 = _mm_setr_epi32(-1, 0, -1, 0);
+
+  __m128i x0 =
+      _mm_xor_si128(Load16(p), _mm_cvtsi32_si128(static_cast<int>(crc)));
+  __m128i x1 = Load16(p + 16);
+  __m128i x2 = Load16(p + 32);
+  __m128i x3 = Load16(p + 48);
+  for (p += 64, n -= 64; n >= 64; p += 64, n -= 64) {
+    x0 = FoldLane(x0, fold4, Load16(p));
+    x1 = FoldLane(x1, fold4, Load16(p + 16));
+    x2 = FoldLane(x2, fold4, Load16(p + 32));
+    x3 = FoldLane(x3, fold4, Load16(p + 48));
+  }
+  x0 = FoldLane(x0, fold1, x1);
+  x0 = FoldLane(x0, fold1, x2);
+  x0 = FoldLane(x0, fold1, x3);
+  for (; n >= 16; p += 16, n -= 16) x0 = FoldLane(x0, fold1, Load16(p));
+
+  // 128 -> 64 bits: the low half times x^(128-32) mod P into the high half.
+  x0 = _mm_xor_si128(_mm_srli_si128(x0, 8),
+                     _mm_clmulepi64_si128(x0, fold1, 0x10));
+  // 64 -> 32 bits.
+  x0 = _mm_xor_si128(_mm_srli_si128(x0, 4),
+                     _mm_clmulepi64_si128(_mm_and_si128(x0, low32), fold64,
+                                          0x00));
+  // Barrett: q = floor(x / P) from the reciprocal, then x ^ q * P.
+  __m128i q = _mm_clmulepi64_si128(_mm_and_si128(x0, low32), barrett, 0x10);
+  q = _mm_clmulepi64_si128(_mm_and_si128(q, low32), barrett, 0x00);
+  return static_cast<std::uint32_t>(
+      _mm_extract_epi32(_mm_xor_si128(x0, q), 1));
+}
+
+bool HaveClmul() {
+  static const bool have =
+      __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
+  return have;
+}
+
+#endif  // FEDCROSS_CRC32_CLMUL
+
+}  // namespace
+
+std::uint32_t Crc32(std::span<const std::uint8_t> bytes) {
+  std::uint32_t crc = 0xffffffffu;
+  const std::uint8_t* p = bytes.data();
+  std::size_t n = bytes.size();
+#if FEDCROSS_CRC32_CLMUL
+  // The fold takes every whole 16-byte block of inputs of 64 bytes or more;
+  // slice-by-8 finishes the tail.
+  if (n >= 64 && HaveClmul()) {
+    const std::size_t folded = n & ~std::size_t{15};
+    crc = Crc32Clmul(crc, p, folded);
+    p += folded;
+    n -= folded;
+  }
+#endif
+  return Crc32SliceBy8(crc, p, n) ^ 0xffffffffu;
 }
 
 std::uint64_t TopKCount(std::uint64_t params, double fraction) {

@@ -134,7 +134,11 @@ util::Status DecodeUpload(std::span<const std::uint8_t> frame,
 
 // --- Helpers shared with tests ---------------------------------------------
 
-// IEEE CRC-32 (the zlib polynomial) of `bytes`.
+// IEEE CRC-32 (the zlib polynomial) of `bytes`. On x86 CPUs with PCLMULQDQ
+// the whole 16-byte blocks of inputs of 64 bytes or more are folded by
+// carry-less multiplication (~20 GB/s); slice-by-8 takes shorter inputs,
+// the under-16-byte tail, other CPUs and other architectures. Both give
+// the same value for every input.
 std::uint32_t Crc32(std::span<const std::uint8_t> bytes);
 
 // The k the top-k schemes keep for `params` coordinates at `fraction`.

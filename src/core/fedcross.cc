@@ -73,6 +73,74 @@ double ModelSimilarity(const fl::FlatParams& x, const fl::FlatParams& y,
   return 0.0;
 }
 
+void SimilarityMatrix(const std::vector<const fl::FlatParams*>& models,
+                      SimilarityMeasure measure, std::vector<double>& matrix) {
+  const int k = static_cast<int>(models.size());
+  matrix.assign(static_cast<std::size_t>(k) * k, 0.0);
+  if (k == 0) return;
+  const std::size_t n = models[0]->size();
+  for (const fl::FlatParams* model : models) FC_CHECK_EQ(model->size(), n);
+  auto cell = [&](int i, int j) -> double& {
+    return matrix[static_cast<std::size_t>(i) * k + j];
+  };
+  if (measure == SimilarityMeasure::kCosine) {
+    // Row i of the Gram matrix fills row i from the diagonal (model i's
+    // squared norm) rightwards, each dot reduced as ops::CosineSimilarity
+    // reduces it; CosineFromGram then finishes every pair as it does.
+    std::vector<const float*> data(k);
+    for (int i = 0; i < k; ++i) data[i] = models[i]->data();
+    fl::ParallelFor(k, [&](int i) {
+      ops::CosineGramRow(data.data(), k, i, n, &cell(i, 0));
+    });
+    std::vector<double> norms(k);
+    for (int i = 0; i < k; ++i) {
+      norms[i] = cell(i, i);
+      cell(i, i) = 0.0;
+    }
+    for (int i = 0; i < k; ++i) {
+      for (int j = i + 1; j < k; ++j) {
+        cell(i, j) = cell(j, i) =
+            ops::CosineFromGram(cell(i, j), norms[i], norms[j]);
+      }
+    }
+    return;
+  }
+  // ModelSimilarity is bitwise symmetric: Euclidean squares x - y, and
+  // y - x is exactly -(x - y). So row i scans each j > i once and fills both
+  // cells with the value the per-model reference computes for either row.
+  fl::ParallelFor(k, [&](int i) {
+    for (int j = i + 1; j < k; ++j) {
+      cell(i, j) = cell(j, i) =
+          ModelSimilarity(*models[i], *models[j], measure);
+    }
+  });
+}
+
+void AsyncUploads(const std::vector<fl::LocalTrainResult>& results,
+                  const std::vector<fl::FlatParams>& middleware,
+                  std::vector<fl::FlatParams>& blended,
+                  std::vector<const fl::FlatParams*>& uploads) {
+  const int k = static_cast<int>(middleware.size());
+  blended.resize(k);
+  uploads.resize(k);
+  for (int i = 0; i < k; ++i) uploads[i] = &middleware[i];
+  for (const fl::LocalTrainResult& result : results) {
+    const int lane = result.slot;
+    FC_CHECK_GE(lane, 0);
+    FC_CHECK_LT(lane, k);
+    // weight_scale -> 1 recovers the fresh-upload behaviour exactly.
+    const double w = result.weight_scale;
+    if (w >= 1.0) {
+      uploads[lane] = &result.params;
+    } else {
+      fl::flat_ops::LinearCombine(static_cast<float>(w), result.params,
+                                  static_cast<float>(1.0 - w),
+                                  middleware[lane], blended[lane]);
+      uploads[lane] = &blended[lane];
+    }
+  }
+}
+
 FedCross::FedCross(fl::AlgorithmConfig config, data::FederatedDataset data,
                    models::ModelFactory factory, FedCrossOptions options)
     : FlAlgorithm("FedCross", config, std::move(data), std::move(factory)),
@@ -153,29 +221,16 @@ int FedCross::SelectCollaborator(
                           row.data());
 }
 
-void FedCross::SelectCollaborators(int round,
-                                   const std::vector<fl::FlatParams>& uploaded,
-                                   std::vector<int>& collaborators) {
+void FedCross::SelectCollaborators(
+    int round, const std::vector<const fl::FlatParams*>& uploaded,
+    std::vector<int>& collaborators) {
   const int k = static_cast<int>(uploaded.size());
   FC_CHECK_GT(k, 1);
   collaborators.resize(k);
-  similarity_.resize(static_cast<std::size_t>(k) * k);
-  if (options_.strategy != SelectionStrategy::kInOrder) {
-    // ModelSimilarity is bitwise symmetric: cosine sums x*y == y*x per lane
-    // and sqrt(a)*sqrt(b) commutes; Euclidean squares x-y, and y-x is
-    // exactly -(x-y). So each unordered pair is scanned once and fills both
-    // cells with the value SelectCollaborator computes for either row.
-    pairs_.clear();
-    for (int i = 0; i < k; ++i) {
-      for (int j = i + 1; j < k; ++j) pairs_.emplace_back(i, j);
-    }
-    fl::ParallelFor(static_cast<int>(pairs_.size()), [&](int p) {
-      const auto [i, j] = pairs_[p];
-      const double sim =
-          ModelSimilarity(uploaded[i], uploaded[j], options_.similarity);
-      similarity_[static_cast<std::size_t>(i) * k + j] = sim;
-      similarity_[static_cast<std::size_t>(j) * k + i] = sim;
-    });
+  if (options_.strategy == SelectionStrategy::kInOrder) {
+    similarity_.resize(static_cast<std::size_t>(k) * k);  // never read
+  } else {
+    SimilarityMatrix(uploaded, options_.similarity, similarity_);
   }
   for (int i = 0; i < k; ++i) {
     collaborators[i] = PickCollaborator(
@@ -238,31 +293,15 @@ void FedCross::RunRound(int round) {
       TrainClients(round, /*salt=*/0, jobs);
 
   PhaseScope phase(*this, RoundPhase::kAggregate);
-  // Copy the uploads out of the shared (recycled) results vector: the
-  // similarity-based selection reads all of them while the new generation
-  // is built. Copy-assign reuses last round's buffers.
-  uploaded_.resize(k);
+  // The uploads are read in place through a table of K pointers; nothing
+  // below writes to what they point at, and the new generation goes to
+  // next_. Async arrivals may be missing or stale: a lane without one keeps
+  // its current middleware model, and a stale one is blended toward it.
   if (config().async.mode == fl::RoundMode::kAsync) {
-    // Buffered arrivals are keyed by lane (result.slot), not position, and
-    // may be missing or stale. A lane without an arrival keeps its current
-    // middleware model; a stale arrival is staleness-blended toward it
-    // (weight_scale -> 1 recovers the fresh-upload behaviour exactly).
-    for (int i = 0; i < k; ++i) uploaded_[i] = middleware_[i];
-    for (const fl::LocalTrainResult& result : results) {
-      const int lane = result.slot;
-      FC_CHECK_GE(lane, 0);
-      FC_CHECK_LT(lane, k);
-      const double w = result.weight_scale;
-      if (w >= 1.0) {
-        uploaded_[lane] = result.params;
-      } else {
-        fl::flat_ops::LinearCombine(static_cast<float>(w), result.params,
-                                    static_cast<float>(1.0 - w),
-                                    middleware_[lane], uploaded_[lane]);
-      }
-    }
+    AsyncUploads(results, middleware_, blended_, uploads_);
   } else {
-    for (int i = 0; i < k; ++i) uploaded_[i] = results[i].params;
+    uploads_.resize(k);
+    for (int i = 0; i < k; ++i) uploads_[i] = &results[i].params;
   }
 
   // Lines 11-15: CoModelSel + CrossAggr.
@@ -277,21 +316,21 @@ void FedCross::RunRound(int round) {
       // selected models to share the (1 - alpha) mass.
       std::vector<int> propellers =
           SelectPropellerIndices(i, round, k, options_.propeller_count);
-      propeller_mean_.assign(uploaded_[i].size(), 0.0f);
+      propeller_mean_.assign(uploads_[i]->size(), 0.0f);
       for (int j : propellers) {
-        fl::flat_ops::AddInto(propeller_mean_, uploaded_[j]);
+        fl::flat_ops::AddInto(propeller_mean_, *uploads_[j]);
       }
       fl::flat_ops::Scale(propeller_mean_,
                           1.0f / static_cast<float>(propellers.size()));
-      fl::flat_ops::LinearCombine(a, uploaded_[i], 1.0f - a, propeller_mean_,
+      fl::flat_ops::LinearCombine(a, *uploads_[i], 1.0f - a, propeller_mean_,
                                   next_[i]);
     }
   } else {
     // Each fused model reads two uploads and writes only its own buffer.
-    SelectCollaborators(round, uploaded_, collaborators_);
+    SelectCollaborators(round, uploads_, collaborators_);
     fl::ParallelFor(k, [&](int i) {
-      fl::flat_ops::LinearCombine(a, uploaded_[i], 1.0f - a,
-                                  uploaded_[collaborators_[i]], next_[i]);
+      fl::flat_ops::LinearCombine(a, *uploads_[i], 1.0f - a,
+                                  *uploads_[collaborators_[i]], next_[i]);
     });
   }
   // Swap, don't move-assign: middleware_'s buffers become next round's

@@ -2,7 +2,6 @@
 #define FEDCROSS_CORE_FEDCROSS_H_
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "fl/algorithm.h"
@@ -36,6 +35,26 @@ util::StatusOr<SimilarityMeasure> ParseSimilarityMeasure(
 // Similarity(x, y) under the chosen measure (higher = more similar).
 double ModelSimilarity(const fl::FlatParams& x, const fl::FlatParams& y,
                        SimilarityMeasure measure);
+
+// The row-major K x K similarity matrix of K equally-sized models: cell
+// (i, j), i != j, is ModelSimilarity(*models[i], *models[j], measure) bit for
+// bit; the diagonal is 0. One fl-pool task per row i covers every j > i, and
+// (i, j) and (j, i) hold the one value. Cosine runs as one tiled Gram pass
+// (ops::CosineGramRow): each row reads its model and its partners once, and
+// each squared norm is computed once, as its row's diagonal.
+void SimilarityMatrix(const std::vector<const fl::FlatParams*>& models,
+                      SimilarityMeasure measure, std::vector<double>& matrix);
+
+// The K uploads an async round aggregates, as a table of pointers; nothing
+// is copied. Buffered arrivals are keyed by lane (result.slot), and a later
+// arrival for a lane replaces an earlier one. uploads[lane] points at the
+// lane's arrival when it is fresh (weight_scale >= 1), at blended[lane] =
+// w * params + (1 - w) * middleware[lane] when it is stale, and at
+// middleware[lane] when the lane has no arrival.
+void AsyncUploads(const std::vector<fl::LocalTrainResult>& results,
+                  const std::vector<fl::FlatParams>& middleware,
+                  std::vector<fl::FlatParams>& blended,
+                  std::vector<const fl::FlatParams*>& uploads);
 
 // Hyperparameters of FedCross (Algorithm 1 plus the Section III-D
 // acceleration methods).
@@ -94,12 +113,13 @@ class FedCross : public fl::FlAlgorithm {
   int SelectCollaborator(int model_index, int round,
                          const std::vector<fl::FlatParams>& uploaded) const;
 
-  // CoModelSel for every model at once, as RunRound does it: the K(K-1)/2
-  // pair similarities are computed once, in parallel, into a symmetric
-  // K x K matrix, and each row is picked with SelectCollaborator's loop.
-  // collaborators[i] equals SelectCollaborator(i, round, uploaded).
+  // CoModelSel for every model at once, as RunRound does it, over a table
+  // of K upload pointers (read in place, never copied): one
+  // SimilarityMatrix pass, then each row is picked with SelectCollaborator's
+  // loop. collaborators[i] equals SelectCollaborator(i, round, uploads)
+  // where uploads[j] == *uploaded[j].
   void SelectCollaborators(int round,
-                           const std::vector<fl::FlatParams>& uploaded,
+                           const std::vector<const fl::FlatParams*>& uploaded,
                            std::vector<int>& collaborators);
 
   // CrossAggr: alpha*v + (1-alpha)*co.
@@ -122,15 +142,18 @@ class FedCross : public fl::FlAlgorithm {
  private:
   FedCrossOptions options_;
   std::vector<fl::FlatParams> middleware_;  // the dispatched model list W
-  // Round-recycled scratch: uploads copied out of the shared results vector
-  // (middleware_ must stay intact during collaborator selection) and the
-  // next middleware generation, swapped in at the end of the round.
-  std::vector<fl::FlatParams> uploaded_;
+  // The round's K uploads, read in place: each points at a training result,
+  // at middleware_ (an async lane with no arrival), or at blended_ (a stale
+  // async arrival blended toward its middleware model).
+  std::vector<const fl::FlatParams*> uploads_;
+  // Round-recycled scratch: the staleness blends and the next middleware
+  // generation, swapped in at the end of the round (middleware_ must stay
+  // intact while the uploads that point into it are read).
+  std::vector<fl::FlatParams> blended_;
   std::vector<fl::FlatParams> next_;
   fl::FlatParams propeller_mean_;
-  // CoModelSel scratch: the (i < j) pair list, the row-major K x K
-  // similarity matrix it fills, and the round's collaborator choices.
-  std::vector<std::pair<int, int>> pairs_;
+  // CoModelSel scratch: the row-major K x K similarity matrix and the
+  // round's collaborator choices.
   std::vector<double> similarity_;
   std::vector<int> collaborators_;
 };

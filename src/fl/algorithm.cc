@@ -970,7 +970,25 @@ FlatParams FlAlgorithm::WeightedAverage(const std::vector<FlatParams>& models,
 
 FlatParams FlAlgorithm::Average(const std::vector<FlatParams>& models) {
   FC_CHECK(!models.empty());
-  return flat_ops::Mean(models);
+  FlatParams mean(models[0].size(), 0.0f);
+  for (const FlatParams& model : models) FC_CHECK_EQ(model.size(), mean.size());
+  const float scale = 1.0f / static_cast<float>(models.size());
+  // Range-sharded like WeightedAverageInto: each range adds the models in
+  // ascending order, then scales, so every element sees the serial loop's
+  // operations in its order and the mean is bit-identical across
+  // --fl_threads.
+  ParallelRanges(
+      static_cast<std::int64_t>(mean.size()), kMinAggRangeElems,
+      [&](std::int64_t begin, std::int64_t end) {
+        float* __restrict__ out = mean.data() + begin;
+        const auto len = static_cast<std::size_t>(end - begin);
+        for (const FlatParams& model : models) {
+          const float* __restrict__ src = model.data() + begin;
+          for (std::size_t i = 0; i < len; ++i) out[i] += src[i];
+        }
+        for (std::size_t i = 0; i < len; ++i) out[i] *= scale;
+      });
+  return mean;
 }
 
 void FlAlgorithm::WeightedAverageInto(

@@ -314,7 +314,8 @@ class FlAlgorithm {
   // Sample-count-weighted average of client models (FedAvg aggregation).
   static FlatParams WeightedAverage(const std::vector<FlatParams>& models,
                                     const std::vector<double>& weights);
-  // Unweighted mean.
+  // Unweighted mean: the models summed in ascending order, then scaled by
+  // 1/K, range-sharded across the fl pool.
   static FlatParams Average(const std::vector<FlatParams>& models);
 
   // In-place variants over pointers into the results vector: `out` is

@@ -51,14 +51,6 @@ void Subtract(const FlatParams& src, const FlatParams& ref, FlatParams& dst) {
   for (std::size_t i = 0; i < size; ++i) dp[i] = sp[i] - rp[i];
 }
 
-FlatParams Mean(const std::vector<FlatParams>& models) {
-  FC_CHECK(!models.empty());
-  FlatParams mean(models[0].size(), 0.0f);
-  for (const FlatParams& model : models) AddInto(mean, model);
-  Scale(mean, 1.0f / static_cast<float>(models.size()));
-  return mean;
-}
-
 double CosineSimilarity(const FlatParams& x, const FlatParams& y) {
   // The fused multi-lane pass lives with the other raw-buffer numeric
   // kernels in tensor_ops; this is the fl-layer entry point.

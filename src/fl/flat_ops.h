@@ -36,10 +36,6 @@ void Scale(FlatParams& dst, float factor);
 // dst = src - ref (update direction), single pass.
 void Subtract(const FlatParams& src, const FlatParams& ref, FlatParams& dst);
 
-// Unweighted mean of K equally-sized models: one accumulate pass per model
-// plus one scaling pass.
-FlatParams Mean(const std::vector<FlatParams>& models);
-
 // Cosine similarity via one fused dot/norm/norm pass (the paper's
 // Similarity(.) measure); 0 if either vector has zero norm.
 double CosineSimilarity(const FlatParams& x, const FlatParams& y);

@@ -533,8 +533,91 @@ double CosineSimilarity(const std::vector<float>& x,
   double dot_total = (dot[0] + dot[1]) + (dot[2] + dot[3]);
   double norm_x_total = (norm_x[0] + norm_x[1]) + (norm_x[2] + norm_x[3]);
   double norm_y_total = (norm_y[0] + norm_y[1]) + (norm_y[2] + norm_y[3]);
-  if (norm_x_total <= 0.0 || norm_y_total <= 0.0) return 0.0;
-  return dot_total / (std::sqrt(norm_x_total) * std::sqrt(norm_y_total));
+  return CosineFromGram(dot_total, norm_x_total, norm_y_total);
+}
+
+double CosineFromGram(double dot, double norm_x, double norm_y) {
+  if (norm_x <= 0.0 || norm_y <= 0.0) return 0.0;
+  return dot / (std::sqrt(norm_x) * std::sqrt(norm_y));
+}
+
+namespace {
+
+typedef double Double4 __attribute__((vector_size(4 * sizeof(double))));
+
+// Elements t..t+3 widened to doubles: CosineSimilarity's lanes 0..3. Built
+// element-wise because GCC lowers that to one widening load, where
+// __builtin_convertvector takes two half conversions and a shuffle.
+inline Double4 Widen4(const float* p) {
+  return Double4{p[0], p[1], p[2], p[3]};
+}
+
+// Partners that share each load of the widened chunk: independent
+// accumulator chains that hide the add latency.
+constexpr int kGramTile = 8;
+
+// acc[p] += wide[t] * ys[p][begin + t] for t in [0, len) in steps of 4, one
+// lane per element position: the lane chains of CosineSimilarity's dot loop.
+// Every product of two widened floats is exact, so contracting it into an
+// FMA rounds like the separate add.
+template <int kTile>
+void GramTile(const double* __restrict__ wide, const float* const* ys,
+              std::size_t begin, std::size_t len, Double4* acc) {
+  Double4 a[kTile];
+  const float* y[kTile];
+  for (int p = 0; p < kTile; ++p) {
+    a[p] = acc[p];
+    y[p] = ys[p] + begin;
+  }
+  for (std::size_t t = 0; t < len; t += 4) {
+    Double4 x;
+    std::memcpy(&x, wide + t, sizeof(x));
+    for (int p = 0; p < kTile; ++p) a[p] += x * Widen4(y[p] + t);
+  }
+  for (int p = 0; p < kTile; ++p) acc[p] = a[p];
+}
+
+// kGramTiles[w - 1] runs a tile of w partners: full tiles and the row's
+// last, partial one.
+constexpr void (*kGramTiles[])(const double*, const float* const*,
+                               std::size_t, std::size_t, Double4*) = {
+    GramTile<1>, GramTile<2>, GramTile<3>, GramTile<4>,
+    GramTile<5>, GramTile<6>, GramTile<7>, GramTile<8>};
+static_assert(std::size(kGramTiles) == kGramTile);
+
+}  // namespace
+
+void CosineGramRow(const float* const* models, int k, int row, std::size_t n,
+                   double* out) {
+  FC_CHECK_GE(row, 0);
+  FC_CHECK_LT(row, k);
+  // Partner 0 is the row model itself: its chain is the squared norm.
+  const int partners = k - row;
+  const float* const* ys = models + row;
+  const float* x = models[row];
+  std::vector<Double4> acc(partners, Double4{});
+  alignas(64) double wide[kCosineGramChunk];
+  const std::size_t main = n - n % 4;
+  for (std::size_t begin = 0; begin < main; begin += kCosineGramChunk) {
+    const std::size_t len = std::min(kCosineGramChunk, main - begin);
+    for (std::size_t t = 0; t < len; t += 4) {
+      const Double4 v = Widen4(x + begin + t);
+      std::memcpy(wide + t, &v, sizeof(v));
+    }
+    for (int p = 0; p < partners; p += kGramTile) {
+      const int width = std::min(kGramTile, partners - p);
+      kGramTiles[width - 1](wide, ys + p, begin, len, &acc[p]);
+    }
+  }
+  for (int p = 0; p < partners; ++p) {
+    double lanes[4];
+    std::memcpy(lanes, &acc[p], sizeof(lanes));
+    const float* y = ys[p];
+    for (std::size_t i = main; i < n; ++i) {
+      lanes[0] += static_cast<double>(x[i]) * y[i];
+    }
+    out[row + p] = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+  }
 }
 
 }  // namespace fedcross::ops

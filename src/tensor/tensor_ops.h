@@ -129,6 +129,26 @@ int ArgMaxRowRaw(const float* row, int cols);
 double CosineSimilarity(const std::vector<float>& x,
                         const std::vector<float>& y);
 
+// CosineSimilarity's last step: the similarity from the reduced dot product
+// and the two squared norms; 0 if either norm is not positive.
+double CosineFromGram(double dot, double norm_x, double norm_y);
+
+// Row `row` of the Gram matrix of k models of n floats each, reduced exactly
+// as CosineSimilarity reduces it: out[j], for j in [row, k), is the dot
+// product of models[row] and models[j] over four double lanes (lane l takes
+// elements 4t + l in ascending t, the n % 4 tail goes to lane 0), summed
+// (l0 + l1) + (l2 + l3). out[row] is the squared norm. So
+// CosineFromGram(out_i[j], out_i[i], out_j[j]) is CosineSimilarity(models[i],
+// models[j]) bit for bit. models[row] is widened once per cache-sized chunk
+// and a register tile of partners streams past it, so a row reads each
+// model once instead of once per pair.
+void CosineGramRow(const float* const* models, int k, int row, std::size_t n,
+                   double* out);
+
+// CosineGramRow widens models[row] this many elements at a time (64 KB of
+// doubles, L2-resident). Exposed so tests can straddle the chunk edges.
+inline constexpr std::size_t kCosineGramChunk = 8192;
+
 }  // namespace fedcross::ops
 
 #endif  // FEDCROSS_TENSOR_TENSOR_OPS_H_

@@ -115,6 +115,86 @@ TEST(WireHelpersTest, Crc32KnownAnswers) {
   EXPECT_EQ(Crc32({static_cast<const std::uint8_t*>(nullptr), 0}), 0u);
 }
 
+// The textbook bitwise CRC-32 register update, one byte at a time. The
+// checksum of a buffer is ~register after its last byte, starting from
+// 0xffffffff.
+std::uint32_t ReferenceCrc32Step(std::uint32_t crc, std::uint8_t byte) {
+  crc ^= byte;
+  for (int bit = 0; bit < 8; ++bit) {
+    crc = (crc >> 1) ^ (0xedb88320u & (0u - (crc & 1u)));
+  }
+  return crc;
+}
+
+std::uint32_t ReferenceCrc32(const std::uint8_t* p, std::size_t n) {
+  std::uint32_t crc = 0xffffffffu;
+  for (std::size_t i = 0; i < n; ++i) crc = ReferenceCrc32Step(crc, p[i]);
+  return ~crc;
+}
+
+std::vector<std::uint8_t> RandomBytes(std::size_t n, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<std::uint8_t> bytes(n);
+  for (std::uint8_t& b : bytes) {
+    b = static_cast<std::uint8_t>(rng.UniformInt(256));
+  }
+  return bytes;
+}
+
+TEST(WireHelpersTest, Crc32MatchesBytewiseReferenceOverOffsetsAndLengths) {
+  // Every start offset 0-15 (unaligned fold loads) and every length
+  // 0-4096: lengths under 64 run slice-by-8 alone, longer ones fold every
+  // whole 16-byte block (one to many 64-byte blocks, then single 16-byte
+  // folds) and leave a 0-15 byte tail to slice-by-8.
+  constexpr std::size_t kMaxLen = 4096;
+  const std::vector<std::uint8_t> bytes = RandomBytes(kMaxLen + 16, 5);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    const std::uint8_t* p = bytes.data() + offset;
+    std::uint32_t reg = 0xffffffffu;  // reference register over p[0, len)
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+      ASSERT_EQ(Crc32({p, len}), ~reg) << "offset " << offset << " len " << len;
+      if (len < kMaxLen) reg = ReferenceCrc32Step(reg, p[len]);
+    }
+  }
+}
+
+TEST(WireHelpersTest, Crc32MatchesBytewiseReferenceOnMegabyteBuffers) {
+  const std::vector<std::uint8_t> bytes = RandomBytes((1u << 20) + 3, 6);
+  for (std::size_t len : {std::size_t{1} << 20, (std::size_t{1} << 20) + 3}) {
+    EXPECT_EQ(Crc32({bytes.data(), len}), ReferenceCrc32(bytes.data(), len))
+        << "len " << len;
+  }
+}
+
+TEST(WireCorruptionTest, FlippedBitInAnyFoldBlockOfADispatchFrameIsCaught) {
+  // A ~1 MB dispatch frame of the wide-server model's 263,882 floats; the
+  // CRC covers every byte before the trailing four. Flip one bit in the
+  // first, a middle and the last 16-byte block the fold consumes, and in
+  // the slice-by-8 tail after it.
+  const ShapeTable shapes = {263882};
+  std::vector<float> params(shapes[0]);
+  util::Rng rng(8);
+  for (float& v : params) v = static_cast<float>(rng.Normal());
+  Frame frame;
+  EncodeDispatch(params, shapes, frame);
+  const std::size_t covered = frame.size() - 4;
+  const std::size_t folded = covered & ~std::size_t{15};
+  ASSERT_GT(covered, folded) << "the frame should leave a slice-by-8 tail";
+  std::vector<float> decoded;
+  ASSERT_TRUE(DecodeDispatch(frame, shapes, decoded).ok());
+  for (std::size_t byte : {std::size_t{3}, folded / 2 + 5, folded - 7,
+                           covered - 1}) {
+    for (int bit : {0, 7}) {
+      Frame corrupt = frame;
+      corrupt[byte] ^= static_cast<std::uint8_t>(1u << bit);
+      util::Status status = DecodeDispatch(corrupt, shapes, decoded);
+      EXPECT_FALSE(status.ok()) << "byte " << byte << " bit " << bit;
+      EXPECT_NE(status.ToString().find("CRC mismatch"), std::string::npos)
+          << status.ToString();
+    }
+  }
+}
+
 TEST(WireHelpersTest, TopKCountClampsToValidRange) {
   EXPECT_EQ(TopKCount(0, 0.1), 0u);
   EXPECT_EQ(TopKCount(100, 0.1), 10u);

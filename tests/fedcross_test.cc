@@ -7,6 +7,7 @@
 #include <set>
 
 #include "core/fedcross.h"
+#include "fl/flat_ops.h"
 #include "fl/parallel.h"
 #include "nn/linear.h"
 #include "tensor/tensor_ops.h"
@@ -287,6 +288,12 @@ std::vector<FlatParams> RandomModels(int k, std::size_t dim,
   return models;
 }
 
+std::vector<const FlatParams*> Pointers(const std::vector<FlatParams>& models) {
+  std::vector<const FlatParams*> pointers;
+  for (const FlatParams& model : models) pointers.push_back(&model);
+  return pointers;
+}
+
 TEST(CoModelSelTest, SimilarityIsBitwiseSymmetric) {
   // The round's K x K matrix scans each unordered pair once; that is exact
   // only if Similarity(x, y) and Similarity(y, x) are the same double.
@@ -298,6 +305,68 @@ TEST(CoModelSelTest, SimilarityIsBitwiseSymmetric) {
       double yx = ModelSimilarity(models[1], models[0], measure);
       EXPECT_EQ(std::memcmp(&xy, &yx, sizeof(double)), 0)
           << SimilarityMeasureName(measure) << " dim " << dim;
+    }
+  }
+}
+
+// Models for the similarity-matrix grid: the first n coordinates of the
+// first k `base` models; with `special`, model 1 is all zeros (cosine 0
+// against everything), every third model from 3 on duplicates model 0
+// (whole values repeat), and for k >= 3 the last model holds a NaN (its row
+// and column are NaN).
+std::vector<FlatParams> GridModels(const std::vector<FlatParams>& base, int k,
+                                   std::size_t n, bool special) {
+  std::vector<FlatParams> models;
+  for (int i = 0; i < k; ++i) {
+    models.emplace_back(base[i].begin(), base[i].begin() + n);
+  }
+  if (!special) return models;
+  models[1].assign(n, 0.0f);
+  for (int i = 3; i < k; i += 3) models[i] = models[0];
+  if (k >= 3) models[k - 1][n / 2] = std::numeric_limits<float>::quiet_NaN();
+  return models;
+}
+
+TEST(CoModelSelTest, SimilarityMatrixMatchesPerPairReference) {
+  // Every off-diagonal cell equals ModelSimilarity by memcmp. The sizes
+  // straddle the Gram pass's chunk edges and its four-lane tail; k = 17
+  // gives rows of every partner count 1-17, so every partial register tile
+  // runs.
+  FlThreadsGuard guard;
+  const std::size_t chunk = ops::kCosineGramChunk;
+  const std::vector<FlatParams> base = RandomModels(17, 263882, 17);
+  for (int k : {2, 3, 5, 16, 17}) {
+    for (std::size_t n : {std::size_t{1}, std::size_t{3}, std::size_t{4},
+                          std::size_t{37}, chunk - 1, chunk, 3 * chunk + 3,
+                          std::size_t{263882}}) {
+      for (bool special : {false, true}) {
+        const std::vector<FlatParams> models =
+            GridModels(base, k, n, special);
+        for (SimilarityMeasure measure :
+             {SimilarityMeasure::kCosine,
+              SimilarityMeasure::kNegativeEuclidean}) {
+          std::vector<double> want(static_cast<std::size_t>(k) * k, 0.0);
+          for (int i = 0; i < k; ++i) {
+            for (int j = 0; j < k; ++j) {
+              if (i != j) {
+                want[i * k + j] =
+                    ModelSimilarity(models[i], models[j], measure);
+              }
+            }
+          }
+          for (int threads : {1, 2, 4}) {
+            fl::SetFlThreads(threads);
+            std::vector<double> got;
+            SimilarityMatrix(Pointers(models), measure, got);
+            ASSERT_EQ(got.size(), want.size());
+            EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                  want.size() * sizeof(double)),
+                      0)
+                << SimilarityMeasureName(measure) << " k=" << k << " n=" << n
+                << " special=" << special << " threads=" << threads;
+          }
+        }
+      }
     }
   }
 }
@@ -327,7 +396,8 @@ TEST(CoModelSelTest, MatrixSelectionMatchesPerModelReference) {
           for (const auto* uploaded : {&distinct, &duplicated}) {
             for (int round : {0, 1, 7}) {
               std::vector<int> collaborators;
-              fedcross.SelectCollaborators(round, *uploaded, collaborators);
+              fedcross.SelectCollaborators(round, Pointers(*uploaded),
+                                           collaborators);
               ASSERT_EQ(collaborators.size(), static_cast<std::size_t>(k));
               for (int i = 0; i < k; ++i) {
                 EXPECT_EQ(collaborators[i],
@@ -364,7 +434,7 @@ TEST(CoModelSelTest, NonFiniteUploadFallsBackToInOrder) {
         EXPECT_EQ(fedcross.SelectCollaborator(2, round, uploaded),
                   (2 + (round % (k - 1) + 1)) % k);
         std::vector<int> collaborators;
-        fedcross.SelectCollaborators(round, uploaded, collaborators);
+        fedcross.SelectCollaborators(round, Pointers(uploaded), collaborators);
         for (int i = 0; i < k; ++i) {
           int co = fedcross.SelectCollaborator(i, round, uploaded);
           EXPECT_EQ(collaborators[i], co);
@@ -378,6 +448,40 @@ TEST(CoModelSelTest, NonFiniteUploadFallsBackToInOrder) {
       }
     }
   }
+}
+
+TEST(FedCrossTest, AsyncUploadsPointAtEachLanesLastArrival) {
+  // Lane 0 gets no arrival, lane 1 a fresh one and lane 2 a stale one.
+  // Lane 3 gets a fresh then a stale arrival, lane 4 a stale then a fresh
+  // one: the later arrival wins both times.
+  const std::vector<FlatParams> middleware = RandomModels(5, 7, 1);
+  const std::vector<FlatParams> arrivals = RandomModels(6, 7, 2);
+  const int lanes[] = {1, 2, 3, 3, 4, 4};
+  const double weights[] = {1.0, 0.5, 1.0, 0.25, 0.75, 1.0};
+  std::vector<fl::LocalTrainResult> results(6);
+  for (int r = 0; r < 6; ++r) {
+    results[r].params = arrivals[r];
+    results[r].slot = lanes[r];
+    results[r].weight_scale = weights[r];
+  }
+  std::vector<FlatParams> blended;
+  std::vector<const FlatParams*> uploads;
+  AsyncUploads(results, middleware, blended, uploads);
+  auto blend = [&](int r) {
+    FlatParams want;
+    fl::flat_ops::LinearCombine(static_cast<float>(weights[r]), arrivals[r],
+                                static_cast<float>(1.0 - weights[r]),
+                                middleware[lanes[r]], want);
+    return want;
+  };
+  ASSERT_EQ(uploads.size(), 5u);
+  EXPECT_EQ(uploads[0], &middleware[0]);
+  EXPECT_EQ(uploads[1], &results[0].params);
+  EXPECT_EQ(uploads[2], &blended[2]);
+  EXPECT_EQ(blended[2], blend(1));
+  EXPECT_EQ(uploads[3], &blended[3]);
+  EXPECT_EQ(blended[3], blend(3));
+  EXPECT_EQ(uploads[4], &results[5].params);
 }
 
 TEST(FedCrossTest, UnscreenedNanUploadsDoNotBreakTheRound) {

@@ -182,6 +182,31 @@ TEST(ParallelDeterminismTest, ParallelRangesSpanTheFanOutWidth) {
   ExpectContiguousCover(one, 1000);
 }
 
+TEST(ParallelDeterminismTest, AverageMatchesTheSerialSumThenScale) {
+  // GlobalModelGen is range-sharded; every element must still see the
+  // serial loop's adds in model order, then the 1/K scale.
+  struct Probe : FedAvg {
+    using FedAvg::Average;
+  };
+  FlThreadsGuard guard;
+  const std::size_t n = 5 * 4096 * 3 + 7;  // a range per thread at width 5
+  std::vector<FlatParams> models(5, FlatParams(n));
+  util::Rng rng(12);
+  for (FlatParams& model : models) {
+    for (float& v : model) v = static_cast<float>(rng.Normal());
+  }
+  FlatParams serial(n, 0.0f);
+  for (const FlatParams& model : models) {
+    for (std::size_t i = 0; i < n; ++i) serial[i] += model[i];
+  }
+  for (float& v : serial) v *= 1.0f / static_cast<float>(models.size());
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE(threads);
+    SetFlThreads(threads);
+    ExpectBitIdentical(Probe::Average(models), serial);
+  }
+}
+
 TEST(ParallelDeterminismTest, FedAvgIsThreadCountInvariant) {
   FlThreadsGuard guard;
   FlatParams sequential = RunFedAvg(/*threads=*/1, /*rounds=*/5);
