@@ -807,6 +807,69 @@ void BM_Decode(benchmark::State& state) {
 }
 BENCHMARK(BM_Decode)->DenseRange(0, 4);
 
+// The wide-server upload: FedCross's MLP on fcbench's wide-server workload
+// (six tensors, 263,882 floats) through the top-k schemes at fraction 0.1,
+// with an error-feedback residual warmed by earlier rounds. Arg indexes
+// kCodecSchemes (3 = topk, 4 = int8_topk). One thread; not gated.
+struct WideCodecFixture {
+  comm::ShapeTable shapes = {196608, 1024, 65536, 64, 640, 10};
+  comm::CodecOptions options;
+  std::vector<float> reference;
+  std::vector<float> trained;
+  std::vector<float> residual;
+  std::vector<std::uint8_t> frame;
+  util::Rng rng{6};
+
+  explicit WideCodecFixture(comm::Scheme scheme) {
+    options.scheme = scheme;
+    options.topk_fraction = 0.1;
+    util::Rng init(5);
+    for (std::uint32_t len : shapes) {
+      for (std::uint32_t i = 0; i < len; ++i) {
+        const float w = 0.05f * static_cast<float>(init.Normal(0.0, 1.0));
+        reference.push_back(w);
+        trained.push_back(w + 0.01f * static_cast<float>(init.Normal(0.0, 1.0)));
+      }
+    }
+    for (int round = 0; round < 8; ++round) Encode();
+  }
+  void Encode() {
+    comm::EncodeUpload(options, trained, reference, shapes, residual, rng,
+                       frame);
+  }
+};
+
+void BM_EncodeWide(benchmark::State& state) {
+  WideCodecFixture fx(kCodecSchemes[state.range(0)]);
+  for (auto _ : state) {
+    fx.Encode();
+    benchmark::DoNotOptimize(fx.frame.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(comm::SchemeName(fx.options.scheme));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(fx.trained.size()) *
+                          static_cast<std::int64_t>(sizeof(float)));
+}
+BENCHMARK(BM_EncodeWide)->Arg(3)->Arg(4);
+
+void BM_DecodeWide(benchmark::State& state) {
+  WideCodecFixture fx(kCodecSchemes[state.range(0)]);
+  std::vector<float> decoded;
+  for (auto _ : state) {
+    util::Status status =
+        comm::DecodeUpload(fx.frame, fx.reference, fx.shapes, decoded);
+    benchmark::DoNotOptimize(status.ok());
+    benchmark::DoNotOptimize(decoded.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(comm::SchemeName(fx.options.scheme));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(fx.trained.size()) *
+                          static_cast<std::int64_t>(sizeof(float)));
+}
+BENCHMARK(BM_DecodeWide)->Arg(3)->Arg(4);
+
 // DP-SGD sanitisation (privacy/dp.h): one clip-and-noise pass over a
 // model-sized update. Arg is the parameter count in thousands; this is the
 // per-upload cost DP adds to every client round.

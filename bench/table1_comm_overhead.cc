@@ -63,6 +63,11 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", scheme.status().ToString().c_str());
     return 1;
   }
+  const comm::CodecOptions codec{scheme.value(), topk};
+  if (util::Status valid = comm::ValidateCodecOptions(codec); !valid.ok()) {
+    std::fprintf(stderr, "--topk: %s\n", valid.ToString().c_str());
+    return 1;
+  }
   const bool compare = scheme.value() != comm::Scheme::kIdentity;
 
   util::TablePrinter table(
@@ -91,8 +96,7 @@ int Main(int argc, char** argv) {
     }
     // The codec run replays the identical round sequence (same seeds, same
     // client draws); only the uplink encoding differs.
-    spec.codec.scheme = scheme.value();
-    spec.codec.topk_fraction = topk;
+    spec.codec = codec;
     auto coded = compare ? RunMethod(spec) : identity;
     if (!coded.ok()) {
       std::fprintf(stderr, "%s\n", coded.status().ToString().c_str());

@@ -71,6 +71,11 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", scheme.status().ToString().c_str());
     return 1;
   }
+  const comm::CodecOptions codec{scheme.value(), topk};
+  if (util::Status valid = comm::ValidateCodecOptions(codec); !valid.ok()) {
+    std::fprintf(stderr, "--topk: %s\n", valid.ToString().c_str());
+    return 1;
+  }
   std::vector<double> noises = ParseNoises(noise_list);
   if (noises.empty()) {
     std::fprintf(stderr, "--noises must name at least one multiplier\n");
@@ -96,8 +101,7 @@ int Main(int argc, char** argv) {
       spec.method = method;
       spec.data.num_clients = num_clients;
       spec.rounds = rounds;
-      spec.codec.scheme = scheme.value();
-      spec.codec.topk_fraction = topk;
+      spec.codec = codec;
       spec.secure_agg.enabled = secure_agg;
       if (cell > 0) {
         spec.dp.clip_norm = static_cast<float>(clip);

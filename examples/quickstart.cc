@@ -161,6 +161,11 @@ int Run(int argc, char** argv) {
   }
   config.codec.scheme = scheme.value();
   config.codec.topk_fraction = topk;
+  if (util::Status codec = comm::ValidateCodecOptions(config.codec);
+      !codec.ok()) {
+    std::fprintf(stderr, "--topk: %s\n", codec.ToString().c_str());
+    return 1;
+  }
   config.population = population;
   config.state_store.max_resident = max_resident;
   if (!fl::ParseExecMode(exec_name, &config.train.exec)) {

@@ -255,6 +255,10 @@ int Run(int argc, char** argv) {
   }
   g_codec.scheme = scheme.value();
   g_codec.topk_fraction = topk;
+  if (util::Status codec = comm::ValidateCodecOptions(g_codec); !codec.ok()) {
+    std::fprintf(stderr, "--topk: %s\n", codec.ToString().c_str());
+    return 1;
+  }
   if (!fl::ParseExecMode(exec_name, &g_exec)) {
     std::fprintf(stderr, "unknown --exec '%s' (want layers|plan)\n",
                  exec_name.c_str());

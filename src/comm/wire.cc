@@ -1,20 +1,23 @@
 #include "comm/wire.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
 
+#include "tensor/tensor_ops.h"
 #include "util/check.h"
 
-// The carry-less-multiply CRC fold: x86 only, compiled under a function
-// target attribute and picked at run time, so portable builds carry it too.
+// The carry-less-multiply CRC fold and the AVX-512 top-k kernels: x86 only,
+// compiled under function target attributes and picked at run time, so
+// portable builds carry them too.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #include <immintrin.h>
-#define FEDCROSS_CRC32_CLMUL 1
+#define FEDCROSS_WIRE_X86 1
 #else
-#define FEDCROSS_CRC32_CLMUL 0
+#define FEDCROSS_WIRE_X86 0
 #endif
 
 namespace fedcross::comm {
@@ -24,15 +27,36 @@ constexpr std::uint32_t kMagic = 0x50574346;  // "FCWP"
 constexpr std::uint8_t kFormatVersion = 1;
 constexpr std::uint32_t kMaxTensors = 1u << 20;
 
-// Thread-local scratch for the variable-size intermediates (update vectors,
-// top-k workspaces). Pool workers are long-lived, so the capacity is reused
-// across rounds and the steady-state encode path allocates nothing. Scheme
-// bodies are written straight into the caller's frame.
+// Top-k ranking keys and their radix digits. A key is a magnitude's bit
+// pattern with every non-finite value mapped to +inf's, so keys are
+// non-negative, never NaN, and order exactly like the floats they encode.
+// Bit 31 is always clear, so the three digits are bits 30..20 (the level-1
+// bucket), 19..10 and 9..0.
+constexpr std::uint32_t kAbsMask = 0x7fffffffu;
+constexpr std::uint32_t kInfBits = 0x7f800000u;
+constexpr int kLevel1Shift = 20;
+constexpr std::size_t kLevel1Buckets = std::size_t{1} << 11;
+// The level-1 histogram is counted into four interleaved copies, so runs of
+// equal buckets do not serialise on one counter.
+constexpr std::size_t kLevel1Copies = 4;
+constexpr int kDigitBits = 10;
+constexpr std::uint32_t kDigitMask = (1u << kDigitBits) - 1;
+// Slack past the last element of the compaction outputs: the AVX-512
+// kernels store whole 16-lane vectors.
+constexpr std::size_t kLanes = 16;
+// Coordinates per bitmap word (the scalar selection pass and the decoder).
+constexpr std::size_t kWordBits = 64;
+
+// Thread-local scratch for the variable-size intermediates. Pool workers are
+// long-lived, so the capacity is reused across rounds and the steady-state
+// encode path allocates nothing. Scheme bodies are written straight into the
+// caller's frame.
 struct EncodeScratch {
   std::vector<float> update;
-  std::vector<std::uint32_t> mags;       // top-k magnitude bit patterns
-  std::vector<std::uint32_t> histogram;  // radix-select buckets
-  std::vector<std::uint32_t> indices;    // top-k survivors, ascending
+  std::vector<std::uint32_t> histogram;   // level-1 buckets, 32 KB
+  std::vector<std::uint32_t> candidates;  // keys in the threshold's bucket
+  std::vector<std::uint32_t> indices;     // top-k survivors, ascending
+  std::vector<float> values;              // their updates, same order
 };
 
 EncodeScratch& Scratch() {
@@ -219,23 +243,53 @@ std::int8_t QuantizeStochastic(float value, float scale, util::Rng& rng) {
   return static_cast<std::int8_t>(std::clamp(q, -127, 127));
 }
 
-// The error-feedback input: update = (trained - reference) + residual.
-// Returns true when every coordinate is finite; a corrupted (NaN/Inf)
-// upload is still framed -- it must reach the server-side screen -- but the
-// caller then skips the residual update.
-bool BuildUpdate(std::span<const float> trained, std::span<const float> ref,
-                 const std::vector<float>& residual,
-                 std::vector<float>& update) {
+// The top-k ranking key of one update coordinate: its magnitude's bit
+// pattern (sign bit cleared), capped at +inf's so every NaN ranks as +inf.
+inline std::uint32_t MagnitudeKey(float value) {
+  return std::min(std::bit_cast<std::uint32_t>(value) & kAbsMask, kInfBits);
+}
+
+// The error-feedback input: update = (trained - reference) + residual, in
+// one vectorizing pass. Returns the largest magnitude bit pattern
+// (bits & 0x7fffffff); the update is finite iff it lies below +inf's. A
+// corrupted (NaN/Inf) upload is still framed -- it must reach the
+// server-side screen -- but the caller then skips the residual update.
+//
+// With a `histogram` (the top-k schemes) the same pass also counts every
+// coordinate's level-1 bucket, MagnitudeKey >> 20, into kLevel1Copies
+// interleaved copies: each block's buckets are computed vectorized, then
+// counted from L1.
+std::uint32_t BuildUpdate(std::span<const float> trained,
+                          std::span<const float> ref,
+                          std::span<const float> residual,
+                          std::vector<float>& update,
+                          std::uint32_t* histogram) {
   const std::size_t n = trained.size();
   update.resize(n);
-  bool finite = true;
-  for (std::size_t i = 0; i < n; ++i) {
-    float e = trained[i] - ref[i];
-    if (!residual.empty()) e += residual[i];
-    update[i] = e;
-    finite &= std::isfinite(e) != 0;
+  float* out = update.data();
+  std::uint32_t max_bits = 0;
+  constexpr std::size_t kBlock = 256;
+  std::uint32_t buckets[kBlock] = {};
+  for (std::size_t base = 0; base < n; base += kBlock) {
+    const std::size_t len = std::min(kBlock, n - base);
+    for (std::size_t j = 0; j < len; ++j) {
+      const float e = trained[base + j] - ref[base + j] + residual[base + j];
+      out[base + j] = e;
+      const std::uint32_t bits = std::bit_cast<std::uint32_t>(e) & kAbsMask;
+      max_bits = std::max(max_bits, bits);
+      buckets[j] = std::min(bits, kInfBits) >> kLevel1Shift;
+    }
+    if (histogram == nullptr) continue;
+    std::size_t j = 0;
+    for (; j + kLevel1Copies <= len; j += kLevel1Copies) {
+      ++histogram[buckets[j]];
+      ++histogram[kLevel1Buckets + buckets[j + 1]];
+      ++histogram[2 * kLevel1Buckets + buckets[j + 2]];
+      ++histogram[3 * kLevel1Buckets + buckets[j + 3]];
+    }
+    for (; j < len; ++j) ++histogram[buckets[j]];
   }
-  return finite;
+  return max_bits;
 }
 
 void EncodeInt8Body(const ShapeTable& shapes, const std::vector<float>& update,
@@ -269,111 +323,319 @@ void EncodeInt8Body(const ShapeTable& shapes, const std::vector<float>& update,
   }
 }
 
-// Deterministic top-k selection over magnitudes: strictly-larger values
-// first, ties broken toward the lowest index. Non-finite coordinates rank
-// as +inf so corrupted values always survive into the frame (and get
-// screened server-side). Sets the survivors' bits in the zeroed n-bit
-// `bitmap` and lists them, ascending, in scratch.indices.
+// --- top-k selection -------------------------------------------------------
 //
-// The threshold -- the k-th largest magnitude -- comes from an exact O(n)
-// radix select. The magnitudes are fabs values with non-finite ones mapped
-// to +inf, so they are non-negative and never NaN, and such floats order
-// exactly like their uint32 bit patterns. One 16-bit histogram over the
-// high halves finds the threshold's bucket, a second over the low halves
-// inside that bucket finds the pattern itself.
-void SelectTopK(const std::vector<float>& update, std::uint64_t k,
-                EncodeScratch& scratch, std::uint8_t* bitmap) {
-  constexpr std::uint32_t kInfBits = 0x7f800000u;
-  constexpr std::size_t kBuckets = 1u << 16;
-  const std::size_t n = update.size();
-  std::vector<std::uint32_t>& mags = scratch.mags;
-  std::vector<std::uint32_t>& histogram = scratch.histogram;
-  mags.resize(n);
-  histogram.assign(kBuckets, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    // fabs clears the sign bit; every NaN pattern lies above +inf's.
-    const std::uint32_t bits =
-        std::min(FloatBits(std::fabs(update[i])), kInfBits);
-    mags[i] = bits;
-    ++histogram[bits >> 16];
-  }
-  // Walk buckets down from +inf's until they hold k magnitudes; `above`
-  // counts those strictly above the threshold throughout.
-  std::uint64_t above = 0;
-  std::uint32_t high = kInfBits >> 16;
-  while (above + histogram[high] < k) above += histogram[high--];
-  std::fill(histogram.begin(), histogram.end(), 0);
-  for (std::uint32_t m : mags) {
-    if ((m >> 16) == high) ++histogram[m & 0xffffu];
-  }
-  std::uint32_t low = kBuckets - 1;
-  while (above + histogram[low] < k) above += histogram[low--];
-  const std::uint32_t threshold = (high << 16) | low;
-  std::uint64_t at_threshold = k - above;
+// Deterministic top-k over magnitude keys: strictly larger keys first, then
+// the lowest-index coordinates equal to the k-th largest key until k are
+// taken. Non-finite coordinates rank as +inf, so corrupted values always
+// survive into the frame (and get screened server-side). Three streaming
+// passes over the update find and take the survivors:
+//   1. BuildUpdate counts the level-1 histogram (key bits 30..20);
+//   2. the keys in the threshold's level-1 bucket are compacted, and two
+//      1024-bucket histograms over them alone fix bits 19..10 and 9..0:
+//      the exact k-th largest key and the count strictly above it;
+//   3. one selection pass writes the bitmap, copies a finite update into
+//      the residual and compacts the survivors' indices and values.
+// On the AVX-512 tier passes 2 and 3 run as mask-and-compress kernels;
+// every other tier runs the scalar loops. Both write the same bytes.
 
-  std::vector<std::uint32_t>& indices = scratch.indices;
-  indices.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    bool take = mags[i] > threshold;
-    if (!take && mags[i] == threshold && at_threshold > 0) {
-      take = true;
-      --at_threshold;
-    }
-    if (take) {
-      bitmap[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
-      indices.push_back(static_cast<std::uint32_t>(i));
-    }
-  }
-  FC_CHECK_EQ(indices.size(), k);
+// The k-th largest key and how many keys lie strictly above it.
+struct TopKThreshold {
+  std::uint32_t key = 0;
+  std::uint64_t above = 0;
+};
+
+// Walks `histogram` down from bucket `top` until it covers k keys together
+// with the `above` already counted (which it advances); returns the bucket
+// that holds the k-th largest key.
+std::uint32_t WalkDown(const std::uint32_t* histogram, std::uint32_t top,
+                       std::uint64_t k, std::uint64_t& above) {
+  std::uint32_t bucket = top;
+  while (above + histogram[bucket] < k) above += histogram[bucket--];
+  return bucket;
 }
 
-void EncodeTopKBody(bool quantize, double fraction,
-                    const std::vector<float>& update, bool finite,
-                    util::Rng& rng, std::vector<float>& residual,
+// Writes the keys whose level-1 bucket is `bucket`, in index order, to `out`
+// (room for their count + 1); returns how many. Each key is stored
+// unconditionally and kept only when it matches.
+std::size_t CompactBucket(const float* update, std::size_t n,
+                          std::uint32_t bucket, std::uint32_t* out) {
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t key = MagnitudeKey(update[i]);
+    out[count] = key;
+    count += (key >> kLevel1Shift) == bucket ? 1 : 0;
+  }
+  return count;
+}
+
+// The lowest set bits of `tied`, at most `budget` of them; spends the budget.
+std::uint64_t TakeLowestTies(std::uint64_t tied, std::uint64_t& budget) {
+  std::uint64_t taken = 0;
+  for (; tied != 0 && budget > 0; --budget) {
+    const std::uint64_t lowest = tied & (~tied + 1);
+    taken |= lowest;
+    tied ^= lowest;
+  }
+  return taken;
+}
+
+// A bitmap word: the LSB-first bits of up to 64 coordinates held in `bytes`
+// bytes of the frame's bitmap (bit i of byte b is coordinate 8b + i).
+std::uint64_t LoadBitmapWord(const std::uint8_t* in, std::size_t bytes) {
+  std::uint64_t word = 0;
+  if (std::endian::native == std::endian::little && bytes == sizeof(word)) {
+    std::memcpy(&word, in, sizeof(word));
+    return word;
+  }
+  for (std::size_t b = 0; b < bytes; ++b) {
+    word |= static_cast<std::uint64_t>(in[b]) << (8 * b);
+  }
+  return word;
+}
+
+void StoreBitmapWord(std::uint64_t word, std::size_t bytes,
+                     std::uint8_t* out) {
+  if (std::endian::native == std::endian::little && bytes == sizeof(word)) {
+    std::memcpy(out, &word, sizeof(word));
+    return;
+  }
+  for (std::size_t b = 0; b < bytes; ++b) {
+    out[b] = static_cast<std::uint8_t>(word >> (8 * b));
+  }
+}
+
+// Where the selection pass writes: the frame's n-bit bitmap, the survivors'
+// indices and values (room for k + kLanes each), and -- only for a finite
+// update -- the residual, which receives a copy of the whole update.
+struct SelectionOut {
+  std::uint8_t* bitmap = nullptr;
+  std::uint32_t* indices = nullptr;
+  float* values = nullptr;
+  float* residual = nullptr;
+};
+
+// Pass 3, one 64-coordinate bitmap word at a time; returns the survivors.
+std::size_t SelectSurvivors(const float* update, std::size_t n,
+                            TopKThreshold threshold, std::uint64_t k,
+                            const SelectionOut& out) {
+  std::uint64_t ties = k - threshold.above;
+  std::size_t count = 0;
+  for (std::size_t base = 0; base < n; base += kWordBits) {
+    const std::size_t len = std::min(kWordBits, n - base);
+    std::uint64_t take = 0;
+    std::uint64_t tied = 0;
+    for (std::size_t j = 0; j < len; ++j) {
+      const std::uint32_t key = MagnitudeKey(update[base + j]);
+      take |= static_cast<std::uint64_t>(key > threshold.key) << j;
+      tied |= static_cast<std::uint64_t>(key == threshold.key) << j;
+    }
+    if (tied != 0 && ties > 0) take |= TakeLowestTies(tied, ties);
+    StoreBitmapWord(take, (len + 7) / 8, out.bitmap + base / 8);
+    if (out.residual != nullptr) {
+      std::memcpy(out.residual + base, update + base, len * sizeof(float));
+    }
+    for (; take != 0; take &= take - 1) {
+      const std::size_t i = base + std::countr_zero(take);
+      out.indices[count] = static_cast<std::uint32_t>(i);
+      out.values[count] = update[i];
+      ++count;
+    }
+  }
+  return count;
+}
+
+#if FEDCROSS_WIRE_X86
+
+// GCC 12 reports the intrinsics' deliberately undefined pass-through
+// operand (_mm512_undefined_epi32) as maybe-uninitialized (GCC bug 105593).
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
+// The lanes of a 16-lane step that lie below n, given `left` = n - i.
+inline __mmask16 LiveLanes(std::size_t left) {
+  return left >= kLanes ? static_cast<__mmask16>(0xffff)
+                        : static_cast<__mmask16>((1u << left) - 1u);
+}
+
+// CompactBucket, 16 keys per step: vpcompressd packs the matching keys and
+// the whole vector is stored (hence the kLanes slack).
+__attribute__((target("avx512f,avx512bw,avx512vl,popcnt"))) std::size_t
+CompactBucketAvx512(const float* update, std::size_t n, std::uint32_t bucket,
+                    std::uint32_t* out) {
+  const __m512i abs_mask = _mm512_set1_epi32(static_cast<int>(kAbsMask));
+  const __m512i inf = _mm512_set1_epi32(static_cast<int>(kInfBits));
+  const __m512i want = _mm512_set1_epi32(static_cast<int>(bucket));
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < n; i += kLanes) {
+    const __mmask16 live = LiveLanes(n - i);
+    const __m512i key = _mm512_min_epu32(
+        _mm512_and_si512(_mm512_maskz_loadu_epi32(live, update + i), abs_mask),
+        inf);
+    const __mmask16 hit = _mm512_mask_cmpeq_epi32_mask(
+        live, _mm512_srli_epi32(key, kLevel1Shift), want);
+    _mm512_storeu_si512(out + count, _mm512_maskz_compress_epi32(hit, key));
+    count += std::popcount(static_cast<unsigned>(hit));
+  }
+  return count;
+}
+
+// SelectSurvivors, 16 coordinates per step: the compare masks are the
+// bitmap's bits, and vpcompressd packs the survivors' indices and values.
+__attribute__((target("avx512f,avx512bw,avx512vl,popcnt"))) std::size_t
+SelectSurvivorsAvx512(const float* update, std::size_t n,
+                      TopKThreshold threshold, std::uint64_t k,
+                      const SelectionOut& out) {
+  const __m512i abs_mask = _mm512_set1_epi32(static_cast<int>(kAbsMask));
+  const __m512i inf = _mm512_set1_epi32(static_cast<int>(kInfBits));
+  const __m512i cut = _mm512_set1_epi32(static_cast<int>(threshold.key));
+  const __m512i step = _mm512_set1_epi32(static_cast<int>(kLanes));
+  __m512i index =
+      _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+  std::uint64_t ties = k - threshold.above;
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < n;
+       i += kLanes, index = _mm512_add_epi32(index, step)) {
+    const std::size_t left = n - i;
+    const __mmask16 live = LiveLanes(left);
+    const __m512 value = _mm512_maskz_loadu_ps(live, update + i);
+    const __m512i key = _mm512_min_epu32(
+        _mm512_and_si512(_mm512_castps_si512(value), abs_mask), inf);
+    __mmask16 take = _mm512_mask_cmpgt_epu32_mask(live, key, cut);
+    if (ties > 0) {
+      const __mmask16 tied = _mm512_mask_cmpeq_epi32_mask(live, key, cut);
+      if (tied != 0) {
+        take |= static_cast<__mmask16>(TakeLowestTies(tied, ties));
+      }
+    }
+    if (left >= kLanes) {
+      const std::uint16_t bits = take;
+      std::memcpy(out.bitmap + i / 8, &bits, sizeof(bits));
+    } else {
+      StoreBitmapWord(take, (left + 7) / 8, out.bitmap + i / 8);
+    }
+    if (out.residual != nullptr) {
+      _mm512_mask_storeu_ps(out.residual + i, live, value);
+    }
+    _mm512_storeu_si512(out.indices + count,
+                        _mm512_maskz_compress_epi32(take, index));
+    _mm512_storeu_ps(out.values + count, _mm512_maskz_compress_ps(take, value));
+    count += std::popcount(static_cast<unsigned>(take));
+  }
+  return count;
+}
+
+#pragma GCC diagnostic pop
+
+#endif  // FEDCROSS_WIRE_X86
+
+// Passes 2 and 3 of the top-k encoder on the active SIMD tier.
+struct TopKKernels {
+  std::size_t (*compact_bucket)(const float*, std::size_t, std::uint32_t,
+                                std::uint32_t*);
+  std::size_t (*select_survivors)(const float*, std::size_t, TopKThreshold,
+                                  std::uint64_t, const SelectionOut&);
+};
+
+// The AVX-512 kernels run on the AVX-512 tier only, so FEDCROSS_SIMD and
+// ops::testing::ForceSimdTier pin the scalar loops as they pin GEMM's.
+TopKKernels ActiveTopKKernels() {
+#if FEDCROSS_WIRE_X86
+  if (ops::ActiveSimdTier() == ops::SimdTier::kAvx512) {
+    return {CompactBucketAvx512, SelectSurvivorsAvx512};
+  }
+#endif
+  return {CompactBucket, SelectSurvivors};
+}
+
+// Pass 2: the exact k-th largest key of the update, given BuildUpdate's
+// level-1 histogram in scratch.histogram (whose copies it folds).
+TopKThreshold SelectThreshold(std::uint64_t k, const TopKKernels& kernels,
+                              EncodeScratch& scratch) {
+  const std::vector<float>& update = scratch.update;
+  std::uint32_t* histogram = scratch.histogram.data();
+  constexpr std::uint32_t kTopBucket = kInfBits >> kLevel1Shift;
+  for (std::uint32_t b = 0; b <= kTopBucket; ++b) {
+    histogram[b] += histogram[kLevel1Buckets + b] +
+                    histogram[2 * kLevel1Buckets + b] +
+                    histogram[3 * kLevel1Buckets + b];
+  }
+  TopKThreshold threshold;
+  const std::uint32_t bucket =
+      WalkDown(histogram, kTopBucket, k, threshold.above);
+
+  std::vector<std::uint32_t>& candidates = scratch.candidates;
+  candidates.resize(histogram[bucket] + kLanes);
+  const std::size_t found = kernels.compact_bucket(
+      update.data(), update.size(), bucket, candidates.data());
+  FC_CHECK_EQ(found, histogram[bucket]);
+
+  std::array<std::uint32_t, kDigitMask + 1> digits{};
+  for (std::size_t c = 0; c < found; ++c) {
+    ++digits[(candidates[c] >> kDigitBits) & kDigitMask];
+  }
+  const std::uint32_t prefix =
+      (bucket << kDigitBits) |
+      WalkDown(digits.data(), kDigitMask, k, threshold.above);
+  digits.fill(0);
+  for (std::size_t c = 0; c < found; ++c) {
+    digits[candidates[c] & kDigitMask] +=
+        (candidates[c] >> kDigitBits) == prefix ? 1 : 0;
+  }
+  threshold.key = (prefix << kDigitBits) |
+                  WalkDown(digits.data(), kDigitMask, k, threshold.above);
+  return threshold;
+}
+
+// Appends a top-k body for scratch.update: u64 k, the n-bit bitmap, then
+// the survivors in index order -- k raw floats, or (quantize) one global
+// scale and k stochastically rounded int8s. `max_bits` is BuildUpdate's
+// return value.
+void EncodeTopKBody(bool quantize, std::uint64_t k, std::uint32_t max_bits,
+                    EncodeScratch& scratch, util::Rng& rng,
+                    std::vector<float>& residual,
                     std::vector<std::uint8_t>& body) {
-  const std::size_t n = update.size();
-  const std::uint64_t k = TopKCount(n, fraction);
-  EncodeScratch& scratch = Scratch();
+  const std::size_t n = scratch.update.size();
+  const bool finite = max_bits < kInfBits;
+  const TopKKernels kernels = ActiveTopKKernels();
+  const TopKThreshold threshold = SelectThreshold(k, kernels, scratch);
+
   AppendPod(body, k);
   const std::size_t bitmap_offset = body.size();
-  body.resize(bitmap_offset + (n + 7) / 8, 0);
-  SelectTopK(update, k, scratch, body.data() + bitmap_offset);
-  const std::vector<std::uint32_t>& indices = scratch.indices;
+  body.resize(bitmap_offset + (n + 7) / 8);
+  scratch.indices.resize(k + kLanes);
+  scratch.values.resize(k + kLanes);
+  const SelectionOut out{.bitmap = body.data() + bitmap_offset,
+                         .indices = scratch.indices.data(),
+                         .values = scratch.values.data(),
+                         .residual = finite ? residual.data() : nullptr};
+  const std::size_t taken =
+      kernels.select_survivors(scratch.update.data(), n, threshold, k, out);
+  FC_CHECK_EQ(taken, k);
 
-  if (finite) {
-    for (std::size_t i = 0; i < n; ++i) residual[i] = update[i];
-  }
   if (!quantize) {
-    std::size_t at = body.size();
-    body.resize(at + indices.size() * sizeof(float));
-    for (std::uint32_t i : indices) {
-      std::memcpy(body.data() + at, &update[i], sizeof(float));
-      at += sizeof(float);
-      if (finite) residual[i] = 0.0f;
+    AppendRaw(body, out.values, k * sizeof(float));
+    if (finite) {
+      for (std::size_t j = 0; j < k; ++j) residual[out.indices[j]] = 0.0f;
     }
     return;
   }
-  float maxabs = 0.0f;
-  for (std::uint32_t i : indices) {
-    float a = std::fabs(update[i]);
-    if (std::isfinite(a) && a > maxabs) maxabs = a;
-  }
-  float scale =
-      finite ? maxabs / 127.0f : std::numeric_limits<float>::quiet_NaN();
+  // With every coordinate finite the largest magnitude always survives
+  // (k >= 1, and a tie at the top goes to the lowest index), so the update's
+  // maximum is the survivors' maximum.
+  const float scale = finite ? std::bit_cast<float>(max_bits) / 127.0f
+                             : std::numeric_limits<float>::quiet_NaN();
   AppendPod(body, scale);
-  if (!finite || scale == 0.0f) {
-    body.insert(body.end(), indices.size(), 0);
-    if (finite) {
-      for (std::uint32_t i : indices) residual[i] = update[i];
-    }
-  } else {
-    std::size_t at = body.size();
-    body.resize(at + indices.size());
-    for (std::uint32_t i : indices) {
-      std::int8_t q = QuantizeStochastic(update[i], scale, rng);
-      body[at++] = static_cast<std::uint8_t>(q);
-      residual[i] = update[i] - q * scale;
-    }
+  const std::size_t at = body.size();
+  body.resize(at + k, 0);
+  // A zero or NaN scale ships zeros; a finite update's residual already
+  // holds the survivors' updates.
+  if (!finite || scale == 0.0f) return;
+  std::uint8_t* q8 = body.data() + at;
+  for (std::size_t j = 0; j < k; ++j) {
+    const std::int8_t q = QuantizeStochastic(out.values[j], scale, rng);
+    q8[j] = static_cast<std::uint8_t>(q);
+    residual[out.indices[j]] = out.values[j] - q * scale;
   }
 }
 
@@ -423,6 +685,44 @@ util::Status DecodeInt8Body(const ParsedFrame& frame,
   return util::Status::Ok();
 }
 
+// The bitmap word of coordinates [base, base + 64). Bits past n in the last
+// byte select nothing, so they are masked out.
+std::uint64_t BitmapWordAt(const std::uint8_t* bitmap, std::size_t base,
+                           std::size_t n) {
+  const std::size_t len = std::min(kWordBits, n - base);
+  const std::uint64_t word = LoadBitmapWord(bitmap + base / 8, (len + 7) / 8);
+  return len == kWordBits ? word : word & ((std::uint64_t{1} << len) - 1);
+}
+
+// Decodes a validated top-k body in one pass over 64-coordinate blocks.
+// Unselected coordinates decode as reference + 0.0f, not as a copy: a -0.0
+// reference coordinate decodes to +0.0. The block's survivors, whose values
+// follow the bitmap in index order, then get reference + delta.
+template <bool kQuantized>
+void DecodeTopKValues(const std::uint8_t* bitmap, const std::uint8_t* values,
+                      float scale, std::span<const float> reference,
+                      std::vector<float>& out) {
+  const std::size_t n = out.size();
+  const float* ref = reference.data();
+  float* dst = out.data();
+  for (std::size_t base = 0; base < n; base += kWordBits) {
+    const std::size_t len = std::min(kWordBits, n - base);
+    for (std::size_t j = 0; j < len; ++j) dst[base + j] = ref[base + j] + 0.0f;
+    for (std::uint64_t word = BitmapWordAt(bitmap, base, n); word != 0;
+         word &= word - 1) {
+      const std::size_t i = base + std::countr_zero(word);
+      if constexpr (kQuantized) {
+        dst[i] = ref[i] + static_cast<std::int8_t>(*values++) * scale;
+      } else {
+        float delta = 0.0f;
+        std::memcpy(&delta, values, sizeof(delta));
+        values += sizeof(delta);
+        dst[i] = ref[i] + delta;
+      }
+    }
+  }
+}
+
 util::Status DecodeTopKBody(bool quantized, const ParsedFrame& frame,
                             std::span<const float> reference,
                             std::vector<float>& out) {
@@ -435,22 +735,12 @@ util::Status DecodeTopKBody(bool quantized, const ParsedFrame& frame,
   if (frame.body.size() < offset + bitmap_bytes) {
     return Malformed("truncated top-k bitmap");
   }
-  std::span<const std::uint8_t> bitmap =
-      frame.body.subspan(offset, bitmap_bytes);
+  const std::uint8_t* bitmap = frame.body.data() + offset;
   offset += bitmap_bytes;
-  // Bits past n in the last byte select nothing: mask them out of the
-  // population count and the walk.
-  const std::size_t full_bytes = n / 8;
-  const unsigned tail =
-      n % 8 == 0 ? 0u : bitmap[full_bytes] & ((1u << (n % 8)) - 1u);
-  std::uint64_t set_bits = std::popcount(tail);
-  std::size_t b = 0;
-  for (; b + sizeof(std::uint64_t) <= full_bytes; b += sizeof(std::uint64_t)) {
-    std::uint64_t word = 0;
-    std::memcpy(&word, bitmap.data() + b, sizeof(word));
-    set_bits += std::popcount(word);
+  std::uint64_t set_bits = 0;
+  for (std::size_t base = 0; base < n; base += kWordBits) {
+    set_bits += std::popcount(BitmapWordAt(bitmap, base, n));
   }
-  for (; b < full_bytes; ++b) set_bits += std::popcount(bitmap[b]);
   if (set_bits != k) return Malformed("top-k bitmap population mismatch");
 
   float scale = 0.0f;
@@ -461,26 +751,12 @@ util::Status DecodeTopKBody(bool quantized, const ParsedFrame& frame,
   if (frame.body.size() != offset + value_bytes) {
     return Malformed("top-k body size");
   }
-  // Unselected coordinates decode as reference + 0.0f, not as a copy: a
-  // -0.0 reference coordinate decodes to +0.0.
   out.resize(n);
-  for (std::size_t i = 0; i < n; ++i) out[i] = reference[i] + 0.0f;
-  // The k values follow the bitmap in index order.
   const std::uint8_t* values = frame.body.data() + offset;
-  for (std::size_t byte = 0; byte < bitmap_bytes; ++byte) {
-    unsigned bits = byte == full_bytes ? tail : bitmap[byte];
-    while (bits != 0) {
-      const std::size_t i = byte * 8 + std::countr_zero(bits);
-      bits &= bits - 1;
-      float delta = 0.0f;
-      if (quantized) {
-        delta = static_cast<std::int8_t>(*values++) * scale;
-      } else {
-        std::memcpy(&delta, values, sizeof(delta));
-        values += sizeof(delta);
-      }
-      out[i] = reference[i] + delta;
-    }
+  if (quantized) {
+    DecodeTopKValues<true>(bitmap, values, scale, reference, out);
+  } else {
+    DecodeTopKValues<false>(bitmap, values, scale, reference, out);
   }
   return util::Status::Ok();
 }
@@ -564,7 +840,7 @@ std::uint32_t Crc32SliceBy8(std::uint32_t crc, const std::uint8_t* p,
   return crc;
 }
 
-#if FEDCROSS_CRC32_CLMUL
+#if FEDCROSS_WIRE_X86
 
 // One fold step: lane x carried forward by the distance the constant pair k
 // encodes, plus the next 16 message bytes (carry-less:
@@ -634,7 +910,7 @@ bool HaveClmul() {
   return have;
 }
 
-#endif  // FEDCROSS_CRC32_CLMUL
+#endif  // FEDCROSS_WIRE_X86
 
 }  // namespace
 
@@ -642,7 +918,7 @@ std::uint32_t Crc32(std::span<const std::uint8_t> bytes) {
   std::uint32_t crc = 0xffffffffu;
   const std::uint8_t* p = bytes.data();
   std::size_t n = bytes.size();
-#if FEDCROSS_CRC32_CLMUL
+#if FEDCROSS_WIRE_X86
   // The fold takes every whole 16-byte block of inputs of 64 bytes or more;
   // slice-by-8 finishes the tail.
   if (n >= 64 && HaveClmul()) {
@@ -657,9 +933,24 @@ std::uint32_t Crc32(std::span<const std::uint8_t> bytes) {
 
 std::uint64_t TopKCount(std::uint64_t params, double fraction) {
   if (params == 0) return 0;
-  auto k = static_cast<std::uint64_t>(
-      std::llround(fraction * static_cast<double>(params)));
-  return std::clamp<std::uint64_t>(k, 1, params);
+  // Clamp before converting: a negative or NaN product must not wrap.
+  const double k = std::round(fraction * static_cast<double>(params));
+  if (!(k >= 1.0)) return 1;
+  if (k >= static_cast<double>(params)) return params;
+  return static_cast<std::uint64_t>(k);
+}
+
+util::Status ValidateCodecOptions(const CodecOptions& options) {
+  if (options.scheme != Scheme::kTopK && options.scheme != Scheme::kInt8TopK) {
+    return util::Status::Ok();
+  }
+  if (!(options.topk_fraction > 0.0 && options.topk_fraction <= 1.0)) {
+    return util::Status::InvalidArgument(
+        std::string("the ") + SchemeName(options.scheme) +
+        " codec keeps a fraction of the coordinates in (0, 1], got " +
+        std::to_string(options.topk_fraction));
+  }
+  return util::Status::Ok();
 }
 
 void EncodeDispatch(std::span<const float> params, const ShapeTable& shapes,
@@ -713,14 +1004,20 @@ void EncodeUpload(const CodecOptions& options, std::span<const float> trained,
     case Scheme::kInt8TopK: {
       if (residual.empty()) residual.assign(n, 0.0f);
       FC_CHECK_EQ(residual.size(), n);
-      std::vector<float>& update = Scratch().update;
-      bool finite = BuildUpdate(trained, reference, residual, update);
+      EncodeScratch& scratch = Scratch();
       if (options.scheme == Scheme::kInt8) {
-        EncodeInt8Body(shapes, update, finite, rng, residual, frame);
+        const std::uint32_t max_bits =
+            BuildUpdate(trained, reference, residual, scratch.update, nullptr);
+        EncodeInt8Body(shapes, scratch.update, max_bits < kInfBits, rng,
+                       residual, frame);
       } else {
+        scratch.histogram.assign(kLevel1Copies * kLevel1Buckets, 0);
+        const std::uint32_t max_bits =
+            BuildUpdate(trained, reference, residual, scratch.update,
+                        scratch.histogram.data());
         EncodeTopKBody(options.scheme == Scheme::kInt8TopK,
-                       options.topk_fraction, update, finite, rng, residual,
-                       frame);
+                       TopKCount(n, options.topk_fraction), max_bits, scratch,
+                       rng, residual, frame);
       }
       break;
     }

@@ -79,9 +79,14 @@ bool SchemeIsLossy(Scheme scheme);
 struct CodecOptions {
   Scheme scheme = Scheme::kIdentity;
   // Fraction of coordinates the top-k schemes keep (k = max(1,
-  // round(fraction * params))).
+  // round(fraction * params))); must lie in (0, 1] for them.
   double topk_fraction = 0.10;
 };
+
+// InvalidArgument when a top-k scheme's fraction is NaN, <= 0 or > 1 -- a
+// configuration that cannot mean what it says. Other schemes ignore the
+// fraction.
+util::Status ValidateCodecOptions(const CodecOptions& options);
 
 // Per-tensor element counts of the flattened payload, captured once from
 // the model factory. Every frame carries it, and decode validates it, so a
@@ -119,6 +124,15 @@ std::uint64_t DispatchWireBytes(std::uint64_t params, const ShapeTable& shapes);
 // to non-finite values -- upload screening stays effective through the
 // codec -- and skip the residual update so one corrupted round cannot
 // poison the client's error-feedback state.
+//
+// Cost of the top-k schemes: three streaming passes over the n-float
+// update (build it while counting an 11-bit radix histogram; compact the
+// threshold bucket's keys; select, writing the bitmap and compacting the
+// survivors) plus work on the k survivors alone; the decoder is one pass.
+// On the AVX-512 SIMD tier (ops::ActiveSimdTier) the compaction and
+// selection passes run as mask-and-compress kernels. Every tier writes the
+// same frame, residual and rng state: the exact k-th largest magnitude,
+// ties to the lowest index, one draw per survivor in index order.
 void EncodeUpload(const CodecOptions& options, std::span<const float> trained,
                   std::span<const float> reference, const ShapeTable& shapes,
                   std::vector<float>& residual, util::Rng& rng,
@@ -141,7 +155,9 @@ util::Status DecodeUpload(std::span<const std::uint8_t> frame,
 // the same value for every input.
 std::uint32_t Crc32(std::span<const std::uint8_t> bytes);
 
-// The k the top-k schemes keep for `params` coordinates at `fraction`.
+// The k the top-k schemes keep for `params` coordinates at `fraction`:
+// round(fraction * params) clamped to [1, params]. A fraction that is not
+// > 0, NaN included, keeps 1; one >= 1 keeps every coordinate.
 std::uint64_t TopKCount(std::uint64_t params, double fraction);
 
 }  // namespace fedcross::comm

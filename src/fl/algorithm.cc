@@ -173,6 +173,8 @@ FlAlgorithm::FlAlgorithm(std::string name, AlgorithmConfig config,
   FC_CHECK_LE(static_cast<std::int64_t>(config_.clients_per_round),
               population_.size())
       << "K exceeds the number of clients";
+  const util::Status codec = comm::ValidateCodecOptions(config_.codec);
+  FC_CHECK(codec.ok()) << codec.ToString();
   residual_store_.Configure(config_.state_store);
   // Probe the pool's first replica once for the model size and the factory's
   // initial parameters; the replica is recycled by every later job.

@@ -16,6 +16,7 @@
 #include "comm/wire.h"
 #include "models/model_zoo.h"
 #include "nn/sequential.h"
+#include "tensor/tensor_ops.h"
 #include "util/rng.h"
 
 namespace fedcross::comm {
@@ -202,6 +203,37 @@ TEST(WireHelpersTest, TopKCountClampsToValidRange) {
   EXPECT_EQ(TopKCount(3, 0.0), 1u);     // never empty
   EXPECT_EQ(TopKCount(10, 1.0), 10u);
   EXPECT_EQ(TopKCount(10, 7.0), 10u);   // never more than n
+  // A fraction that is not > 0 keeps one coordinate; the count is clamped
+  // before it is converted, so a negative product cannot wrap to n.
+  EXPECT_EQ(TopKCount(1000, -0.5), 1u);
+  EXPECT_EQ(TopKCount(1000, -1e300), 1u);
+  EXPECT_EQ(TopKCount(1000, std::numeric_limits<double>::quiet_NaN()), 1u);
+  EXPECT_EQ(TopKCount(1000, 1e300), 1000u);
+}
+
+TEST(WireHelpersTest, ValidateCodecOptionsRejectsMeaninglessTopKFractions) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (Scheme scheme : {Scheme::kTopK, Scheme::kInt8TopK}) {
+    CodecOptions options;
+    options.scheme = scheme;
+    for (double fraction : {nan, 0.0, -0.1, 1.5}) {
+      options.topk_fraction = fraction;
+      EXPECT_FALSE(ValidateCodecOptions(options).ok())
+          << SchemeName(scheme) << " " << fraction;
+    }
+    for (double fraction : {1e-6, 0.1, 1.0}) {
+      options.topk_fraction = fraction;
+      EXPECT_TRUE(ValidateCodecOptions(options).ok())
+          << SchemeName(scheme) << " " << fraction;
+    }
+  }
+  // The other schemes never read the fraction.
+  for (Scheme scheme : {Scheme::kIdentity, Scheme::kDelta, Scheme::kInt8}) {
+    CodecOptions options;
+    options.scheme = scheme;
+    options.topk_fraction = -0.1;
+    EXPECT_TRUE(ValidateCodecOptions(options).ok()) << SchemeName(scheme);
+  }
 }
 
 TEST(WireHelpersTest, SchemeNamesRoundTrip) {
@@ -599,6 +631,11 @@ std::vector<float> ReferenceTopKDecode(bool quantized, const Frame& frame,
   return out;
 }
 
+// Restores the startup SIMD tier when a test that pins one ends.
+struct SimdTierGuard {
+  ~SimdTierGuard() { ops::testing::ResetForcedSimdTier(); }
+};
+
 float FromBits(std::uint32_t bits) {
   float value = 0.0f;
   std::memcpy(&value, &bits, sizeof(value));
@@ -609,20 +646,21 @@ TEST(WireTopKTest, RadixSelectMatchesNthElementReference) {
   const float inf = std::numeric_limits<float>::infinity();
   const float nan = std::numeric_limits<float>::quiet_NaN();
   struct Case {
-    const char* name;
+    std::string name;
     std::vector<float> trained;
     std::vector<float> reference;
     std::vector<float> residual;  // EF state going in; empty means zeros
+    ShapeTable shapes;            // empty means one tensor of every param
   };
   std::vector<Case> cases;
-  auto add = [&](const char* name, std::vector<float> trained,
-                 std::vector<float> residual = {}) {
+  auto add = [&](std::string name, std::vector<float> trained,
+                 std::vector<float> residual = {}, ShapeTable shapes = {}) {
     std::vector<float> reference(trained.size(), 0.0f);
     // Signed zeros in the reference: unselected coordinates must decode
     // to reference + 0.0f, turning -0.0 into +0.0.
     for (std::size_t i = 0; i < reference.size(); i += 3) reference[i] = -0.0f;
-    cases.push_back({name, std::move(trained), std::move(reference),
-                     std::move(residual)});
+    cases.push_back({std::move(name), std::move(trained), std::move(reference),
+                     std::move(residual), std::move(shapes)});
   };
   {
     std::vector<float> v(29);
@@ -668,36 +706,118 @@ TEST(WireTopKTest, RadixSelectMatchesNthElementReference) {
     add("gaussian with residual", v, residual);
   }
   add("single coordinate", {-3.0f});
+  {
+    // The wide-server MLP: six tensors, 263,882 floats.
+    util::Rng rng(14);
+    std::vector<float> v(263882);
+    for (float& x : v) x = static_cast<float>(rng.Normal(0.0, 0.01));
+    std::vector<float> residual(v.size());
+    for (float& r : residual) r = static_cast<float>(rng.Normal(0.0, 0.001));
+    add("wide-server gaussian with residual", v, residual,
+        {196608, 1024, 65536, 64, 640, 10});
+  }
+  // Lengths around the 16-lane selection steps and the 64-bit bitmap words,
+  // on a coarse grid so runs of ties cross both.
+  for (std::size_t n : {15, 16, 17, 63, 64, 65, 1023, 1025}) {
+    util::Rng rng(15 + n);
+    std::vector<float> v(n);
+    for (float& x : v) {
+      x = 0.25f * std::round(static_cast<float>(rng.Normal(0.0, 2.0)));
+    }
+    add("length " + std::to_string(n), v);
+  }
+  {
+    // One level-1 bucket (the top 11 bits agree): bits 19..10 decide, then
+    // bits 9..0 among equal middle digits.
+    util::Rng rng(16);
+    std::vector<float> mid(300);
+    std::vector<float> low(300);
+    for (std::size_t i = 0; i < mid.size(); ++i) {
+      const auto sign = rng.Uniform() < 0.5 ? 0x80000000u : 0u;
+      mid[i] = FromBits(sign | 0x3f800000u |
+                        static_cast<std::uint32_t>(rng.UniformInt(1024)) << 10 |
+                        static_cast<std::uint32_t>(rng.UniformInt(1024)));
+      low[i] = FromBits(sign | 0x3f800000u | 0x5u << 10 |
+                        static_cast<std::uint32_t>(rng.UniformInt(1024)));
+    }
+    add("keys differing in bits 19..10", mid);
+    add("keys differing in bits 9..0", low);
+  }
+  {
+    // A run of threshold ties from one 16-lane step into the next. At
+    // fraction 0.37, k = 18 of 48: ten larger keys, then the budget of
+    // eight ties runs out at lane 1 of the second step (ties go on to 21).
+    std::vector<float> v(48, 0.5f);
+    for (std::size_t i = 0; i < 10; ++i) v[i] = -2.0f;
+    for (std::size_t i = 10; i < 22; ++i) v[i] = i % 2 ? 1.0f : -1.0f;
+    add("tie run across a 16-lane step", v);
+    // The same across a 64-bit word: k = 68 of 184, 56 larger keys, ties
+    // over 56..79, so the budget runs out at coordinate 67.
+    std::vector<float> w(184, 0.5f);
+    for (std::size_t i = 0; i < 56; ++i) w[i] = 3.0f;
+    for (std::size_t i = 56; i < 80; ++i) w[i] = -1.0f;
+    add("tie run across a bitmap word", w);
+  }
+  {
+    // More than k non-finite coordinates: the threshold is +inf's bucket.
+    util::Rng rng(17);
+    std::vector<float> v(100);
+    for (float& x : v) x = static_cast<float>(rng.Normal(0.0, 1.0));
+    for (std::size_t i = 0; i < v.size(); i += 5) {
+      v[i] = i % 3 == 0 ? nan : (i % 3 == 1 ? inf : -inf);
+    }
+    for (std::size_t i = 2; i < v.size(); i += 5) v[i] = -inf;
+    add("more non-finite coordinates than k", v);
+  }
 
-  for (const Case& c : cases) {
-    const ShapeTable shapes = {static_cast<std::uint32_t>(c.trained.size())};
-    // k = 1, a few interior k, and k = n.
-    for (double fraction : {0.0, 0.1, 0.37, 0.5, 0.9, 1.0}) {
-      for (Scheme scheme : {Scheme::kTopK, Scheme::kInt8TopK}) {
-        SCOPED_TRACE(std::string(c.name) + " " + SchemeName(scheme) +
-                     " fraction " + std::to_string(fraction));
-        const bool quantize = scheme == Scheme::kInt8TopK;
-        CodecOptions options;
-        options.scheme = scheme;
-        options.topk_fraction = fraction;
-        std::vector<float> residual = c.residual;
-        util::Rng rng(7);
-        Frame frame;
-        EncodeUpload(options, c.trained, c.reference, shapes, residual, rng,
-                     frame);
-        std::vector<float> expected_residual = c.residual;
-        util::Rng expected_rng(7);
-        Frame expected = ReferenceTopKUpload(
-            quantize, fraction, c.trained, c.reference, shapes,
-            expected_residual, expected_rng);
-        ASSERT_EQ(frame.size(), expected.size());
-        EXPECT_EQ(std::memcmp(frame.data(), expected.data(), frame.size()), 0);
-        ExpectBitIdentical(residual, expected_residual);
+  // Every case on the generic tier's scalar loops and on the widest tier
+  // this CPU runs (the AVX-512 kernels where available).
+  SimdTierGuard guard;
+  std::vector<ops::SimdTier> tiers = {ops::SimdTier::kGeneric};
+  for (ops::SimdTier tier : {ops::SimdTier::kAvx512, ops::SimdTier::kAvx2}) {
+    if (ops::testing::ForceSimdTier(tier)) {
+      tiers.push_back(tier);
+      break;
+    }
+  }
+  for (ops::SimdTier tier : tiers) {
+    ASSERT_TRUE(ops::testing::ForceSimdTier(tier));
+    for (const Case& c : cases) {
+      const ShapeTable shapes =
+          c.shapes.empty()
+              ? ShapeTable{static_cast<std::uint32_t>(c.trained.size())}
+              : c.shapes;
+      // k = 1, a few interior k, and k = n.
+      for (double fraction : {0.0, 0.1, 0.37, 0.5, 0.9, 1.0}) {
+        for (Scheme scheme : {Scheme::kTopK, Scheme::kInt8TopK}) {
+          SCOPED_TRACE(c.name + " " + SchemeName(scheme) + " fraction " +
+                       std::to_string(fraction) + " tier " +
+                       ops::SimdTierName(tier));
+          const bool quantize = scheme == Scheme::kInt8TopK;
+          CodecOptions options;
+          options.scheme = scheme;
+          options.topk_fraction = fraction;
+          std::vector<float> residual = c.residual;
+          util::Rng rng(7);
+          Frame frame;
+          EncodeUpload(options, c.trained, c.reference, shapes, residual, rng,
+                       frame);
+          std::vector<float> expected_residual = c.residual;
+          util::Rng expected_rng(7);
+          Frame expected = ReferenceTopKUpload(
+              quantize, fraction, c.trained, c.reference, shapes,
+              expected_residual, expected_rng);
+          ASSERT_EQ(frame.size(), expected.size());
+          EXPECT_EQ(std::memcmp(frame.data(), expected.data(), frame.size()),
+                    0);
+          ExpectBitIdentical(residual, expected_residual);
+          EXPECT_EQ(rng.NextUint64(), expected_rng.NextUint64());
 
-        std::vector<float> decoded;
-        ASSERT_TRUE(DecodeUpload(frame, c.reference, shapes, decoded).ok());
-        ExpectBitIdentical(decoded, ReferenceTopKDecode(quantize, expected,
-                                                        c.reference, shapes));
+          std::vector<float> decoded;
+          ASSERT_TRUE(DecodeUpload(frame, c.reference, shapes, decoded).ok());
+          ExpectBitIdentical(decoded, ReferenceTopKDecode(quantize, expected,
+                                                          c.reference, shapes));
+        }
       }
     }
   }
