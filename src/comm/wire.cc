@@ -914,8 +914,8 @@ bool HaveClmul() {
 
 }  // namespace
 
-std::uint32_t Crc32(std::span<const std::uint8_t> bytes) {
-  std::uint32_t crc = 0xffffffffu;
+std::uint32_t Crc32(std::span<const std::uint8_t> bytes, std::uint32_t crc) {
+  crc ^= 0xffffffffu;
   const std::uint8_t* p = bytes.data();
   std::size_t n = bytes.size();
 #if FEDCROSS_WIRE_X86

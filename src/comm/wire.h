@@ -152,8 +152,9 @@ util::Status DecodeUpload(std::span<const std::uint8_t> frame,
 // the whole 16-byte blocks of inputs of 64 bytes or more are folded by
 // carry-less multiplication (~20 GB/s); slice-by-8 takes shorter inputs,
 // the under-16-byte tail, other CPUs and other architectures. Both give
-// the same value for every input.
-std::uint32_t Crc32(std::span<const std::uint8_t> bytes);
+// the same value for every input. Passing a previous result as `crc`
+// continues it: Crc32(b, Crc32(a)) == Crc32(a ++ b).
+std::uint32_t Crc32(std::span<const std::uint8_t> bytes, std::uint32_t crc = 0);
 
 // The k the top-k schemes keep for `params` coordinates at `fraction`:
 // round(fraction * params) clamped to [1, params]. A fraction that is not

@@ -132,6 +132,19 @@ double DrawJitter(const ClockModel& clock, util::Rng& clock_rng) {
   return 1.0 + clock_rng.Uniform(0.0, clock.jitter);
 }
 
+// How many clients SampleClients draws: K plus the over-provisioned extras,
+// capped at N. Every dispatch batch's slots lie in [0, width).
+std::int64_t DispatchWidth(const AlgorithmConfig& config,
+                           std::int64_t num_clients) {
+  std::int64_t want = config.clients_per_round;
+  if (config.faults.over_provision > 0) {
+    want = std::min(num_clients,
+                    want + static_cast<std::int64_t>(
+                               config.faults.over_provision));
+  }
+  return want;
+}
+
 }  // namespace
 
 FlAlgorithm::PhaseScope::PhaseScope(FlAlgorithm& algo, RoundPhase phase)
@@ -164,10 +177,6 @@ FlAlgorithm::FlAlgorithm(std::string name, AlgorithmConfig config,
       population_(config.population, data),
       test_(std::move(data.test)),
       rng_(config.seed) {
-  // Legacy shorthand: fold dropout_prob into the default fault profile.
-  if (config_.dropout_prob > 0.0 && config_.faults.profile.dropout_prob == 0.0) {
-    config_.faults.profile.dropout_prob = config_.dropout_prob;
-  }
   FC_CHECK(test_ != nullptr);
   FC_CHECK_GT(config_.clients_per_round, 0);
   FC_CHECK_LE(static_cast<std::int64_t>(config_.clients_per_round),
@@ -368,12 +377,7 @@ EvalResult FlAlgorithm::Evaluate(const FlatParams& params) {
 }
 
 std::vector<std::int64_t> FlAlgorithm::SampleClients() {
-  std::int64_t want = config_.clients_per_round;
-  if (config_.faults.over_provision > 0) {
-    want = std::min(num_clients(),
-                    want + static_cast<std::int64_t>(
-                               config_.faults.over_provision));
-  }
+  const std::int64_t want = DispatchWidth(config_, num_clients());
   ClientSampler sampler = config_.sampler;
   if (sampler == ClientSampler::kAuto) {
     sampler = population_.mode() == PopulationMode::kVirtual
@@ -1089,17 +1093,17 @@ std::uint64_t FlAlgorithm::ConfigFingerprint() const {
   h = mix_float(h, config_.train.weight_decay);
   h = mix_float(h, config_.train.grad_clip_norm);
   h = MixSeed(h ^ static_cast<std::uint64_t>(config_.eval_batch_size));
-  // Only a non-default codec perturbs the fingerprint, so checkpoints from
-  // builds that predate the wire codec (implicitly identity) keep loading.
+  // A feature mixes its parameters in only when it is enabled: a disabled
+  // feature's parameters do not change training, so they must not split
+  // otherwise identical runs. The identity codec is the disabled codec.
   if (config_.codec.scheme != comm::Scheme::kIdentity) {
     h = MixSeed(h ^ (0x636f646563ULL +
                      static_cast<std::uint64_t>(config_.codec.scheme)));
     h = mix_float(h, static_cast<float>(config_.codec.topk_fraction));
   }
   // Only the async engine perturbs the fingerprint: it reshapes the
-  // training trajectory itself, while the sync clock is observation-only
-  // (virtual time rides in the v4 body), so pre-engine checkpoints keep
-  // loading into sync runs.
+  // training trajectory itself, while the sync clock only observes the
+  // round makespan (virtual time rides in the checkpoint body).
   if (config_.async.mode == RoundMode::kAsync) {
     h = MixSeed(h ^ (0x6173796e63ULL +  // "async"
                      static_cast<std::uint64_t>(config_.async.buffer_size)));
@@ -1116,8 +1120,8 @@ std::uint64_t FlAlgorithm::ConfigFingerprint() const {
     h = mix_float(h, static_cast<float>(config_.async.clock.jitter));
   }
   // Privacy follows the codec precedent: only enabled DP / masking perturb
-  // the fingerprint, so checkpoints from builds that predate the privacy
-  // subsystem (both features implicitly off) keep loading.
+  // the fingerprint, since disabled DP clips and noises nothing and
+  // disabled masking checks nothing.
   if (config_.dp.Enabled()) {
     h = MixSeed(h ^ 0x70726976616379ULL);  // "privacy"
     h = mix_float(h, config_.dp.clip_norm);
@@ -1139,17 +1143,10 @@ std::uint64_t FlAlgorithm::ConfigFingerprint() const {
 }
 
 util::Status FlAlgorithm::SaveCheckpoint(const std::string& path) {
-  return SaveCheckpoint(path, kCheckpointVersion);
-}
-
-util::Status FlAlgorithm::SaveCheckpoint(const std::string& path,
-                                         std::uint32_t version) {
   FC_TRACE_SPAN("checkpoint.save");
-  FC_CHECK_GE(version, 2u);
-  FC_CHECK_LE(version, kCheckpointVersion);
   const std::int64_t start_us =
       obs::MetricsEnabled() ? obs::TraceNowMicros() : 0;
-  StateWriter writer(version);
+  StateWriter writer;
   writer.WriteU64(ConfigFingerprint());
   writer.WriteI64(completed_rounds_);
 
@@ -1162,19 +1159,15 @@ util::Status FlAlgorithm::SaveCheckpoint(const std::string& path,
   writer.WriteU64(comm_.total_upload_bytes());
   writer.WriteU64(comm_.total_wire_download_bytes());
   writer.WriteU64(comm_.total_wire_upload_bytes());
-  if (writer.version() >= 4) {
-    writer.WriteU64(comm_.total_wasted_bytes());
-    writer.WriteU64(comm_.total_wire_wasted_bytes());
-  }
+  writer.WriteU64(comm_.total_wasted_bytes());
+  writer.WriteU64(comm_.total_wire_wasted_bytes());
 
   writer.WriteI64(fault_stats_.dropouts);
   writer.WriteI64(fault_stats_.stragglers);
   writer.WriteI64(fault_stats_.corrupted);
   writer.WriteI64(fault_stats_.rejected);
-  if (writer.version() >= 4) {
-    writer.WriteI64(fault_stats_.timeouts);
-    writer.WriteI64(fault_stats_.retries);
-  }
+  writer.WriteI64(fault_stats_.timeouts);
+  writer.WriteI64(fault_stats_.retries);
 
   const std::vector<RoundRecord>& records = history_.records();
   writer.WriteU64(records.size());
@@ -1189,72 +1182,52 @@ util::Status FlAlgorithm::SaveCheckpoint(const std::string& path,
 
   // Error-feedback residuals: without them a resumed lossy-codec run would
   // re-quantise against zeroed residuals and diverge from the uninterrupted
-  // run. v3 writes a sparse id-keyed table covering only clients that ever
-  // held a residual (spilled entries are read back through the store, so
-  // residency is invisible); v2 wrote one dense row per client.
-  const bool lossy = comm::SchemeIsLossy(config_.codec.scheme);
-  if (writer.version() >= 3) {
-    std::vector<std::int64_t> ids = residual_store_.TouchedIds();
-    writer.WriteU64(ids.size());
-    for (std::int64_t id : ids) {
-      writer.WriteI64(id);
-      FC_CHECK(residual_store_.Read(id, state_scratch_));
-      writer.WriteFloats(state_scratch_);
-    }
-  } else {
-    // Dense v2 downgrade: only valid while N fits the historical format.
-    const std::uint64_t dense =
-        lossy ? static_cast<std::uint64_t>(num_clients()) : 0;
-    writer.WriteU64(dense);
-    for (std::uint64_t id = 0; id < dense; ++id) {
-      state_scratch_.clear();
-      residual_store_.Read(static_cast<std::int64_t>(id), state_scratch_);
-      writer.WriteFloats(state_scratch_);
-    }
+  // run. A sparse id-keyed table covering only clients that ever held a
+  // residual (spilled entries are read back through the store, so
+  // residency is invisible).
+  std::vector<std::int64_t> ids = residual_store_.TouchedIds();
+  writer.WriteU64(ids.size());
+  for (std::int64_t id : ids) {
+    writer.WriteI64(id);
+    FC_CHECK(residual_store_.Read(id, state_scratch_));
+    writer.WriteFloats(state_scratch_);
   }
 
-  // v4 event-engine state: the virtual clock, the version/dispatch
-  // counters, and the in-flight heap serialised in array order (so a
-  // resumed run pops bit-identically). Downgraded files drop it: a
-  // mid-buffer async run loses its pending arrivals.
-  if (writer.version() >= 4) {
-    writer.WriteF64(virtual_now_);
-    writer.WriteI64(model_version_);
-    writer.WriteI64(dispatch_seq_);
-    writer.WriteU64(inflight_.size());
-    for (const PendingUpload& pending : inflight_) {
-      writer.WriteF64(pending.arrival);
-      writer.WriteI64(pending.seq);
-      const LocalTrainResult& r = pending.result;
-      writer.WriteFloats(r.params);
-      writer.WriteI64(r.num_samples);
-      writer.WriteI64(r.num_steps);
-      writer.WriteF32(r.lr);
-      writer.WriteF64(r.mean_loss);
-      writer.WriteU64(r.wire_bytes_down);
-      writer.WriteU64(r.wire_bytes_up);
-      writer.WriteBool(r.dropped);
-      writer.WriteU32(static_cast<std::uint32_t>(r.fault));
-      writer.WriteI64(r.client_id);
-      writer.WriteI64(static_cast<std::int64_t>(r.slot));
-      writer.WriteI64(r.dispatch_version);
-      writer.WriteF64(r.slowdown);
-      writer.WriteBool(r.upload_corrupt);
-      if (writer.version() >= 5) writer.WriteBool(r.dp_clipped);
-    }
+  // Event-engine state: the virtual clock, the version/dispatch counters,
+  // and the in-flight heap serialised in array order (so a resumed run pops
+  // bit-identically).
+  writer.WriteF64(virtual_now_);
+  writer.WriteI64(model_version_);
+  writer.WriteI64(dispatch_seq_);
+  writer.WriteU64(inflight_.size());
+  for (const PendingUpload& pending : inflight_) {
+    writer.WriteF64(pending.arrival);
+    writer.WriteI64(pending.seq);
+    const LocalTrainResult& r = pending.result;
+    writer.WriteFloats(r.params);
+    writer.WriteI64(r.num_samples);
+    writer.WriteI64(r.num_steps);
+    writer.WriteF32(r.lr);
+    writer.WriteF64(r.mean_loss);
+    writer.WriteU64(r.wire_bytes_down);
+    writer.WriteU64(r.wire_bytes_up);
+    writer.WriteBool(r.dropped);
+    writer.WriteU32(static_cast<std::uint32_t>(r.fault));
+    writer.WriteI64(r.client_id);
+    writer.WriteI64(static_cast<std::int64_t>(r.slot));
+    writer.WriteI64(r.dispatch_version);
+    writer.WriteF64(r.slowdown);
+    writer.WriteBool(r.upload_corrupt);
+    writer.WriteBool(r.dp_clipped);
   }
 
-  // v5 privacy state: the RDP accountant's per-order totals (exact f64
-  // bits, so the restored epsilon is bit-identical) and the privacy
-  // counters. Downgraded files drop it: a resumed DP run restarts its
-  // ledger, under-reporting the spent budget.
-  if (writer.version() >= 5) {
-    writer.WriteI64(accountant_.rounds());
-    writer.WriteDoubles(accountant_.order_totals());
-    writer.WriteI64(privacy_stats_.clipped);
-    writer.WriteI64(privacy_stats_.mask_pairs);
-    writer.WriteI64(privacy_stats_.mask_recoveries);
-  }
+  // Privacy state: the RDP accountant's per-order totals (exact f64 bits,
+  // so the restored epsilon is bit-identical) and the privacy counters.
+  writer.WriteI64(accountant_.rounds());
+  writer.WriteDoubles(accountant_.order_totals());
+  writer.WriteI64(privacy_stats_.clipped);
+  writer.WriteI64(privacy_stats_.mask_pairs);
+  writer.WriteI64(privacy_stats_.mask_recoveries);
 
   SaveExtraState(writer);
   util::Status status = WriteStateFile(path, writer);
@@ -1283,8 +1256,9 @@ util::Status FlAlgorithm::LoadCheckpoint(const std::string& path) {
 
   std::int64_t completed = 0;
   FC_RETURN_IF_ERROR(reader.ReadI64(completed));
-  if (completed < 0) {
-    return util::Status::InvalidArgument("negative completed-round counter");
+  if (completed < 0 || completed > std::numeric_limits<int>::max()) {
+    return util::Status::InvalidArgument(
+        "completed-round counter out of range");
   }
 
   util::Rng::State rng_state;
@@ -1298,42 +1272,22 @@ util::Status FlAlgorithm::LoadCheckpoint(const std::string& path) {
   std::uint64_t total_up = 0;
   std::uint64_t total_wire_down = 0;
   std::uint64_t total_wire_up = 0;
-  if (reader.version() >= 2) {
-    FC_RETURN_IF_ERROR(reader.ReadU64(total_down));
-    FC_RETURN_IF_ERROR(reader.ReadU64(total_up));
-    FC_RETURN_IF_ERROR(reader.ReadU64(total_wire_down));
-    FC_RETURN_IF_ERROR(reader.ReadU64(total_wire_up));
-  } else {
-    // v1 stored the totals as doubles and predates wire accounting; the
-    // integers are exact below 2^53 and wire falls back to raw.
-    double down = 0.0;
-    double up = 0.0;
-    FC_RETURN_IF_ERROR(reader.ReadF64(down));
-    FC_RETURN_IF_ERROR(reader.ReadF64(up));
-    if (down < 0.0 || up < 0.0) {
-      return util::Status::InvalidArgument("negative checkpoint byte totals");
-    }
-    total_down = static_cast<std::uint64_t>(down);
-    total_up = static_cast<std::uint64_t>(up);
-    total_wire_down = total_down;
-    total_wire_up = total_up;
-  }
   std::uint64_t total_wasted = 0;
   std::uint64_t total_wire_wasted = 0;
-  if (reader.version() >= 4) {
-    FC_RETURN_IF_ERROR(reader.ReadU64(total_wasted));
-    FC_RETURN_IF_ERROR(reader.ReadU64(total_wire_wasted));
-  }
+  FC_RETURN_IF_ERROR(reader.ReadU64(total_down));
+  FC_RETURN_IF_ERROR(reader.ReadU64(total_up));
+  FC_RETURN_IF_ERROR(reader.ReadU64(total_wire_down));
+  FC_RETURN_IF_ERROR(reader.ReadU64(total_wire_up));
+  FC_RETURN_IF_ERROR(reader.ReadU64(total_wasted));
+  FC_RETURN_IF_ERROR(reader.ReadU64(total_wire_wasted));
 
   FaultStats stats;
   FC_RETURN_IF_ERROR(reader.ReadI64(stats.dropouts));
   FC_RETURN_IF_ERROR(reader.ReadI64(stats.stragglers));
   FC_RETURN_IF_ERROR(reader.ReadI64(stats.corrupted));
   FC_RETURN_IF_ERROR(reader.ReadI64(stats.rejected));
-  if (reader.version() >= 4) {
-    FC_RETURN_IF_ERROR(reader.ReadI64(stats.timeouts));
-    FC_RETURN_IF_ERROR(reader.ReadI64(stats.retries));
-  }
+  FC_RETURN_IF_ERROR(reader.ReadI64(stats.timeouts));
+  FC_RETURN_IF_ERROR(reader.ReadI64(stats.retries));
 
   std::uint64_t record_count = 0;
   FC_RETURN_IF_ERROR(reader.ReadU64(record_count));
@@ -1351,132 +1305,112 @@ util::Status FlAlgorithm::LoadCheckpoint(const std::string& path) {
     restored.Add(record);
   }
 
-  // Residual table: v3 sparse (id-keyed, ascending), v2 dense (one row per
-  // client, empty rows for clients that never uploaded). Staged into
-  // (id, residual) pairs and committed to the store only after every read
-  // succeeds.
+  // Residual table (id-keyed, ascending), staged into (id, residual) pairs
+  // and committed to the store only after every read succeeds.
   std::vector<std::pair<std::int64_t, FlatParams>> residuals;
-  if (reader.version() >= 3) {
-    std::uint64_t residual_count = 0;
-    FC_RETURN_IF_ERROR(reader.ReadU64(residual_count));
-    residuals.reserve(static_cast<std::size_t>(residual_count));
-    std::int64_t prev_id = -1;
-    for (std::uint64_t i = 0; i < residual_count; ++i) {
-      std::int64_t id = 0;
-      FC_RETURN_IF_ERROR(reader.ReadI64(id));
-      if (id <= prev_id || id >= num_clients()) {
-        return util::Status::InvalidArgument(
-            "checkpoint residual table ids must be ascending and in range");
-      }
-      prev_id = id;
-      FlatParams residual;
-      FC_RETURN_IF_ERROR(reader.ReadFloats(residual));
-      if (!residual.empty() &&
-          residual.size() != static_cast<std::size_t>(model_size_)) {
-        return util::Status::InvalidArgument(
-            "checkpoint residual does not match the model size");
-      }
-      residuals.emplace_back(id, std::move(residual));
-    }
-  } else if (reader.version() >= 2) {
-    std::uint64_t residual_count = 0;
-    FC_RETURN_IF_ERROR(reader.ReadU64(residual_count));
-    if (residual_count != 0 &&
-        residual_count != static_cast<std::uint64_t>(num_clients())) {
+  std::uint64_t residual_count = 0;
+  FC_RETURN_IF_ERROR(reader.ReadU64(residual_count));
+  std::int64_t prev_id = -1;
+  for (std::uint64_t i = 0; i < residual_count; ++i) {
+    std::int64_t id = 0;
+    FC_RETURN_IF_ERROR(reader.ReadI64(id));
+    if (id <= prev_id || id >= num_clients()) {
       return util::Status::InvalidArgument(
-          "checkpoint residual table has " + std::to_string(residual_count) +
-          " clients, expected " + std::to_string(num_clients()));
+          "checkpoint residual table ids must be ascending and in range");
     }
-    for (std::uint64_t id = 0; id < residual_count; ++id) {
-      FlatParams residual;
-      FC_RETURN_IF_ERROR(reader.ReadFloats(residual));
-      if (!residual.empty() &&
-          residual.size() != static_cast<std::size_t>(model_size_)) {
-        return util::Status::InvalidArgument(
-            "checkpoint residual does not match the model size");
-      }
-      if (!residual.empty()) {
-        residuals.emplace_back(static_cast<std::int64_t>(id),
-                               std::move(residual));
-      }
+    prev_id = id;
+    FlatParams residual;
+    FC_RETURN_IF_ERROR(reader.ReadFloats(residual));
+    if (!residual.empty() &&
+        residual.size() != static_cast<std::size_t>(model_size_)) {
+      return util::Status::InvalidArgument(
+          "checkpoint residual does not match the model size");
     }
+    residuals.emplace_back(id, std::move(residual));
   }
 
-  // v4 event-engine state; pre-v4 files restore with a zeroed engine (the
-  // defaults below), which is exactly the state a sync run never left.
+  // Event-engine state. A popped arrival's slot indexes per-slot server
+  // state (FedCross's middleware lanes), its client id keys per-client
+  // state, and its staleness is the model version minus its dispatch
+  // version, so all three are range-checked here.
   double virtual_now = 0.0;
   std::int64_t model_version = 0;
   std::int64_t dispatch_seq = 0;
   std::vector<PendingUpload> inflight;
-  if (reader.version() >= 4) {
-    FC_RETURN_IF_ERROR(reader.ReadF64(virtual_now));
-    FC_RETURN_IF_ERROR(reader.ReadI64(model_version));
-    FC_RETURN_IF_ERROR(reader.ReadI64(dispatch_seq));
-    std::uint64_t inflight_count = 0;
-    FC_RETURN_IF_ERROR(reader.ReadU64(inflight_count));
-    inflight.reserve(static_cast<std::size_t>(inflight_count));
-    for (std::uint64_t i = 0; i < inflight_count; ++i) {
-      PendingUpload pending;
-      FC_RETURN_IF_ERROR(reader.ReadF64(pending.arrival));
-      FC_RETURN_IF_ERROR(reader.ReadI64(pending.seq));
-      LocalTrainResult& r = pending.result;
-      FC_RETURN_IF_ERROR(reader.ReadFloats(r.params));
-      if (r.params.size() != static_cast<std::size_t>(model_size_)) {
-        return util::Status::InvalidArgument(
-            "checkpoint in-flight params do not match the model size");
-      }
-      std::int64_t num_samples = 0;
-      std::int64_t num_steps = 0;
-      FC_RETURN_IF_ERROR(reader.ReadI64(num_samples));
-      FC_RETURN_IF_ERROR(reader.ReadI64(num_steps));
-      r.num_samples = static_cast<int>(num_samples);
-      r.num_steps = static_cast<int>(num_steps);
-      FC_RETURN_IF_ERROR(reader.ReadF32(r.lr));
-      FC_RETURN_IF_ERROR(reader.ReadF64(r.mean_loss));
-      FC_RETURN_IF_ERROR(reader.ReadU64(r.wire_bytes_down));
-      FC_RETURN_IF_ERROR(reader.ReadU64(r.wire_bytes_up));
-      FC_RETURN_IF_ERROR(reader.ReadBool(r.dropped));
-      std::uint32_t fault = 0;
-      FC_RETURN_IF_ERROR(reader.ReadU32(fault));
-      if (fault > static_cast<std::uint32_t>(FaultKind::kRejected)) {
-        return util::Status::InvalidArgument(
-            "checkpoint in-flight fault kind out of range");
-      }
-      r.fault = static_cast<FaultKind>(fault);
-      FC_RETURN_IF_ERROR(reader.ReadI64(r.client_id));
-      std::int64_t slot = 0;
-      FC_RETURN_IF_ERROR(reader.ReadI64(slot));
-      r.slot = static_cast<int>(slot);
-      FC_RETURN_IF_ERROR(reader.ReadI64(r.dispatch_version));
-      FC_RETURN_IF_ERROR(reader.ReadF64(r.slowdown));
-      FC_RETURN_IF_ERROR(reader.ReadBool(r.upload_corrupt));
-      if (reader.version() >= 5) {
-        FC_RETURN_IF_ERROR(reader.ReadBool(r.dp_clipped));
-      }
-      inflight.push_back(std::move(pending));
+  FC_RETURN_IF_ERROR(reader.ReadF64(virtual_now));
+  FC_RETURN_IF_ERROR(reader.ReadI64(model_version));
+  FC_RETURN_IF_ERROR(reader.ReadI64(dispatch_seq));
+  std::uint64_t inflight_count = 0;
+  FC_RETURN_IF_ERROR(reader.ReadU64(inflight_count));
+  for (std::uint64_t i = 0; i < inflight_count; ++i) {
+    PendingUpload pending;
+    FC_RETURN_IF_ERROR(reader.ReadF64(pending.arrival));
+    FC_RETURN_IF_ERROR(reader.ReadI64(pending.seq));
+    LocalTrainResult& r = pending.result;
+    FC_RETURN_IF_ERROR(reader.ReadFloats(r.params));
+    if (r.params.size() != static_cast<std::size_t>(model_size_)) {
+      return util::Status::InvalidArgument(
+          "checkpoint in-flight params do not match the model size");
     }
+    std::int64_t num_samples = 0;
+    std::int64_t num_steps = 0;
+    FC_RETURN_IF_ERROR(reader.ReadI64(num_samples));
+    FC_RETURN_IF_ERROR(reader.ReadI64(num_steps));
+    r.num_samples = static_cast<int>(num_samples);
+    r.num_steps = static_cast<int>(num_steps);
+    FC_RETURN_IF_ERROR(reader.ReadF32(r.lr));
+    FC_RETURN_IF_ERROR(reader.ReadF64(r.mean_loss));
+    FC_RETURN_IF_ERROR(reader.ReadU64(r.wire_bytes_down));
+    FC_RETURN_IF_ERROR(reader.ReadU64(r.wire_bytes_up));
+    FC_RETURN_IF_ERROR(reader.ReadBool(r.dropped));
+    std::uint32_t fault = 0;
+    FC_RETURN_IF_ERROR(reader.ReadU32(fault));
+    if (fault > static_cast<std::uint32_t>(FaultKind::kRejected)) {
+      return util::Status::InvalidArgument(
+          "checkpoint in-flight fault kind out of range");
+    }
+    r.fault = static_cast<FaultKind>(fault);
+    FC_RETURN_IF_ERROR(reader.ReadI64(r.client_id));
+    if (r.client_id < 0 || r.client_id >= num_clients()) {
+      return util::Status::InvalidArgument(
+          "checkpoint in-flight client id " + std::to_string(r.client_id) +
+          " out of range");
+    }
+    std::int64_t slot = 0;
+    FC_RETURN_IF_ERROR(reader.ReadI64(slot));
+    if (slot < 0 || slot >= DispatchWidth(config_, num_clients())) {
+      return util::Status::InvalidArgument(
+          "checkpoint in-flight slot " + std::to_string(slot) +
+          " out of range");
+    }
+    r.slot = static_cast<int>(slot);
+    FC_RETURN_IF_ERROR(reader.ReadI64(r.dispatch_version));
+    if (r.dispatch_version < 0 || r.dispatch_version > model_version) {
+      return util::Status::InvalidArgument(
+          "checkpoint in-flight dispatch version out of range");
+    }
+    FC_RETURN_IF_ERROR(reader.ReadF64(r.slowdown));
+    FC_RETURN_IF_ERROR(reader.ReadBool(r.upload_corrupt));
+    FC_RETURN_IF_ERROR(reader.ReadBool(r.dp_clipped));
+    inflight.push_back(std::move(pending));
   }
 
-  // v5 privacy state; pre-v5 files restore with an empty ledger and zeroed
-  // counters — exactly the state a pre-privacy run never left.
   std::int64_t accountant_rounds = 0;
   std::vector<double> order_totals;
   PrivacyStats privacy_stats;
-  if (reader.version() >= 5) {
-    FC_RETURN_IF_ERROR(reader.ReadI64(accountant_rounds));
-    FC_RETURN_IF_ERROR(reader.ReadDoubles(order_totals));
-    if (accountant_rounds < 0) {
-      return util::Status::InvalidArgument(
-          "negative checkpoint accountant round counter");
-    }
-    if (order_totals.size() != privacy::RdpAccountant::Orders().size()) {
-      return util::Status::InvalidArgument(
-          "checkpoint accountant order grid does not match this build");
-    }
-    FC_RETURN_IF_ERROR(reader.ReadI64(privacy_stats.clipped));
-    FC_RETURN_IF_ERROR(reader.ReadI64(privacy_stats.mask_pairs));
-    FC_RETURN_IF_ERROR(reader.ReadI64(privacy_stats.mask_recoveries));
+  FC_RETURN_IF_ERROR(reader.ReadI64(accountant_rounds));
+  FC_RETURN_IF_ERROR(reader.ReadDoubles(order_totals));
+  if (accountant_rounds < 0) {
+    return util::Status::InvalidArgument(
+        "negative checkpoint accountant round counter");
   }
+  if (order_totals.size() != privacy::RdpAccountant::Orders().size()) {
+    return util::Status::InvalidArgument(
+        "checkpoint accountant order grid does not match this build");
+  }
+  FC_RETURN_IF_ERROR(reader.ReadI64(privacy_stats.clipped));
+  FC_RETURN_IF_ERROR(reader.ReadI64(privacy_stats.mask_pairs));
+  FC_RETURN_IF_ERROR(reader.ReadI64(privacy_stats.mask_recoveries));
 
   FC_RETURN_IF_ERROR(LoadExtraState(reader));
   if (!reader.AtEnd()) {
@@ -1491,11 +1425,7 @@ util::Status FlAlgorithm::LoadCheckpoint(const std::string& path) {
                 total_wasted, total_wire_wasted);
   fault_stats_ = stats;
   privacy_stats_ = privacy_stats;
-  if (reader.version() >= 5) {
-    accountant_.Restore(order_totals, accountant_rounds);
-  } else {
-    accountant_.Reset();
-  }
+  accountant_.Restore(order_totals, accountant_rounds);
   history_ = std::move(restored);
   virtual_now_ = virtual_now;
   model_version_ = model_version;

@@ -19,11 +19,11 @@
 #include "fl/model_pool.h"
 #include "fl/parallel.h"  // SetFlThreads / FlThreads
 #include "fl/population.h"
-#include "fl/privacy.h"
 #include "fl/state_store.h"
 #include "fl/types.h"
 #include "models/model_zoo.h"
 #include "privacy/accountant.h"
+#include "privacy/dp.h"
 #include "privacy/masking.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -36,10 +36,6 @@ struct AlgorithmConfig {
   TrainOptions train;
   std::uint64_t seed = 42;
   int eval_batch_size = 100;
-
-  // Legacy shorthand for faults.profile.dropout_prob (kept so existing
-  // callers keep working); merged into `faults` at construction.
-  double dropout_prob = 0.0;
 
   // Fault injection (see fl/faults.h): per-client dropout / straggler /
   // corrupted-upload profiles, drawn from a dedicated fault RNG stream so
@@ -61,7 +57,7 @@ struct AlgorithmConfig {
   // --fl_threads; when noise_multiplier > 0 the subsampled-Gaussian RDP
   // accountant composes eps(delta) across rounds at the actual sampling
   // rate K/N. clip_norm <= 0 disables.
-  DpOptions dp;
+  privacy::DpOptions dp;
 
   // Secure-aggregation-style pairwise masking (see privacy/masking.h): the
   // server sum is recomputed in a fixed-point domain under seed-derived
@@ -158,13 +154,11 @@ class FlAlgorithm {
   // totals, fault statistics, metrics history, and the subclass model state
   // — atomically (tmp file + rename). LoadCheckpoint restores it into a
   // freshly constructed instance of the *same* configuration; a fingerprint
-  // mismatch returns FailedPrecondition, truncated or malformed files
-  // return InvalidArgument. On a non-OK load the training state is
+  // mismatch returns FailedPrecondition; corrupt (CRC mismatch), truncated
+  // or malformed files, and files of another format version, return
+  // InvalidArgument. On a non-OK load the training state is
   // unspecified: construct a fresh instance before retrying.
   util::Status SaveCheckpoint(const std::string& path);
-  // Writes a downgraded checkpoint in an older format version (>= 2), e.g.
-  // to hand a run to a build that predates the sparse v3 state tables.
-  util::Status SaveCheckpoint(const std::string& path, std::uint32_t version);
   util::Status LoadCheckpoint(const std::string& path);
 
   // Enables periodic checkpointing inside Run(): the training state is
@@ -180,7 +174,7 @@ class FlAlgorithm {
   const PrivacyStats& privacy_stats() const { return privacy_stats_; }
 
   // The RDP ledger behind privacy_epsilon(); restored bit-exactly by
-  // LoadCheckpoint (FCRS v5).
+  // LoadCheckpoint.
   const privacy::RdpAccountant& accountant() const { return accountant_; }
 
   // eps(config.dp.delta) spent so far under the subsampled-Gaussian RDP
@@ -493,8 +487,8 @@ class FlAlgorithm {
   FaultStats fault_stats_;
   PrivacyStats privacy_stats_;
   // Subsampled-Gaussian RDP ledger: one AccumulateRound per noised
-  // aggregation event, at that event's actual sampling rate. Serialised in
-  // FCRS v5 so a resumed run's eps(delta) is bit-exact.
+  // aggregation event, at that event's actual sampling rate. Checkpointed,
+  // so a resumed run's eps(delta) is bit-exact.
   privacy::RdpAccountant accountant_;
   // Masking-overlay cohort scratch, recycled: per-member upload pointers
   // (sync) and popped-arrival result indices (async; -1 = dropped member).

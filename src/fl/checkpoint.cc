@@ -4,11 +4,16 @@
 #include <cstring>
 #include <fstream>
 
+#include "comm/wire.h"
+
 namespace fedcross::fl {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x46435253;  // "FCRS"
-constexpr std::uint32_t kMinVersion = 1;  // still readable
+// The one format this build writes and reads.
+constexpr std::uint32_t kVersion = 6;
+constexpr std::size_t kHeaderBytes = 2 * sizeof(std::uint32_t);
+constexpr std::size_t kTrailerBytes = sizeof(std::uint32_t);
 
 // Length prefixes are validated against the remaining buffer before any
 // allocation, so a corrupted count cannot trigger a huge resize.
@@ -74,7 +79,8 @@ util::Status StateReader::ReadRaw(void* dst, std::size_t count) {
         " bytes at offset " + std::to_string(offset_) + ", have " +
         std::to_string(bytes_.size() - offset_));
   }
-  std::memcpy(dst, bytes_.data() + offset_, count);
+  // An empty vector's data() may be null, and memcpy must not see it.
+  if (count > 0) std::memcpy(dst, bytes_.data() + offset_, count);
   offset_ += count;
   return util::Status::Ok();
 }
@@ -180,14 +186,18 @@ util::Status StateReader::ReadDoubles(std::vector<double>& values) {
 
 util::Status WriteStateFile(const std::string& path,
                             const StateWriter& writer) {
+  const std::uint32_t header[2] = {kMagic, kVersion};
+  const auto* header_bytes = reinterpret_cast<const std::uint8_t*>(header);
+  const std::uint32_t crc =
+      comm::Crc32(writer.bytes(), comm::Crc32({header_bytes, kHeaderBytes}));
   std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out.good()) return util::Status::Internal("cannot open " + tmp);
-    std::uint32_t header[2] = {kMagic, writer.version()};
-    out.write(reinterpret_cast<const char*>(header), sizeof(header));
+    out.write(reinterpret_cast<const char*>(header), kHeaderBytes);
     out.write(reinterpret_cast<const char*>(writer.bytes().data()),
               static_cast<std::streamsize>(writer.bytes().size()));
+    out.write(reinterpret_cast<const char*>(&crc), kTrailerBytes);
     if (!out.good()) return util::Status::Internal("short write to " + tmp);
   }
   // Atomic publish: the previous checkpoint stays intact until the new one
@@ -207,7 +217,7 @@ util::StatusOr<StateReader> ReadStateFile(const std::string& path) {
   in.read(reinterpret_cast<char*>(bytes.data()), size);
   if (!in.good()) return util::Status::Internal("short read from " + path);
 
-  if (bytes.size() < 2 * sizeof(std::uint32_t)) {
+  if (bytes.size() < kHeaderBytes) {
     return util::Status::InvalidArgument("truncated checkpoint header");
   }
   std::uint32_t magic = 0;
@@ -217,12 +227,25 @@ util::StatusOr<StateReader> ReadStateFile(const std::string& path) {
   if (magic != kMagic) {
     return util::Status::InvalidArgument("not a FedCross training checkpoint");
   }
-  if (version < kMinVersion || version > kCheckpointVersion) {
+  if (version != kVersion) {
     return util::Status::InvalidArgument(
-        "unsupported training checkpoint version " + std::to_string(version));
+        "unsupported training checkpoint version " + std::to_string(version) +
+        " (this build reads version " + std::to_string(kVersion) + ")");
   }
-  bytes.erase(bytes.begin(), bytes.begin() + 2 * sizeof(std::uint32_t));
-  return StateReader(std::move(bytes), version);
+  if (bytes.size() < kHeaderBytes + kTrailerBytes) {
+    return util::Status::InvalidArgument("truncated checkpoint: no CRC-32");
+  }
+  // The CRC covers header + body and is checked before any body field is
+  // parsed: a flipped bit never reaches the structural checks.
+  const std::size_t sealed = bytes.size() - kTrailerBytes;
+  std::uint32_t stored = 0;
+  std::memcpy(&stored, bytes.data() + sealed, sizeof(stored));
+  if (comm::Crc32({bytes.data(), sealed}) != stored) {
+    return util::Status::InvalidArgument("checkpoint CRC-32 mismatch");
+  }
+  bytes.resize(sealed);
+  bytes.erase(bytes.begin(), bytes.begin() + kHeaderBytes);
+  return StateReader(std::move(bytes));
 }
 
 }  // namespace fedcross::fl

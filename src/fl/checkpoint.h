@@ -14,52 +14,28 @@ namespace fedcross::fl {
 //
 // A training checkpoint stores everything a killed run needs to resume
 // bit-identically: the config fingerprint, the completed-round counter, the
-// run RNG state, communication totals, fault statistics, the metrics
-// history, and each algorithm's model state (global params, SCAFFOLD
-// variates, FedCross middleware, ...). FlAlgorithm::SaveCheckpoint /
-// LoadCheckpoint drive these primitives; algorithm subclasses append their
-// state through the SaveExtraState / LoadExtraState hooks.
+// run RNG state, communication totals (wasted bytes included), fault
+// statistics, the metrics history, the codec error-feedback residuals, the
+// async engine (virtual clock, version counters, the in-flight dispatch
+// table), the privacy ledger, and each algorithm's model state (global
+// params, SCAFFOLD variates, FedCross middleware, ...). Per-client tables
+// are sparse: only clients that ever trained cost bytes.
+// FlAlgorithm::SaveCheckpoint / LoadCheckpoint drive these primitives;
+// algorithm subclasses append their state through the SaveExtraState /
+// LoadExtraState hooks.
 //
-// The file layout is magic ("FCRS") + format version + body. Writes go to
-// `path + ".tmp"` and are renamed into place so a crash mid-write can never
-// clobber the previous good checkpoint. All reads are bounds-checked and
-// return util::Status on truncated or malformed input.
-//
-// Format versions: v5 (current) adds the privacy state — the RDP
-// accountant's per-order totals and round counter (so a resumed DP run's
-// epsilon is bit-identical to the uninterrupted run's), the privacy
-// counters (clipped uploads, mask pairs, mask recoveries), and a
-// dp-clipped flag on each in-flight dispatch record; v4 adds the async
-// event-engine state — the
-// virtual clock, model-version and dispatch counters, wasted-comm totals,
-// the timeout/retry fault tallies, and the full in-flight dispatch table
-// (so a buffered-async run resumes mid-buffer bit-identically); v3 stores
-// per-client cold state — the codec error-feedback residuals, SCAFFOLD
-// variates, CluSamp update history — as sparse tables (count, then id +
-// payload per touched client) keyed by 64-bit client ids, so a
-// million-client population costs bytes only for the clients that ever
-// trained; v2 stored those tables densely over all N clients (and 32-bit
-// cluster ids); v1 stored two f64 communication totals and no residuals.
-// Readers accept all five — StateReader::version() lets load paths branch
-// on what the file actually contains (pre-v4 files restore with a zeroed
-// engine state; pre-v5 files with an empty privacy ledger). Writers normally stamp kCheckpointVersion; a StateWriter
-// constructed with an older version lets FlAlgorithm::SaveCheckpoint
-// produce downgraded files (compat tests, handing a checkpoint to an older
-// build) — downgrading a mid-buffer async run loses its in-flight table.
-
-// The version WriteStateFile stamps on new checkpoints.
-inline constexpr std::uint32_t kCheckpointVersion = 5;
+// The file is magic ("FCRS") + format version + body + a CRC-32 of
+// everything before it. There is one format: a reader accepts only the
+// version this build writes, and checks the CRC before it parses a single
+// body field, so a flipped bit anywhere in the file is an InvalidArgument,
+// never a silently different model. Writes go to `path + ".tmp"` and are
+// renamed into place so a crash mid-write can never clobber the previous
+// good checkpoint. All body reads are bounds-checked and return
+// util::Status on truncated or malformed input.
 
 // Appends little-endian POD values to a byte buffer.
 class StateWriter {
  public:
-  StateWriter() = default;
-  explicit StateWriter(std::uint32_t version) : version_(version) {}
-
-  // The format version this checkpoint is being written as; save paths
-  // branch on it the same way load paths branch on StateReader::version().
-  std::uint32_t version() const { return version_; }
-
   void WriteU32(std::uint32_t value);
   void WriteU64(std::uint64_t value);
   void WriteI64(std::int64_t value);
@@ -76,7 +52,6 @@ class StateWriter {
 
  private:
   std::vector<std::uint8_t> bytes_;
-  std::uint32_t version_ = kCheckpointVersion;
 };
 
 // Bounds-checked reader over a checkpoint body. Every read returns
@@ -84,13 +59,8 @@ class StateWriter {
 class StateReader {
  public:
   StateReader() = default;
-  explicit StateReader(std::vector<std::uint8_t> bytes,
-                       std::uint32_t version = kCheckpointVersion)
-      : bytes_(std::move(bytes)), version_(version) {}
-
-  // The format version of the file this body came from (see the header
-  // comment); ReadStateFile fills it in.
-  std::uint32_t version() const { return version_; }
+  explicit StateReader(std::vector<std::uint8_t> bytes)
+      : bytes_(std::move(bytes)) {}
 
   util::Status ReadU32(std::uint32_t& value);
   util::Status ReadU64(std::uint64_t& value);
@@ -110,15 +80,13 @@ class StateReader {
 
   std::vector<std::uint8_t> bytes_;
   std::size_t offset_ = 0;
-  std::uint32_t version_ = kCheckpointVersion;
 };
 
-// Atomically writes header + body to `path` (tmp file + rename). The header
-// carries the writer's version.
+// Atomically writes header + body + CRC-32 to `path` (tmp file + rename).
 util::Status WriteStateFile(const std::string& path, const StateWriter& writer);
 
-// Reads `path`, validates magic and version, and returns a reader
-// positioned at the body.
+// Reads `path`, validates magic, version and CRC, and returns a reader over
+// the body.
 util::StatusOr<StateReader> ReadStateFile(const std::string& path);
 
 }  // namespace fedcross::fl

@@ -77,7 +77,7 @@ struct LocalTrainResult {
   // The DP mechanism (privacy/dp.h) scaled this upload's update down to the
   // clipping bound. Counted when the upload reaches the server — at the
   // sync screen loop, or at arrival for a buffered async upload (so it
-  // rides the in-flight checkpoint table, FCRS v5).
+  // rides the in-flight checkpoint table).
   bool dp_clipped = false;
 };
 

@@ -1,6 +1,5 @@
 #include "fl/fedcluster.h"
 
-#include <limits>
 #include <numeric>
 
 namespace fedcross::fl {
@@ -71,26 +70,17 @@ void FedCluster::RunRound(int round) {
 void FedCluster::SaveExtraState(StateWriter& writer) {
   writer.WriteFloats(global_);
   writer.WriteU64(clusters_.size());
-  if (writer.version() >= 3) {
-    for (const std::vector<std::int64_t>& cluster : clusters_) {
-      writer.WriteInts64(cluster);
-    }
-  } else {
-    // Dense v2 downgrade: 32-bit member ids (the historical layout).
-    for (const std::vector<std::int64_t>& cluster : clusters_) {
-      std::vector<int> narrow;
-      narrow.reserve(cluster.size());
-      for (std::int64_t id : cluster) {
-        FC_CHECK_LE(id, std::numeric_limits<int>::max());
-        narrow.push_back(static_cast<int>(id));
-      }
-      writer.WriteInts(narrow);
-    }
+  for (const std::vector<std::int64_t>& cluster : clusters_) {
+    writer.WriteInts64(cluster);
   }
 }
 
 util::Status FedCluster::LoadExtraState(StateReader& reader) {
   FC_RETURN_IF_ERROR(reader.ReadFloats(global_));
+  if (global_.size() != static_cast<std::size_t>(model_size())) {
+    return util::Status::InvalidArgument(
+        "checkpointed global model does not match the model size");
+  }
   std::uint64_t count = 0;
   FC_RETURN_IF_ERROR(reader.ReadU64(count));
   if (count != clusters_.size()) {
@@ -98,13 +88,23 @@ util::Status FedCluster::LoadExtraState(StateReader& reader) {
         "checkpoint has " + std::to_string(count) + " clusters, run has " +
         std::to_string(clusters_.size()));
   }
+  // Members key per-client state and train in parallel within a step, so
+  // each must be a real client, listed once.
+  std::vector<bool> seen(static_cast<std::size_t>(num_clients()), false);
   for (std::vector<std::int64_t>& cluster : clusters_) {
-    if (reader.version() >= 3) {
-      FC_RETURN_IF_ERROR(reader.ReadInts64(cluster));
-    } else {
-      std::vector<int> narrow;
-      FC_RETURN_IF_ERROR(reader.ReadInts(narrow));
-      cluster.assign(narrow.begin(), narrow.end());
+    FC_RETURN_IF_ERROR(reader.ReadInts64(cluster));
+    for (std::int64_t id : cluster) {
+      if (id < 0 || id >= num_clients()) {
+        return util::Status::InvalidArgument(
+            "checkpoint cluster member " + std::to_string(id) +
+            " out of range");
+      }
+      if (seen[static_cast<std::size_t>(id)]) {
+        return util::Status::InvalidArgument(
+            "checkpoint cluster member " + std::to_string(id) +
+            " listed twice");
+      }
+      seen[static_cast<std::size_t>(id)] = true;
     }
   }
   return util::Status::Ok();

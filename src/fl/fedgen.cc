@@ -203,7 +203,25 @@ void FedGen::SaveExtraState(StateWriter& writer) {
 
 util::Status FedGen::LoadExtraState(StateReader& reader) {
   FC_RETURN_IF_ERROR(reader.ReadFloats(global_));
+  if (global_.size() != static_cast<std::size_t>(model_size())) {
+    return util::Status::InvalidArgument(
+        "checkpointed global model does not match the model size");
+  }
+  // The label prior feeds Rng::Categorical, whose draw indexes one-hot
+  // columns: one finite, non-negative weight per class, positive in sum.
   FC_RETURN_IF_ERROR(reader.ReadDoubles(label_weights_));
+  bool prior_ok =
+      label_weights_.size() == static_cast<std::size_t>(num_classes_);
+  double total = 0.0;
+  for (double w : label_weights_) {
+    prior_ok = prior_ok && std::isfinite(w) && w >= 0.0;
+    total += w;
+  }
+  if (!prior_ok || !(total > 0.0)) {
+    return util::Status::InvalidArgument(
+        "checkpointed label prior is not " + std::to_string(num_classes_) +
+        " finite non-negative weights with a positive sum");
+  }
   FlatParams generator_params;
   FC_RETURN_IF_ERROR(reader.ReadFloats(generator_params));
   if (static_cast<std::int64_t>(generator_params.size()) != generator_size_) {
@@ -225,6 +243,12 @@ util::Status FedGen::LoadExtraState(StateReader& reader) {
             labels.size() * static_cast<std::size_t>(example_numel_)) {
       return util::Status::InvalidArgument(
           "checkpointed synthetic set is inconsistent");
+    }
+    for (int label : labels) {
+      if (label < 0 || label >= num_classes_) {
+        return util::Status::InvalidArgument(
+            "checkpointed synthetic label out of range");
+      }
     }
     synthetic_ = std::make_shared<data::InMemoryDataset>(
         example_shape_, std::move(features), std::move(labels), num_classes_);

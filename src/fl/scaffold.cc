@@ -83,58 +83,44 @@ void Scaffold::RunRound(int round) {
 void Scaffold::SaveExtraState(StateWriter& writer) {
   writer.WriteFloats(global_);
   writer.WriteFloats(server_c_);
-  if (writer.version() >= 3) {
-    // Sparse id-keyed table: only clients that were ever selected carry a
-    // variate. Spilled entries round-trip through Read.
-    std::vector<std::int64_t> ids = client_c_.TouchedIds();
-    writer.WriteU64(ids.size());
-    for (std::int64_t id : ids) {
-      writer.WriteI64(id);
-      FC_CHECK(client_c_.Read(id, c_scratch_));
-      writer.WriteFloats(c_scratch_);
-    }
-  } else {
-    // Dense v2 downgrade: one row per client, empty for never-selected.
-    writer.WriteU64(static_cast<std::uint64_t>(num_clients()));
-    for (std::int64_t id = 0; id < num_clients(); ++id) {
-      c_scratch_.clear();
-      client_c_.Read(id, c_scratch_);
-      writer.WriteFloats(c_scratch_);
-    }
+  // Sparse id-keyed table: only clients that were ever selected carry a
+  // variate. Spilled entries round-trip through Read.
+  std::vector<std::int64_t> ids = client_c_.TouchedIds();
+  writer.WriteU64(ids.size());
+  for (std::int64_t id : ids) {
+    writer.WriteI64(id);
+    FC_CHECK(client_c_.Read(id, c_scratch_));
+    writer.WriteFloats(c_scratch_);
   }
 }
 
 util::Status Scaffold::LoadExtraState(StateReader& reader) {
+  const std::size_t size = static_cast<std::size_t>(model_size());
   FC_RETURN_IF_ERROR(reader.ReadFloats(global_));
   FC_RETURN_IF_ERROR(reader.ReadFloats(server_c_));
+  if (global_.size() != size || server_c_.size() != size) {
+    return util::Status::InvalidArgument(
+        "checkpointed SCAFFOLD model or server variate does not match the "
+        "model size");
+  }
   std::uint64_t count = 0;
   FC_RETURN_IF_ERROR(reader.ReadU64(count));
   client_c_.Clear();
-  if (reader.version() >= 3) {
-    std::int64_t prev_id = -1;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      std::int64_t id = 0;
-      FC_RETURN_IF_ERROR(reader.ReadI64(id));
-      if (id <= prev_id || id >= num_clients()) {
-        return util::Status::InvalidArgument(
-            "variate table ids must be ascending and in range");
-      }
-      prev_id = id;
-      FC_RETURN_IF_ERROR(reader.ReadFloats(c_scratch_));
-      client_c_.Touch(id) = c_scratch_;
+  std::int64_t prev_id = -1;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    std::int64_t id = 0;
+    FC_RETURN_IF_ERROR(reader.ReadI64(id));
+    if (id <= prev_id || id >= num_clients()) {
+      return util::Status::InvalidArgument(
+          "variate table ids must be ascending and in range");
     }
-  } else {
-    if (count != static_cast<std::uint64_t>(num_clients())) {
-      return util::Status::FailedPrecondition(
-          "checkpoint has variates for " + std::to_string(count) +
-          " clients, run has " + std::to_string(num_clients()));
+    prev_id = id;
+    FC_RETURN_IF_ERROR(reader.ReadFloats(c_scratch_));
+    if (c_scratch_.size() != size) {
+      return util::Status::InvalidArgument(
+          "checkpointed client variate does not match the model size");
     }
-    for (std::uint64_t id = 0; id < count; ++id) {
-      FC_RETURN_IF_ERROR(reader.ReadFloats(c_scratch_));
-      if (!c_scratch_.empty()) {
-        client_c_.Touch(static_cast<std::int64_t>(id)) = c_scratch_;
-      }
-    }
+    client_c_.Touch(id) = c_scratch_;
   }
   return util::Status::Ok();
 }

@@ -93,9 +93,4 @@ void RdpAccountant::Restore(std::vector<double> totals, std::int64_t rounds) {
   rounds_ = rounds;
 }
 
-void RdpAccountant::Reset() {
-  totals_.assign(Orders().size(), 0.0);
-  rounds_ = 0;
-}
-
 }  // namespace fedcross::privacy

@@ -34,7 +34,7 @@ namespace fedcross::privacy {
 //   q = 0:      rdp = 0                     (no one was sampled)
 //
 // All totals are exact f64 sums over a *fixed* order grid, so checkpointing
-// the per-order totals (FCRS v5) and restoring them reproduces epsilon
+// the per-order totals and restoring them reproduces epsilon
 // bit-exactly — the accountant is part of the deterministic training state.
 // ---------------------------------------------------------------------------
 
@@ -69,8 +69,6 @@ class RdpAccountant {
 
   // Restores a serialised ledger. `totals` must match Orders() in length.
   void Restore(std::vector<double> totals, std::int64_t rounds);
-
-  void Reset();
 
  private:
   std::vector<double> totals_ = std::vector<double>(Orders().size(), 0.0);

@@ -56,14 +56,6 @@ bool SanitizeUpdateInPlace(const fl::FlatParams& reference,
   return clipped;
 }
 
-fl::FlatParams SanitizeUpdate(const fl::FlatParams& reference,
-                              const fl::FlatParams& uploaded,
-                              const DpOptions& options, util::Rng& rng) {
-  fl::FlatParams sanitised = uploaded;
-  SanitizeUpdateInPlace(reference, sanitised, options, rng);
-  return sanitised;
-}
-
 double GaussianMechanismEpsilon(double noise_multiplier, double delta) {
   FC_CHECK_GT(noise_multiplier, 0.0);
   FC_CHECK_GT(delta, 0.0);

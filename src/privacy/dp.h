@@ -56,11 +56,6 @@ bool SanitizeUpdateInPlace(const fl::FlatParams& reference,
                            fl::FlatParams& params, const DpOptions& options,
                            util::Rng& rng);
 
-// Value-returning convenience wrapper (the historical fl/privacy.h API).
-fl::FlatParams SanitizeUpdate(const fl::FlatParams& reference,
-                              const fl::FlatParams& uploaded,
-                              const DpOptions& options, util::Rng& rng);
-
 // L2 norm of (uploaded - reference); exposed for tests and diagnostics.
 double UpdateNorm(const fl::FlatParams& reference,
                   const fl::FlatParams& uploaded);

@@ -7,9 +7,8 @@
 //   * staleness weights match the FedBuff family by hand;
 //   * buffered aggregation beats the sync barrier on virtual time under
 //     straggler-heavy fleets;
-//   * FCRS v4 checkpoints capture the engine mid-buffer (save -> kill ->
-//     load resumes bit-identically with uploads still in flight), while a
-//     v3 downgrade still loads.
+//   * checkpoints capture the engine mid-buffer (save -> kill -> load
+//     resumes bit-identically with uploads still in flight).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -415,7 +414,7 @@ TEST(AsyncTest, BuffersBeatTheBarrierUnderStragglers) {
 }
 
 // --------------------------------------------------------------------------
-// FCRS v4: mid-buffer resume and the v3 downgrade
+// Checkpoints: mid-buffer resume
 // --------------------------------------------------------------------------
 
 TEST(AsyncCheckpointTest, MidBufferResumeIsBitIdentical) {
@@ -427,7 +426,7 @@ TEST(AsyncCheckpointTest, MidBufferResumeIsBitIdentical) {
     std::unique_ptr<FlAlgorithm> full = MakeAlgorithm(name, config);
     full->Run(6, /*eval_every=*/1);
 
-    // Interrupt with uploads still in flight: the v4 checkpoint must carry
+    // Interrupt with uploads still in flight: the checkpoint must carry
     // the buffered arrivals, the clock, and the version counters.
     std::int64_t inflight_at_save = 0;
     {
@@ -456,33 +455,6 @@ TEST(AsyncCheckpointTest, MidBufferResumeIsBitIdentical) {
               resumed->comm().total_upload_bytes());
     std::remove(path.c_str());
   }
-}
-
-TEST(AsyncCheckpointTest, V3DowngradeStillLoads) {
-  // Pre-engine checkpoints carry no wasted totals and no engine block; a
-  // sync run downgraded to v3 must round-trip and resume bit-identically
-  // (the engine state is observational in sync mode).
-  const std::string path = "async_ckpt_v3.bin";
-  AlgorithmConfig config = ToyConfig();
-
-  std::unique_ptr<FlAlgorithm> full = MakeAlgorithm("FedAvg", config);
-  full->Run(5, /*eval_every=*/1);
-
-  {
-    std::unique_ptr<FlAlgorithm> first = MakeAlgorithm("FedAvg", config);
-    first->Run(3, /*eval_every=*/1);
-    ASSERT_TRUE(first->SaveCheckpoint(path, /*version=*/3).ok());
-  }
-  std::unique_ptr<FlAlgorithm> resumed = MakeAlgorithm("FedAvg", config);
-  ASSERT_TRUE(resumed->LoadCheckpoint(path).ok());
-  EXPECT_EQ(resumed->completed_rounds(), 3);
-  // v3 carries no engine block: the restored engine starts cold.
-  EXPECT_EQ(resumed->virtual_now(), 0.0);
-  EXPECT_EQ(resumed->inflight_dispatches(), 0);
-  EXPECT_EQ(resumed->comm().total_wasted_bytes(), 0u);
-  resumed->Run(5, /*eval_every=*/1);
-  ExpectBitIdentical(full->GlobalParams(), resumed->GlobalParams());
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Wire-codec unit tests (comm/wire.h): frame round-trips for every scheme
 // over every model-zoo architecture, the lossless guarantee of the delta
 // codec on arbitrary bit patterns, the bounded-error + error-feedback
-// contract of the quantized schemes, deterministic top-k tie-breaking, and
-// rejection of malformed / truncated / CRC-corrupt frames.
+// contract of the quantized schemes, deterministic top-k tie-breaking,
+// rejection of malformed / truncated / CRC-corrupt frames, and a
+// deterministic mutation fuzz of both decoders.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -164,6 +165,18 @@ TEST(WireHelpersTest, Crc32MatchesBytewiseReferenceOnMegabyteBuffers) {
   for (std::size_t len : {std::size_t{1} << 20, (std::size_t{1} << 20) + 3}) {
     EXPECT_EQ(Crc32({bytes.data(), len}), ReferenceCrc32(bytes.data(), len))
         << "len " << len;
+  }
+}
+
+TEST(WireHelpersTest, Crc32ContinuesAcrossAnySplit) {
+  // Crc32(b, Crc32(a)) == Crc32(a ++ b) wherever the split falls, on either
+  // side of the 64-byte fold threshold.
+  const std::vector<std::uint8_t> bytes = RandomBytes(300, 7);
+  const std::uint32_t whole = Crc32({bytes.data(), bytes.size()});
+  for (std::size_t split = 0; split <= bytes.size(); ++split) {
+    const std::uint32_t head = Crc32({bytes.data(), split});
+    EXPECT_EQ(Crc32({bytes.data() + split, bytes.size() - split}, head), whole)
+        << "split " << split;
   }
 }
 
@@ -1012,6 +1025,116 @@ TEST_F(WireRejectTest, EmptyAndForeignBuffersAreRejected) {
   EXPECT_FALSE(Decode({}, out).ok());
   Frame garbage(100, 0xAB);
   EXPECT_FALSE(Decode(garbage, out).ok());
+}
+
+// --- mutation fuzz ---------------------------------------------------------
+
+// One random mutation of a frame stripped of its CRC: a bit flip, a byte
+// overwrite, a retagged scheme byte, an inflated length field (tensor
+// count, param count, body length, or the u64 that heads a top-k body), or
+// a truncated or extended body whose header length is kept honest, so the
+// scheme decoder itself must catch it.
+void MutateFrame(Frame& frame, const ShapeTable& shapes, util::Rng& rng) {
+  const std::size_t len_at = BodyLenOffset(shapes);
+  const std::size_t body_at = len_at + 8;
+  auto honest_length = [&] {
+    std::uint64_t body = frame.size() - body_at;
+    std::memcpy(frame.data() + len_at, &body, 8);
+  };
+  switch (rng.UniformInt(6)) {
+    case 0:
+      frame[rng.UniformInt(frame.size())] ^=
+          static_cast<std::uint8_t>(1u << rng.UniformInt(8));
+      break;
+    case 1:
+      frame[rng.UniformInt(frame.size())] ^=
+          static_cast<std::uint8_t>(1 + rng.UniformInt(255));
+      break;
+    case 2:
+      frame[5] = static_cast<std::uint8_t>(rng.UniformInt(5));
+      break;
+    case 3: {
+      const std::uint64_t inflated[] = {std::uint64_t{1} << 32,
+                                        std::uint64_t{1} << 62, ~0ULL};
+      const std::uint64_t value = inflated[rng.UniformInt(3)];
+      switch (rng.UniformInt(4)) {
+        case 0: {
+          const auto tensors = static_cast<std::uint32_t>(value - 1);
+          std::memcpy(frame.data() + 8, &tensors, 4);
+          break;
+        }
+        case 1:
+          std::memcpy(frame.data() + len_at - 8, &value, 8);
+          break;
+        case 2:
+          std::memcpy(frame.data() + len_at, &value, 8);
+          break;
+        default:
+          if (frame.size() >= body_at + 8) {
+            std::memcpy(frame.data() + body_at, &value, 8);
+          }
+          break;
+      }
+      break;
+    }
+    case 4:
+      frame.resize(body_at + rng.UniformInt(frame.size() - body_at));
+      honest_length();
+      break;
+    default:
+      for (std::uint64_t n = 1 + rng.UniformInt(64); n > 0; --n) {
+        frame.push_back(static_cast<std::uint8_t>(rng.UniformInt(256)));
+      }
+      honest_length();
+      break;
+  }
+}
+
+TEST(WireFuzzTest, ResealedMutationsDecodeToStatusOrAModelSizedOutput) {
+  // 300 params over two tensors: the top-k bitmap spans five 64-bit words
+  // and ends mid-byte.
+  const ShapeTable shapes = {200, 100};
+  std::vector<float> reference(300);
+  util::Rng init(3);
+  for (float& v : reference) v = static_cast<float>(init.Normal(0.0, 1.0));
+  const std::vector<float> trained = Perturbed(reference, 4);
+  std::vector<Frame> frames;
+  for (Scheme scheme : {Scheme::kIdentity, Scheme::kDelta, Scheme::kInt8,
+                        Scheme::kTopK, Scheme::kInt8TopK}) {
+    frames.push_back(
+        EncodeSimpleUpload(scheme, trained, reference, shapes, 0.33));
+  }
+
+  util::Rng rng(0xc0de);
+  std::vector<float> out;
+  int decoded = 0;
+  int rejected = 0;
+  for (int i = 0; i < 100000; ++i) {
+    const Frame& clean = frames[static_cast<std::size_t>(i) % frames.size()];
+    Frame frame(clean.begin(), clean.end() - 4);
+    MutateFrame(frame, shapes, rng);
+    frame.resize(frame.size() + 4);
+    FixCrc(frame);
+    util::Status upload = DecodeUpload(frame, reference, shapes, out);
+    if (upload.ok()) {
+      ASSERT_EQ(out.size(), reference.size()) << "mutation " << i;
+      ++decoded;
+    } else {
+      ASSERT_EQ(upload.code(), util::StatusCode::kInvalidArgument)
+          << "mutation " << i;
+      ++rejected;
+    }
+    util::Status dispatch = DecodeDispatch(frame, shapes, out);
+    if (dispatch.ok()) {
+      ASSERT_EQ(out.size(), reference.size()) << "mutation " << i;
+    } else {
+      ASSERT_EQ(dispatch.code(), util::StatusCode::kInvalidArgument)
+          << "mutation " << i;
+    }
+  }
+  // Both outcomes occur: mutations reach every decoder's own checks.
+  EXPECT_GT(decoded, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 }  // namespace

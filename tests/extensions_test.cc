@@ -12,7 +12,6 @@
 
 #include "core/fedcross.h"
 #include "fl/fedavg.h"
-#include "fl/privacy.h"
 #include "nn/activations.h"
 #include "nn/checkpoint.h"
 #include "nn/conv2d.h"
@@ -21,6 +20,7 @@
 #include "nn/norm.h"
 #include "nn/pooling.h"
 #include "optim/adam.h"
+#include "privacy/dp.h"
 #include "test_util.h"
 
 namespace fedcross {
@@ -230,45 +230,47 @@ TEST(AdamTest, TrainsToyClassifier) {
 TEST(PrivacyTest, NoOpWhenDisabled) {
   fl::FlatParams reference = {0.0f, 0.0f};
   fl::FlatParams uploaded = {10.0f, 0.0f};
+  fl::FlatParams sanitised = uploaded;
   util::Rng rng(8);
-  fl::DpOptions options;  // clip_norm = 0: disabled
-  EXPECT_EQ(fl::SanitizeUpdate(reference, uploaded, options, rng), uploaded);
+  privacy::DpOptions options;  // clip_norm = 0: disabled
+  EXPECT_FALSE(
+      privacy::SanitizeUpdateInPlace(reference, sanitised, options, rng));
+  EXPECT_EQ(sanitised, uploaded);
 }
 
 TEST(PrivacyTest, ClipsLargeUpdates) {
   fl::FlatParams reference = {0.0f, 0.0f};
-  fl::FlatParams uploaded = {10.0f, 0.0f};
+  fl::FlatParams sanitised = {10.0f, 0.0f};
   util::Rng rng(9);
-  fl::DpOptions options;
+  privacy::DpOptions options;
   options.clip_norm = 1.0f;
   options.noise_multiplier = 0.0f;
-  fl::FlatParams sanitised =
-      fl::SanitizeUpdate(reference, uploaded, options, rng);
-  EXPECT_NEAR(fl::UpdateNorm(reference, sanitised), 1.0, 1e-5);
+  EXPECT_TRUE(
+      privacy::SanitizeUpdateInPlace(reference, sanitised, options, rng));
+  EXPECT_NEAR(privacy::UpdateNorm(reference, sanitised), 1.0, 1e-5);
   EXPECT_NEAR(sanitised[0], 1.0f, 1e-5f);
 }
 
 TEST(PrivacyTest, SmallUpdatesPassUnclipped) {
   fl::FlatParams reference = {1.0f, 1.0f};
-  fl::FlatParams uploaded = {1.1f, 1.0f};
+  fl::FlatParams sanitised = {1.1f, 1.0f};
   util::Rng rng(10);
-  fl::DpOptions options;
+  privacy::DpOptions options;
   options.clip_norm = 5.0f;
-  fl::FlatParams sanitised =
-      fl::SanitizeUpdate(reference, uploaded, options, rng);
+  EXPECT_FALSE(
+      privacy::SanitizeUpdateInPlace(reference, sanitised, options, rng));
   EXPECT_NEAR(sanitised[0], 1.1f, 1e-6f);
 }
 
 TEST(PrivacyTest, NoiseHasExpectedScale) {
   int dim = 5000;
   fl::FlatParams reference(dim, 0.0f);
-  fl::FlatParams uploaded(dim, 0.0f);  // zero update: output is pure noise
+  fl::FlatParams sanitised(dim, 0.0f);  // zero update: output is pure noise
   util::Rng rng(11);
-  fl::DpOptions options;
+  privacy::DpOptions options;
   options.clip_norm = 2.0f;
   options.noise_multiplier = 0.5f;  // sigma = 1.0
-  fl::FlatParams sanitised =
-      fl::SanitizeUpdate(reference, uploaded, options, rng);
+  privacy::SanitizeUpdateInPlace(reference, sanitised, options, rng);
   double var = 0.0;
   for (float v : sanitised) var += static_cast<double>(v) * v;
   var /= dim;
@@ -276,8 +278,8 @@ TEST(PrivacyTest, NoiseHasExpectedScale) {
 }
 
 TEST(PrivacyTest, EpsilonDecreasesWithNoise) {
-  double strict = fl::GaussianMechanismEpsilon(2.0, 1e-5);
-  double loose = fl::GaussianMechanismEpsilon(0.5, 1e-5);
+  double strict = privacy::GaussianMechanismEpsilon(2.0, 1e-5);
+  double loose = privacy::GaussianMechanismEpsilon(0.5, 1e-5);
   EXPECT_LT(strict, loose);
   EXPECT_GT(strict, 0.0);
 }
@@ -299,7 +301,7 @@ TEST(PrivacyTest, FedAvgStillLearnsUnderMildDp) {
 TEST(ClientDropoutTest, FullDropoutFreezesGlobalModel) {
   fl::AlgorithmConfig config;
   config.clients_per_round = 3;
-  config.dropout_prob = 1.0;
+  config.faults.profile.dropout_prob = 1.0;
   fl::FedAvg fedavg(config, MakeToyFederated(6, 20, 13), LinearFactory(4));
   fl::FlatParams before = fedavg.GlobalParams();
   fedavg.Run(3);
@@ -312,7 +314,7 @@ TEST(ClientDropoutTest, PartialDropoutStillLearns) {
   config.train.local_epochs = 3;
   config.train.batch_size = 10;
   config.train.lr = 0.05f;
-  config.dropout_prob = 0.3;
+  config.faults.profile.dropout_prob = 0.3;
   fl::FedAvg fedavg(config, MakeToyFederated(8, 40, 14), LinearFactory(4));
   EXPECT_GT(fedavg.Run(10).BestAccuracy(), 0.8f);
 }
@@ -323,7 +325,7 @@ TEST(ClientDropoutTest, FedCrossSurvivesDropout) {
   config.train.local_epochs = 3;
   config.train.batch_size = 10;
   config.train.lr = 0.05f;
-  config.dropout_prob = 0.3;
+  config.faults.profile.dropout_prob = 0.3;
   core::FedCrossOptions options;
   options.alpha = 0.9;
   core::FedCross fedcross(config, MakeToyFederated(8, 40, 15),
@@ -334,7 +336,7 @@ TEST(ClientDropoutTest, FedCrossSurvivesDropout) {
 TEST(ClientDropoutTest, DroppedUploadsDoNotCountAsTraffic) {
   fl::AlgorithmConfig config;
   config.clients_per_round = 4;
-  config.dropout_prob = 1.0;
+  config.faults.profile.dropout_prob = 1.0;
   fl::FedAvg fedavg(config, MakeToyFederated(8, 20, 16), LinearFactory(4));
   fedavg.Run(1);
   const fl::RoundRecord& record = fedavg.history().records().back();

@@ -222,12 +222,14 @@ TEST(CommTrackerTest, CountsStayExactPastDoublePrecision) {
 TEST(CommTrackerTest, RestoreResetsRoundCounters) {
   CommTracker tracker;
   tracker.AddUpload(7, 3);
-  tracker.Restore(1000, 2000, 800, 400);
+  tracker.Restore(1000, 2000, 800, 400, 300, 100);
   EXPECT_EQ(tracker.round_upload_bytes(), 0u);
   EXPECT_EQ(tracker.total_download_bytes(), 1000u);
   EXPECT_EQ(tracker.total_upload_bytes(), 2000u);
   EXPECT_EQ(tracker.total_wire_download_bytes(), 800u);
   EXPECT_EQ(tracker.total_wire_upload_bytes(), 400u);
+  EXPECT_EQ(tracker.total_wasted_bytes(), 300u);
+  EXPECT_EQ(tracker.total_wire_wasted_bytes(), 100u);
 }
 
 TEST(CommTrackerTest, FloatBytes) {

@@ -211,7 +211,7 @@ fl::AlgorithmConfig ToyConfig() {
   config.train.batch_size = 10;
   config.train.lr = 0.05f;
   config.seed = 17;
-  config.dropout_prob = 0.2;  // exercise the fault counters too
+  config.faults.profile.dropout_prob = 0.2;  // exercise the fault counters too
   return config;
 }
 

@@ -77,7 +77,7 @@ AlgorithmConfig ToyConfig() {
   config.seed = 17;
   // Nonzero dropout so the per-job dropout draw is exercised too: a
   // schedule-dependent draw would desynchronise the two runs immediately.
-  config.dropout_prob = 0.2;
+  config.faults.profile.dropout_prob = 0.2;
   return config;
 }
 
@@ -307,7 +307,6 @@ TEST(ParallelDeterminismTest, OddThreadCountMatchesToo) {
 // bit-identical across thread counts.
 AlgorithmConfig FaultyConfig() {
   AlgorithmConfig config = ToyConfig();
-  config.dropout_prob = 0.0;
   config.faults.profile.dropout_prob = 0.1;
   config.faults.profile.straggler_prob = 0.3;
   config.faults.profile.slowdown_min = 2.0;

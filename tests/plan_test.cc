@@ -463,7 +463,7 @@ AlgorithmConfig ToyConfig(ExecMode exec) {
   config.train.exec = exec;
   config.seed = 17;
   // Nonzero dropout exercises the Prepare/Finish echo path in plan mode.
-  config.dropout_prob = 0.2;
+  config.faults.profile.dropout_prob = 0.2;
   return config;
 }
 
@@ -554,7 +554,7 @@ CohortRun RunTracedFedCrossRound(int k, int threads) {
   SetFlThreads(threads);
   AlgorithmConfig config = ToyConfig(ExecMode::kPlan);
   config.clients_per_round = k;
-  config.dropout_prob = 0.0;
+  config.faults.profile.dropout_prob = 0.0;
   core::FedCrossOptions options;
   options.alpha = 0.9;
   core::FedCross fedcross(config, MakeToyFederated(12, 35, 6, 41),

@@ -3,8 +3,8 @@
 // edge cases (zero-norm updates, clip without noise, non-finite uploads
 // meeting server screening), secure-aggregation masking — exact pairwise
 // cancellation, dropout recovery, and the masking-on == masking-off
-// bit-identity across all six algorithms — and the FCRS v5 checkpoint
-// round trip of the accountant ledger.
+// bit-identity across all six algorithms — and the checkpoint round trip
+// of the accountant ledger.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -196,9 +196,6 @@ TEST(RdpAccountantTest, RestoreReproducesEpsilonBitExactly) {
   restored.Restore(accountant.order_totals(), accountant.rounds());
   EXPECT_EQ(restored.Epsilon(1e-5), accountant.Epsilon(1e-5));
   EXPECT_EQ(restored.rounds(), accountant.rounds());
-  restored.Reset();
-  EXPECT_EQ(restored.Epsilon(1e-5), 0.0);
-  EXPECT_EQ(restored.rounds(), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -392,7 +389,7 @@ TEST(MaskingTest, EmptyAndSingletonCohortsAreTriviallyExact) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: the overlay across every algorithm, DP determinism, FCRS v5
+// End-to-end: the overlay across every algorithm, DP determinism, resume
 // ---------------------------------------------------------------------------
 
 enum class Method { kFedAvg, kFedProx, kScaffold, kFedGen, kCluSamp,
@@ -535,8 +532,8 @@ TEST(DpEndToEndTest, ClipOnlyRunLeavesTheLedgerEmpty) {
   EXPECT_GT(server->privacy_stats().clipped, 0);
 }
 
-TEST(CheckpointV5Test, EpsilonSurvivesKillAndResumeBitExactly) {
-  const std::string path = TempPath("privacy_v5.ckpt");
+TEST(PrivacyCheckpointTest, EpsilonSurvivesKillAndResumeBitExactly) {
+  const std::string path = TempPath("privacy_resume.ckpt");
   fl::AlgorithmConfig config = ToyConfig();
   config.dp.clip_norm = 1.0f;
   config.dp.noise_multiplier = 1.5f;
@@ -550,7 +547,7 @@ TEST(CheckpointV5Test, EpsilonSurvivesKillAndResumeBitExactly) {
     auto first = MakeAlgorithm(Method::kFedCross, config);
     first->EnableAutoCheckpoint(path, 1);
     first->Run(3, 6);
-    // The instance dies here; only the FCRS v5 file survives.
+    // The instance dies here; only the checkpoint file survives.
   }
 
   auto resumed = MakeAlgorithm(Method::kFedCross, config);
@@ -575,22 +572,7 @@ TEST(CheckpointV5Test, EpsilonSurvivesKillAndResumeBitExactly) {
   std::remove(path.c_str());
 }
 
-TEST(CheckpointV5Test, V4DowngradeStillLoadsWithEmptyLedger) {
-  const std::string path = TempPath("privacy_v4.ckpt");
-  fl::AlgorithmConfig config = ToyConfig();  // privacy off: v4-compatible
-  auto writer = MakeAlgorithm(Method::kFedAvg, config);
-  writer->Run(2, 2);
-  ASSERT_TRUE(writer->SaveCheckpoint(path, 4).ok());
-
-  auto reader = MakeAlgorithm(Method::kFedAvg, config);
-  ASSERT_TRUE(reader->LoadCheckpoint(path).ok());
-  EXPECT_EQ(reader->completed_rounds(), 2);
-  EXPECT_EQ(reader->accountant().rounds(), 0);
-  EXPECT_EQ(reader->privacy_stats().clipped, 0);
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointV5Test, DpConfigPerturbsTheFingerprint) {
+TEST(PrivacyCheckpointTest, DpConfigPerturbsTheFingerprint) {
   const std::string path = TempPath("privacy_fp.ckpt");
   fl::AlgorithmConfig config = ToyConfig();
   config.dp.clip_norm = 1.0f;

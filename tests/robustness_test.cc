@@ -7,13 +7,20 @@
 //     exactly like dropouts (the global model stays finite);
 //   * the robust aggregators match hand-computed values;
 //   * save -> kill -> load -> resume is bit-identical to an uninterrupted
-//     run for all six algorithms.
+//     run for every algorithm, sync and async, under every codec family,
+//     with DP, masking and dropout on;
+//   * the checkpoint is one format sealed by a CRC-32: any flipped bit, a
+//     file of another version, and every crafted out-of-range field are
+//     InvalidArgument, and thousands of random mutations fail cleanly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -30,6 +37,7 @@
 #include "fl/fedgen.h"
 #include "fl/scaffold.h"
 #include "nn/linear.h"
+#include "util/rng.h"
 
 namespace fedcross::fl {
 namespace {
@@ -576,39 +584,128 @@ void ExpectSameHistory(const MetricsHistory& a, const MetricsHistory& b) {
   }
 }
 
-TEST(CheckpointTest, ResumeIsBitIdenticalForEveryAlgorithm) {
-  for (const char* name : kAllAlgorithms) {
-    SCOPED_TRACE(name);
-    const std::string path =
-        std::string("robustness_ckpt_") + name + ".bin";
-    AlgorithmConfig config = ToyConfig();
+std::vector<std::uint8_t> ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  EXPECT_TRUE(in.good()) << path;
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(in.tellg()));
+  in.seekg(0);
+  in.read(reinterpret_cast<char*>(bytes.data()),
+          static_cast<std::streamsize>(bytes.size()));
+  return bytes;
+}
 
-    // Uninterrupted reference run.
-    std::unique_ptr<FlAlgorithm> full = MakeAlgorithm(name, config);
-    full->Run(5, /*eval_every=*/1);
+// Writes a fresh file rather than truncating the old one: on ext4 a
+// truncate-and-rewrite is flushed on close (~0.4 ms against ~25 us), and
+// the fuzz below writes thousands of files.
+void WriteBytes(const std::string& path,
+                const std::vector<std::uint8_t>& bytes) {
+  std::remove(path.c_str());
+  std::ofstream out(path, std::ios::binary);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
 
-    // Run 3 rounds, checkpoint, "kill" the process (drop the instance).
-    {
-      std::unique_ptr<FlAlgorithm> first = MakeAlgorithm(name, config);
-      first->Run(3, /*eval_every=*/1);
-      ASSERT_TRUE(first->SaveCheckpoint(path).ok());
-    }
-
-    // Restore into a fresh instance and finish the run.
-    std::unique_ptr<FlAlgorithm> resumed = MakeAlgorithm(name, config);
-    ASSERT_TRUE(resumed->LoadCheckpoint(path).ok());
-    EXPECT_EQ(resumed->completed_rounds(), 3);
-    resumed->Run(5, /*eval_every=*/1);
-
-    EXPECT_EQ(resumed->completed_rounds(), 5);
-    ExpectBitIdentical(full->GlobalParams(), resumed->GlobalParams());
-    ExpectSameHistory(full->history(), resumed->history());
-    EXPECT_EQ(full->comm().total_upload_bytes(),
-              resumed->comm().total_upload_bytes());
-    EXPECT_EQ(full->comm().total_download_bytes(),
-              resumed->comm().total_download_bytes());
-    std::remove(path.c_str());
+// The resume grid's configuration: DP noise, secure-aggregation masking and
+// client dropout always on. Async runs a buffer below K on a
+// straggler-prone clock with a dispatch timeout and one retry, so the save
+// lands with uploads still in flight.
+AlgorithmConfig ResumeGridConfig(const std::string& name, bool async,
+                                 comm::Scheme scheme) {
+  AlgorithmConfig config = ToyConfig();
+  config.dp.clip_norm = 1.0f;
+  config.dp.noise_multiplier = 1.1f;
+  config.secure_agg.enabled = true;
+  config.faults.profile.dropout_prob = 0.2;
+  config.codec.scheme = scheme;
+  if (scheme != comm::Scheme::kIdentity) config.codec.topk_fraction = 0.25;
+  if (async) {
+    config.async.mode = RoundMode::kAsync;
+    // FedCluster dispatches ceil(K / clusters) = 2 clients per step: only a
+    // buffer of 1 leaves one of them in flight.
+    config.async.buffer_size = name == "FedCluster" ? 1 : 3;
+    config.async.dispatch_timeout = 0.5;
+    config.async.max_retries = 1;
+    config.async.clock.compute_speed_min = 25.0;
+    config.async.clock.compute_speed_max = 400.0;
+    config.async.clock.bandwidth_min = 1e6;
+    config.async.clock.bandwidth_max = 1e9;
+    config.async.clock.jitter = 0.1;
+    config.faults.profile.straggler_prob = 0.4;
   }
+  return config;
+}
+
+// Everything a resumed run must reproduce of the uninterrupted one.
+void ExpectSameRun(FlAlgorithm& a, FlAlgorithm& b) {
+  ExpectBitIdentical(a.GlobalParams(), b.GlobalParams());
+  ExpectSameHistory(a.history(), b.history());
+  EXPECT_EQ(a.comm().total_download_bytes(), b.comm().total_download_bytes());
+  EXPECT_EQ(a.comm().total_upload_bytes(), b.comm().total_upload_bytes());
+  EXPECT_EQ(a.comm().total_wire_download_bytes(),
+            b.comm().total_wire_download_bytes());
+  EXPECT_EQ(a.comm().total_wire_upload_bytes(),
+            b.comm().total_wire_upload_bytes());
+  EXPECT_EQ(a.comm().total_wasted_bytes(), b.comm().total_wasted_bytes());
+  EXPECT_EQ(a.comm().total_wire_wasted_bytes(),
+            b.comm().total_wire_wasted_bytes());
+  EXPECT_EQ(a.fault_stats().dropouts, b.fault_stats().dropouts);
+  EXPECT_EQ(a.fault_stats().stragglers, b.fault_stats().stragglers);
+  EXPECT_EQ(a.fault_stats().corrupted, b.fault_stats().corrupted);
+  EXPECT_EQ(a.fault_stats().rejected, b.fault_stats().rejected);
+  EXPECT_EQ(a.fault_stats().timeouts, b.fault_stats().timeouts);
+  EXPECT_EQ(a.fault_stats().retries, b.fault_stats().retries);
+  EXPECT_EQ(a.privacy_stats().clipped, b.privacy_stats().clipped);
+  EXPECT_EQ(a.privacy_stats().mask_pairs, b.privacy_stats().mask_pairs);
+  EXPECT_EQ(a.privacy_stats().mask_recoveries,
+            b.privacy_stats().mask_recoveries);
+  EXPECT_EQ(a.virtual_now(), b.virtual_now());
+  EXPECT_EQ(a.model_version(), b.model_version());
+  EXPECT_EQ(a.inflight_dispatches(), b.inflight_dispatches());
+  EXPECT_EQ(a.privacy_epsilon(), b.privacy_epsilon());
+}
+
+TEST(CheckpointTest, ResumeIsBitIdenticalForEveryAlgorithm) {
+  const std::string path = ::testing::TempDir() + "/robustness_ckpt_grid.bin";
+  const std::string resaved = path + ".resaved";
+  for (const char* name : kAllAlgorithms) {
+    for (bool async : {false, true}) {
+      for (comm::Scheme scheme :
+           {comm::Scheme::kIdentity, comm::Scheme::kInt8TopK}) {
+        SCOPED_TRACE(std::string(name) + (async ? " async " : " sync ") +
+                     comm::SchemeName(scheme));
+        AlgorithmConfig config = ResumeGridConfig(name, async, scheme);
+
+        // Uninterrupted reference run.
+        std::unique_ptr<FlAlgorithm> full = MakeAlgorithm(name, config);
+        full->Run(5, /*eval_every=*/1);
+
+        // Run 3 rounds, checkpoint, "kill" the process (drop the instance).
+        {
+          std::unique_ptr<FlAlgorithm> first = MakeAlgorithm(name, config);
+          first->Run(3, /*eval_every=*/1);
+          if (async) {
+            ASSERT_GT(first->inflight_dispatches(), 0)
+                << "the save must land mid-buffer";
+          }
+          ASSERT_TRUE(first->SaveCheckpoint(path).ok());
+        }
+
+        // Restore into a fresh instance; saving it again reproduces the
+        // file byte for byte. Then finish the run.
+        std::unique_ptr<FlAlgorithm> resumed = MakeAlgorithm(name, config);
+        ASSERT_TRUE(resumed->LoadCheckpoint(path).ok());
+        EXPECT_EQ(resumed->completed_rounds(), 3);
+        ASSERT_TRUE(resumed->SaveCheckpoint(resaved).ok());
+        EXPECT_EQ(ReadBytes(path), ReadBytes(resaved));
+        resumed->Run(5, /*eval_every=*/1);
+
+        EXPECT_EQ(resumed->completed_rounds(), 5);
+        ExpectSameRun(*full, *resumed);
+      }
+    }
+  }
+  std::remove(path.c_str());
+  std::remove(resaved.c_str());
 }
 
 TEST(CheckpointTest, ResumeUnderFaultsIsBitIdentical) {
@@ -712,7 +809,7 @@ TEST(CheckpointTest, MissingFileIsNotFound) {
 }
 
 TEST(CheckpointTest, ResumeUnderLossyCodecIsBitIdentical) {
-  // The v2 checkpoint carries the per-client error-feedback residuals: a
+  // The checkpoint carries the per-client error-feedback residuals: a
   // resumed int8_topk run must re-quantise against the same residual state
   // the killed run held, or it diverges from the uninterrupted one.
   const std::string path = "robustness_ckpt_codec.bin";
@@ -758,77 +855,449 @@ TEST(CheckpointTest, CodecConfigPerturbsTheFingerprint) {
   std::remove(path.c_str());
 }
 
-TEST(CheckpointTest, Version1CheckpointStillLoads) {
-  // Builds a real v1 file out of a v2 one by inverting the format bump:
-  // the four u64 comm counters become the two f64 totals v1 stored, the
-  // residual-table count disappears, and the header version drops to 1.
-  // Everything the old format did carry must keep resuming exactly.
-  const std::string path = "robustness_ckpt_v1.bin";
-  AlgorithmConfig config = ToyConfig();
+// --------------------------------------------------------------------------
+// Checkpoint integrity: one format, sealed by a CRC-32
+// --------------------------------------------------------------------------
 
-  std::unique_ptr<FlAlgorithm> full = MakeAlgorithm("FedAvg", config);
-  full->Run(4, /*eval_every=*/1);
+// Byte offsets into a checkpoint file, from the layout
+// FlAlgorithm::SaveCheckpoint writes: the 8-byte header (magic, version),
+// then the fingerprint, round counter, RNG state (four words, a bool, a
+// double), six comm totals and six fault tallies before the history count.
+constexpr std::size_t kHeaderBytes = 8;
+constexpr std::size_t kHistoryCountAt =
+    kHeaderBytes + 8 + 8 + 4 * 8 + 1 + 8 + 6 * 8 + 6 * 8;
+constexpr std::size_t kHistoryRecordBytes = 40;
 
+std::uint64_t LoadU64(const std::vector<std::uint8_t>& bytes, std::size_t at) {
+  std::uint64_t value = 0;
+  std::memcpy(&value, bytes.data() + at, sizeof(value));
+  return value;
+}
+
+template <typename T>
+void Store(std::vector<std::uint8_t>& bytes, std::size_t at, T value) {
+  std::memcpy(bytes.data() + at, &value, sizeof(value));
+}
+
+// Recomputes the trailing CRC-32, so a patched body reaches the loader's
+// structural checks instead of tripping the CRC gate.
+void Reseal(std::vector<std::uint8_t>& bytes) {
+  const std::size_t sealed = bytes.size() - 4;
+  Store(bytes, sealed, comm::Crc32({bytes.data(), sealed}));
+}
+
+// Offset of the length prefix of the one float vector in `bytes` holding
+// exactly `values`: subclass state is located by content.
+std::size_t FindFloats(const std::vector<std::uint8_t>& bytes,
+                       const FlatParams& values) {
+  StateWriter encoded;
+  encoded.WriteFloats(values);
+  const std::vector<std::uint8_t>& pattern = encoded.bytes();
+  auto hit = std::search(bytes.begin(), bytes.end(), pattern.begin(),
+                         pattern.end());
+  EXPECT_NE(hit, bytes.end()) << "vector not found";
+  if (hit == bytes.end()) return 0;
+  EXPECT_EQ(std::search(hit + 1, bytes.end(), pattern.begin(), pattern.end()),
+            bytes.end())
+      << "vector found twice";
+  return static_cast<std::size_t>(hit - bytes.begin());
+}
+
+// Drops the last element of the length-prefixed vector at `at`, keeping
+// the file well formed: only the vector's own size check can catch it.
+void ShrinkVector(std::vector<std::uint8_t>& bytes, std::size_t at,
+                  std::size_t element_bytes) {
+  const std::uint64_t count = LoadU64(bytes, at);
+  ASSERT_GT(count, 0u);
+  Store(bytes, at, count - 1);
+  auto last = bytes.begin() +
+              static_cast<std::ptrdiff_t>(at + 8 + (count - 1) * element_bytes);
+  bytes.erase(last, last + static_cast<std::ptrdiff_t>(element_bytes));
+}
+
+// Length prefix of the vector right after the one at `at`.
+std::size_t NextVector(const std::vector<std::uint8_t>& bytes, std::size_t at,
+                       std::size_t element_bytes) {
+  return at + 8 + LoadU64(bytes, at) * element_bytes;
+}
+
+using Patch = std::function<void(std::vector<std::uint8_t>&, FlAlgorithm&)>;
+
+// Saves `name` after `rounds` rounds, applies `patch` to the file, reseals
+// it and returns what a fresh instance's LoadCheckpoint makes of it.
+util::Status LoadPatched(const std::string& name,
+                         const AlgorithmConfig& config, int rounds,
+                         const Patch& patch) {
+  const std::string path = ::testing::TempDir() + "/robustness_crafted.bin";
+  std::unique_ptr<FlAlgorithm> writer = MakeAlgorithm(name, config);
+  writer->Run(rounds, /*eval_every=*/1);
+  EXPECT_TRUE(writer->SaveCheckpoint(path).ok());
+  std::vector<std::uint8_t> bytes = ReadBytes(path);
+  patch(bytes, *writer);
+  Reseal(bytes);
+  WriteBytes(path, bytes);
+  util::Status status = MakeAlgorithm(name, config)->LoadCheckpoint(path);
+  std::remove(path.c_str());
+  return status;
+}
+
+void ExpectRejected(const util::Status& status, const std::string& what) {
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument)
+      << status.ToString();
+  EXPECT_NE(status.ToString().find(what), std::string::npos)
+      << status.ToString();
+}
+
+TEST(CheckpointIntegrityTest, EveryFlippedBitIsRejected) {
+  const std::string path = ::testing::TempDir() + "/robustness_ckpt_flip.bin";
   {
-    std::unique_ptr<FlAlgorithm> first = MakeAlgorithm("FedAvg", config);
-    first->Run(2, /*eval_every=*/1);
-    // Start from the v2 downgrade: the byte surgery below inverts the
-    // v1 -> v2 bump, and later versions append further blocks (sparse
-    // tables, wasted totals, the v4 engine state) it does not model.
-    ASSERT_TRUE(first->SaveCheckpoint(path, /*version=*/2).ok());
+    std::unique_ptr<FlAlgorithm> algo = MakeAlgorithm("FedAvg", ToyConfig());
+    algo->Run(2, /*eval_every=*/1);
+    ASSERT_TRUE(algo->SaveCheckpoint(path).ok());
+  }
+  const std::vector<std::uint8_t> clean = ReadBytes(path);
+  std::unique_ptr<FlAlgorithm> reader = MakeAlgorithm("FedAvg", ToyConfig());
+  for (std::size_t at = 0; at < clean.size(); ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<std::uint8_t> bytes = clean;
+      bytes[at] ^= static_cast<std::uint8_t>(1u << bit);
+      WriteBytes(path, bytes);
+      util::Status status = reader->LoadCheckpoint(path);
+      SCOPED_TRACE("byte " + std::to_string(at) + " bit " +
+                   std::to_string(bit));
+      // The header names what it is; every later byte is under the CRC.
+      ExpectRejected(status, at < 4   ? "not a FedCross"
+                             : at < 8 ? "version"
+                                      : "CRC-32 mismatch");
+    }
+  }
+  WriteBytes(path, clean);
+  EXPECT_TRUE(reader->LoadCheckpoint(path).ok());
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointIntegrityTest, VersionFiveFileIsRejectedByVersion) {
+  // A version-5 file is this body behind a version-5 header, with no CRC
+  // trailer.
+  const std::string path = ::testing::TempDir() + "/robustness_ckpt_v5.bin";
+  {
+    std::unique_ptr<FlAlgorithm> algo = MakeAlgorithm("FedAvg", ToyConfig());
+    algo->Run(2, /*eval_every=*/1);
+    ASSERT_TRUE(algo->SaveCheckpoint(path).ok());
+  }
+  std::vector<std::uint8_t> bytes = ReadBytes(path);
+  bytes.resize(bytes.size() - 4);
+  Store(bytes, 4, std::uint32_t{5});
+  WriteBytes(path, bytes);
+  std::unique_ptr<FlAlgorithm> reader = MakeAlgorithm("FedAvg", ToyConfig());
+  ExpectRejected(reader->LoadCheckpoint(path), "version 5");
+  std::remove(path.c_str());
+}
+
+// --------------------------------------------------------------------------
+// Crafted files: every loaded field that later indexes memory is checked
+// --------------------------------------------------------------------------
+
+constexpr int kToyModelSize = 4 * 2 + 2;  // Linear(4, 2)
+
+TEST(CheckpointValidationTest, CompletedRoundCounterMustFitAnInt) {
+  auto patch = [](std::vector<std::uint8_t>& bytes, FlAlgorithm&) {
+    Store(bytes, kHeaderBytes + 8, std::int64_t{1} << 40);
+  };
+  ExpectRejected(LoadPatched("FedAvg", ToyConfig(), 1, patch),
+                 "completed-round counter");
+}
+
+TEST(CheckpointValidationTest, ScaffoldGlobalModelMustBeModelSized) {
+  auto patch = [](std::vector<std::uint8_t>& bytes, FlAlgorithm& algo) {
+    ShrinkVector(bytes, FindFloats(bytes, algo.GlobalParams()),
+                 sizeof(float));
+  };
+  ExpectRejected(LoadPatched("SCAFFOLD", ToyConfig(), 1, patch),
+                 "model size");
+}
+
+TEST(CheckpointValidationTest, ScaffoldServerVariateMustBeModelSized) {
+  auto patch = [](std::vector<std::uint8_t>& bytes, FlAlgorithm& algo) {
+    const std::size_t global = FindFloats(bytes, algo.GlobalParams());
+    ShrinkVector(bytes, NextVector(bytes, global, sizeof(float)),
+                 sizeof(float));
+  };
+  ExpectRejected(LoadPatched("SCAFFOLD", ToyConfig(), 1, patch),
+                 "model size");
+}
+
+TEST(CheckpointValidationTest, ScaffoldClientVariateMustBeModelSized) {
+  auto patch = [](std::vector<std::uint8_t>& bytes, FlAlgorithm& algo) {
+    const std::size_t global = FindFloats(bytes, algo.GlobalParams());
+    const std::size_t server = NextVector(bytes, global, sizeof(float));
+    const std::size_t table = NextVector(bytes, server, sizeof(float));
+    ASSERT_GT(LoadU64(bytes, table), 0u);
+    // The count, then the first row's id, then its floats.
+    ShrinkVector(bytes, table + 8 + 8, sizeof(float));
+  };
+  ExpectRejected(LoadPatched("SCAFFOLD", ToyConfig(), 1, patch),
+                 "model size");
+}
+
+TEST(CheckpointValidationTest, CluSampGlobalModelMustBeModelSized) {
+  auto patch = [](std::vector<std::uint8_t>& bytes, FlAlgorithm& algo) {
+    ShrinkVector(bytes, FindFloats(bytes, algo.GlobalParams()),
+                 sizeof(float));
+  };
+  ExpectRejected(LoadPatched("CluSamp", ToyConfig(), 1, patch),
+                 "model size");
+}
+
+TEST(CheckpointValidationTest, CluSampAssignmentMustNameACluster) {
+  // An assignment of 1000 would index a K-element cluster table next round.
+  auto patch = [](std::vector<std::uint8_t>& bytes, FlAlgorithm& algo) {
+    const std::size_t global = FindFloats(bytes, algo.GlobalParams());
+    const std::size_t assignment = NextVector(bytes, global, sizeof(float));
+    ASSERT_EQ(LoadU64(bytes, assignment), 8u);  // one per client
+    for (std::size_t c = 0; c < 8; ++c) {
+      Store(bytes, assignment + 8 + 4 * c, std::uint32_t{1000});
+    }
+  };
+  ExpectRejected(LoadPatched("CluSamp", ToyConfig(), 1, patch),
+                 "cluster assignment 1000 out of range");
+}
+
+TEST(CheckpointValidationTest, CluSampHistoryRowMustBeModelSized) {
+  auto patch = [](std::vector<std::uint8_t>& bytes, FlAlgorithm& algo) {
+    const std::size_t global = FindFloats(bytes, algo.GlobalParams());
+    const std::size_t assignment = NextVector(bytes, global, sizeof(float));
+    const std::size_t table =
+        NextVector(bytes, assignment, sizeof(std::uint32_t));
+    ASSERT_GT(LoadU64(bytes, table), 0u);
+    ShrinkVector(bytes, table + 8 + 8, sizeof(float));
+  };
+  ExpectRejected(LoadPatched("CluSamp", ToyConfig(), 1, patch),
+                 "model size");
+}
+
+TEST(CheckpointValidationTest, FedClusterGlobalModelMustBeModelSized) {
+  auto patch = [](std::vector<std::uint8_t>& bytes, FlAlgorithm& algo) {
+    ShrinkVector(bytes, FindFloats(bytes, algo.GlobalParams()),
+                 sizeof(float));
+  };
+  ExpectRejected(LoadPatched("FedCluster", ToyConfig(), 1, patch),
+                 "model size");
+}
+
+// Offset of FedCluster's first cluster (its member count).
+std::size_t FirstClusterAt(const std::vector<std::uint8_t>& bytes,
+                           FlAlgorithm& algo) {
+  const std::size_t global = FindFloats(bytes, algo.GlobalParams());
+  return NextVector(bytes, global, sizeof(float)) + 8;
+}
+
+TEST(CheckpointValidationTest, FedClusterMemberMustBeAClient) {
+  auto patch = [](std::vector<std::uint8_t>& bytes, FlAlgorithm& algo) {
+    const std::size_t cluster = FirstClusterAt(bytes, algo);
+    ASSERT_GT(LoadU64(bytes, cluster), 0u);
+    Store(bytes, cluster + 8, algo.num_clients());
+  };
+  ExpectRejected(LoadPatched("FedCluster", ToyConfig(), 1, patch),
+                 "cluster member 8 out of range");
+}
+
+TEST(CheckpointValidationTest, FedClusterMemberMustBeListedOnce) {
+  auto patch = [](std::vector<std::uint8_t>& bytes, FlAlgorithm& algo) {
+    const std::size_t first = FirstClusterAt(bytes, algo);
+    const std::size_t second = NextVector(bytes, first, sizeof(std::int64_t));
+    ASSERT_GT(LoadU64(bytes, second), 0u);
+    Store(bytes, second + 8, LoadU64(bytes, first + 8));
+  };
+  ExpectRejected(LoadPatched("FedCluster", ToyConfig(), 1, patch),
+                 "listed twice");
+}
+
+TEST(CheckpointValidationTest, FedGenGlobalModelMustBeModelSized) {
+  auto patch = [](std::vector<std::uint8_t>& bytes, FlAlgorithm& algo) {
+    ShrinkVector(bytes, FindFloats(bytes, algo.GlobalParams()),
+                 sizeof(float));
+  };
+  ExpectRejected(LoadPatched("FedGen", ToyConfig(), 1, patch), "model size");
+}
+
+TEST(CheckpointValidationTest, FedGenLabelPriorMustCoverEveryClass) {
+  auto patch = [](std::vector<std::uint8_t>& bytes, FlAlgorithm& algo) {
+    const std::size_t global = FindFloats(bytes, algo.GlobalParams());
+    ShrinkVector(bytes, NextVector(bytes, global, sizeof(float)),
+                 sizeof(double));
+  };
+  ExpectRejected(LoadPatched("FedGen", ToyConfig(), 1, patch),
+                 "label prior is not 2 finite non-negative weights");
+}
+
+TEST(CheckpointValidationTest, FedGenLabelPriorMustBeNonNegative) {
+  auto patch = [](std::vector<std::uint8_t>& bytes, FlAlgorithm& algo) {
+    const std::size_t global = FindFloats(bytes, algo.GlobalParams());
+    Store(bytes, NextVector(bytes, global, sizeof(float)) + 8, -1.0);
+  };
+  ExpectRejected(LoadPatched("FedGen", ToyConfig(), 1, patch),
+                 "label prior is not 2 finite non-negative weights");
+}
+
+TEST(CheckpointValidationTest, FedGenSyntheticLabelMustNameAClass) {
+  // The synthetic set's labels close the body, right before the CRC.
+  auto patch = [](std::vector<std::uint8_t>& bytes, FlAlgorithm&) {
+    Store(bytes, bytes.size() - 4 - 4, std::uint32_t{2});
+  };
+  ExpectRejected(LoadPatched("FedGen", ToyConfig(), 1, patch),
+                 "synthetic label out of range");
+}
+
+// Offset of the first in-flight record of a checkpoint with an empty
+// residual table (identity codec).
+std::size_t FirstInflightAt(const std::vector<std::uint8_t>& bytes) {
+  const std::uint64_t records = LoadU64(bytes, kHistoryCountAt);
+  const std::size_t residuals =
+      kHistoryCountAt + 8 + records * kHistoryRecordBytes;
+  EXPECT_EQ(LoadU64(bytes, residuals), 0u);
+  // virtual time, model version, dispatch counter, then the table count.
+  const std::size_t engine = residuals + 8;
+  EXPECT_GT(LoadU64(bytes, engine + 24), 0u) << "nothing in flight";
+  return engine + 32;
+}
+
+// Record fields before the client id: arrival, seq, params, samples, steps,
+// lr, loss, wire down/up, dropped, fault kind.
+constexpr std::size_t kInflightClientIdAt =
+    8 + 8 + 8 + 4 * kToyModelSize + 8 + 8 + 4 + 8 + 8 + 8 + 1 + 4;
+
+AlgorithmConfig InflightConfig() {
+  return ResumeGridConfig("FedAvg", /*async=*/true, comm::Scheme::kIdentity);
+}
+
+TEST(CheckpointValidationTest, InflightClientIdMustBeAClient) {
+  auto patch = [](std::vector<std::uint8_t>& bytes, FlAlgorithm& algo) {
+    Store(bytes, FirstInflightAt(bytes) + kInflightClientIdAt,
+          algo.num_clients());
+  };
+  ExpectRejected(LoadPatched("FedAvg", InflightConfig(), 3, patch),
+                 "in-flight client id 8 out of range");
+}
+
+TEST(CheckpointValidationTest, InflightSlotMustBeADispatchSlot) {
+  auto patch = [](std::vector<std::uint8_t>& bytes, FlAlgorithm&) {
+    Store(bytes, FirstInflightAt(bytes) + kInflightClientIdAt + 8,
+          std::int64_t{4});  // K = 4
+  };
+  ExpectRejected(LoadPatched("FedAvg", InflightConfig(), 3, patch),
+                 "in-flight slot 4 out of range");
+}
+
+TEST(CheckpointValidationTest, InflightDispatchVersionMustBeAPastVersion) {
+  // Staleness is the model version minus the dispatch version; a negative
+  // dispatch version could overflow that subtraction.
+  auto patch = [](std::vector<std::uint8_t>& bytes, FlAlgorithm&) {
+    Store(bytes, FirstInflightAt(bytes) + kInflightClientIdAt + 16,
+          std::numeric_limits<std::int64_t>::min());
+  };
+  ExpectRejected(LoadPatched("FedAvg", InflightConfig(), 3, patch),
+                 "in-flight dispatch version out of range");
+}
+
+// --------------------------------------------------------------------------
+// Deterministic mutation fuzz of the checkpoint reader
+// --------------------------------------------------------------------------
+
+// Applies one random mutation to bytes[lo, end): a bit flip, a byte
+// overwrite, an inflated length field (one of `counts`, the offsets that
+// hold small u64 values), a truncation or an extension.
+void Mutate(std::vector<std::uint8_t>& bytes, std::size_t lo,
+            const std::vector<std::size_t>& counts, util::Rng& rng) {
+  const std::size_t span = bytes.size() - lo;
+  switch (rng.UniformInt(5)) {
+    case 0:
+      bytes[lo + rng.UniformInt(span)] ^=
+          static_cast<std::uint8_t>(1u << rng.UniformInt(8));
+      break;
+    case 1:
+      bytes[lo + rng.UniformInt(span)] ^=
+          static_cast<std::uint8_t>(1 + rng.UniformInt(255));
+      break;
+    case 2: {
+      const std::size_t at = counts[rng.UniformInt(counts.size())];
+      const std::uint64_t count = LoadU64(bytes, at);
+      const std::uint64_t inflated[] = {count + 1, count * 2 + 1,
+                                        std::uint64_t{1} << 32,
+                                        std::uint64_t{1} << 62, ~0ULL};
+      Store(bytes, at, inflated[rng.UniformInt(5)]);
+      break;
+    }
+    case 3:
+      bytes.resize(lo + rng.UniformInt(span));
+      break;
+    default:
+      for (std::uint64_t n = 1 + rng.UniformInt(64); n > 0; --n) {
+        bytes.push_back(static_cast<std::uint8_t>(rng.UniformInt(256)));
+      }
+      break;
+  }
+}
+
+TEST(CheckpointFuzzTest, MutatedCheckpointsFailCleanly) {
+  // A FedCross checkpoint carrying every section: middleware, in-flight
+  // uploads, codec residuals and a DP ledger.
+  const AlgorithmConfig config =
+      ResumeGridConfig("FedCross", /*async=*/true, comm::Scheme::kInt8TopK);
+  const std::string path = ::testing::TempDir() + "/robustness_ckpt_fuzz.bin";
+  {
+    std::unique_ptr<FlAlgorithm> writer = MakeAlgorithm("FedCross", config);
+    writer->Run(3, /*eval_every=*/1);
+    ASSERT_GT(writer->inflight_dispatches(), 0);
+    ASSERT_TRUE(writer->SaveCheckpoint(path).ok());
+  }
+  const std::vector<std::uint8_t> clean = ReadBytes(path);
+  const std::vector<std::uint8_t> header(clean.begin(),
+                                         clean.begin() + kHeaderBytes);
+  std::vector<std::size_t> counts;  // body offsets of small u64 values
+  for (std::size_t at = kHeaderBytes; at + 8 + 4 <= clean.size(); ++at) {
+    if (LoadU64(clean, at) <= 4096) counts.push_back(at);
   }
 
-  std::vector<std::uint8_t> bytes;
-  {
-    std::ifstream in(path, std::ios::binary | std::ios::ate);
-    ASSERT_TRUE(in.good());
-    bytes.resize(static_cast<std::size_t>(in.tellg()));
-    in.seekg(0);
-    in.read(reinterpret_cast<char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  }
-  // Body layout up to the comm block: fingerprint u64, completed i64, four
-  // RNG words, the cached-normal bool + f64. File header is 8 bytes.
-  const std::size_t comm_at = 8 + 8 + 8 + 4 * 8 + 1 + 8;
-  std::uint64_t total_down = 0;
-  std::uint64_t total_up = 0;
-  std::memcpy(&total_down, bytes.data() + comm_at, 8);
-  std::memcpy(&total_up, bytes.data() + comm_at + 8, 8);
-  double as_f64[2] = {static_cast<double>(total_down),
-                      static_cast<double>(total_up)};
-  // 4 x u64 -> 2 x f64: the comm block shrinks by 16 bytes.
-  std::memcpy(bytes.data() + comm_at, as_f64, 16);
-  bytes.erase(bytes.begin() + static_cast<std::ptrdiff_t>(comm_at + 16),
-              bytes.begin() + static_cast<std::ptrdiff_t>(comm_at + 32));
-  // Drop the residual-table count (empty for an identity run): it sits
-  // after the fault stats and the history records.
-  std::uint64_t record_count = 0;
-  const std::size_t records_at = comm_at + 16 + 4 * 8;
-  std::memcpy(&record_count, bytes.data() + records_at, 8);
-  ASSERT_EQ(record_count, 2u);
-  const std::size_t residuals_at = records_at + 8 + record_count * 40;
-  std::uint64_t residual_count = 0;
-  std::memcpy(&residual_count, bytes.data() + residuals_at, 8);
-  ASSERT_EQ(residual_count, 0u);
-  bytes.erase(bytes.begin() + static_cast<std::ptrdiff_t>(residuals_at),
-              bytes.begin() + static_cast<std::ptrdiff_t>(residuals_at + 8));
-  const std::uint32_t v1 = 1;
-  std::memcpy(bytes.data() + 4, &v1, 4);
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-  }
+  std::unique_ptr<FlAlgorithm> reader = MakeAlgorithm("FedCross", config);
+  util::Rng rng(0xf0221);
+  int loaded = 0;
+  int rejected = 0;
+  for (int i = 0; i < 10000; ++i) {
+    // Raw: anywhere in the file, header and trailer included. Past the
+    // header, the CRC is the check that catches it.
+    std::vector<std::uint8_t> raw = clean;
+    Mutate(raw, 0, counts, rng);
+    WriteBytes(path, raw);
+    util::Status status = reader->LoadCheckpoint(path);
+    ASSERT_EQ(status.code(), util::StatusCode::kInvalidArgument)
+        << "raw mutation " << i << ": " << status.ToString();
+    if (raw.size() >= kHeaderBytes + 4 &&
+        std::equal(header.begin(), header.end(), raw.begin())) {
+      ASSERT_NE(status.ToString().find("CRC-32 mismatch"), std::string::npos)
+          << "raw mutation " << i << ": " << status.ToString();
+    }
 
-  std::unique_ptr<FlAlgorithm> resumed = MakeAlgorithm("FedAvg", config);
-  ASSERT_TRUE(resumed->LoadCheckpoint(path).ok());
-  EXPECT_EQ(resumed->completed_rounds(), 2);
-  // v1 predates wire accounting: wire totals fall back to the raw totals.
-  EXPECT_EQ(resumed->comm().total_upload_bytes(), total_up);
-  EXPECT_EQ(resumed->comm().total_wire_upload_bytes(), total_up);
-  resumed->Run(4, /*eval_every=*/1);
-  ExpectBitIdentical(full->GlobalParams(), resumed->GlobalParams());
-  ExpectSameHistory(full->history(), resumed->history());
+    // Resealed: the body mutated and the CRC recomputed, so the structural
+    // checks must hold the line on their own.
+    std::vector<std::uint8_t> sealed(clean.begin(), clean.end() - 4);
+    Mutate(sealed, kHeaderBytes, counts, rng);
+    sealed.resize(sealed.size() + 4);
+    Reseal(sealed);
+    WriteBytes(path, sealed);
+    status = reader->LoadCheckpoint(path);
+    if (status.ok()) {
+      ++loaded;
+    } else {
+      ASSERT_TRUE(status.code() == util::StatusCode::kInvalidArgument ||
+                  status.code() == util::StatusCode::kFailedPrecondition)
+          << "resealed mutation " << i << ": " << status.ToString();
+      ++rejected;
+    }
+  }
+  // Both outcomes occur: the fuzz reaches past the structural checks too.
+  EXPECT_GT(loaded, 0);
+  EXPECT_GT(rejected, 0);
   std::remove(path.c_str());
 }
 
