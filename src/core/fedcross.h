@@ -139,6 +139,13 @@ class FedCross : public fl::FlAlgorithm {
   void SaveExtraState(fl::StateWriter& writer) override;
   util::Status LoadExtraState(fl::StateReader& reader) override;
 
+  // Every round dispatches exactly K jobs, one per middleware model, even
+  // when over-provisioning makes SampleClients draw extras; a result's slot
+  // is the lane it updates.
+  std::int64_t DispatchSlots() const override {
+    return config().clients_per_round;
+  }
+
  private:
   FedCrossOptions options_;
   std::vector<fl::FlatParams> middleware_;  // the dispatched model list W

@@ -397,6 +397,10 @@ std::vector<std::int64_t> FlAlgorithm::SampleClients() {
   return std::vector<std::int64_t>(legacy.begin(), legacy.end());
 }
 
+std::int64_t FlAlgorithm::DispatchSlots() const {
+  return DispatchWidth(config_, num_clients());
+}
+
 void FlAlgorithm::PinClientSlots(const std::vector<ClientJob>& jobs) {
   // Materialising the sampled clients is dispatch work; on a spilling
   // virtual population it is most of the round outside training, so it is
@@ -433,29 +437,23 @@ const std::vector<LocalTrainResult>& FlAlgorithm::TrainClients(
     wire_scratch_.resize(count);
   }
   PinClientSlots(jobs);
-  auto train_slot = [&](int slot) {
-    util::Rng job_rng(ClientJobSeed(config_.seed, round, salt, slot));
-    // The fault stream is derived independently of the training stream, so
-    // fault draws can never perturb a surviving client's trajectory. The
-    // privacy stream is independent of all three, so DP noise never skews
-    // batch shuffling and DP runs stay thread-count invariant.
-    util::Rng fault_rng(FaultSeed(config_.seed, round, salt, slot));
-    util::Rng codec_rng(CodecSeed(config_.seed, round, salt, slot));
-    util::Rng privacy_rng(
-        privacy::PrivacySeed(config_.seed, round, salt, slot));
-    TrainClientJob(jobs[slot], *client_slots_[slot], residual_slots_[slot],
-                   job_rng, fault_rng, codec_rng, privacy_rng,
-                   config_.faults.round_deadline, wire_scratch_[slot],
-                   results_[slot]);
-  };
-  bool use_plan = count > 0 && jobs[0].spec != nullptr &&
-                  jobs[0].spec->options.exec == ExecMode::kPlan;
   {
     PhaseScope phase(*this, RoundPhase::kTrain);
-    if (use_plan) {
-      TrainClientsPlan(round, salt, jobs);
+    // One fan-out over dispatch units: lockstep cohorts, or one unit per
+    // job claimed by whichever thread is free. Units never change bits.
+    const bool lockstep = count > 0 && jobs[0].spec != nullptr &&
+                          jobs[0].spec->options.exec == ExecMode::kPlan &&
+                          TrainsInLockstep(model_size_);
+    if (lockstep) {
+      ParallelRanges(count, /*min_per_range=*/1,
+                     [&](std::int64_t begin, std::int64_t end) {
+                       TrainUnit(round, salt, jobs, static_cast<int>(begin),
+                                 static_cast<int>(end));
+                     });
     } else {
-      ParallelFor(count, train_slot);
+      ParallelFor(count, [&](int slot) {
+        TrainUnit(round, salt, jobs, slot, slot + 1);
+      });
     }
   }
   // Bookkeeping and upload screening on the calling thread, in job order,
@@ -572,32 +570,31 @@ void FlAlgorithm::ApplyMaskingOverlay(
   }
 }
 
-void FlAlgorithm::TrainClientJob(const ClientJob& job, const FlClient& client,
-                                 FlatParams* residual, util::Rng& rng,
-                                 util::Rng& fault_rng, util::Rng& codec_rng,
-                                 util::Rng& privacy_rng, double round_deadline,
-                                 WireScratch& wire, LocalTrainResult& result) {
-  FaultDecision decision;
-  if (!PrepareClientJob(job, client, fault_rng, round_deadline, wire, result,
-                        decision)) {
-    return;
-  }
-  client.Train(pool_, wire.dispatched, *job.spec, rng, result);
-  FinishClientJob(job, residual, decision, fault_rng, codec_rng, privacy_rng,
-                  wire, result);
-}
+struct FlAlgorithm::JobStreams {
+  JobStreams(std::uint64_t seed, int round, int salt, int slot)
+      : train(ClientJobSeed(seed, round, salt, slot)),
+        fault(FaultSeed(seed, round, salt, slot)),
+        codec(CodecSeed(seed, round, salt, slot)),
+        privacy(privacy::PrivacySeed(seed, round, salt, slot)) {}
+
+  util::Rng train;
+  // Fault draws never perturb a surviving client's trajectory, and DP noise
+  // never skews its batch shuffling: each has a stream of its own.
+  util::Rng fault;
+  util::Rng codec;
+  util::Rng privacy;
+};
 
 bool FlAlgorithm::PrepareClientJob(const ClientJob& job,
                                    const FlClient& client,
-                                   util::Rng& fault_rng,
-                                   double round_deadline, WireScratch& wire,
-                                   LocalTrainResult& result,
+                                   JobStreams& streams, double round_deadline,
+                                   WireScratch& wire, LocalTrainResult& result,
                                    FaultDecision& decision) {
   FC_CHECK(job.init_params != nullptr);
   FC_CHECK(job.spec != nullptr);
 
   const FaultProfile& profile = config_.faults.ProfileFor(job.client_id);
-  decision = DrawFaults(profile, round_deadline, fault_rng);
+  decision = DrawFaults(profile, round_deadline, streams.fault);
 
   // Dropout / straggler timeout: the device received the model (the
   // dispatch frame still crossed the wire) but its upload never reaches the
@@ -634,8 +631,7 @@ bool FlAlgorithm::PrepareClientJob(const ClientJob& job,
 
 void FlAlgorithm::FinishClientJob(const ClientJob& job, FlatParams* residual,
                                   const FaultDecision& decision,
-                                  util::Rng& fault_rng, util::Rng& codec_rng,
-                                  util::Rng& privacy_rng, WireScratch& wire,
+                                  JobStreams& streams, WireScratch& wire,
                                   LocalTrainResult& result) {
   // DP sanitisation before corruption and the upload codec: the mechanism
   // runs on-device against the dispatched reference, and its noise comes
@@ -644,11 +640,11 @@ void FlAlgorithm::FinishClientJob(const ClientJob& job, FlatParams* residual,
   result.dp_clipped = false;
   if (config_.dp.Enabled()) {
     result.dp_clipped = privacy::SanitizeUpdateInPlace(
-        wire.dispatched, result.params, config_.dp, privacy_rng);
+        wire.dispatched, result.params, config_.dp, streams.privacy);
   }
   if (decision.corrupt) {
     const FaultProfile& profile = config_.faults.ProfileFor(job.client_id);
-    CorruptUpload(profile, wire.dispatched, result.params, fault_rng);
+    CorruptUpload(profile, wire.dispatched, result.params, streams.fault);
     result.fault = FaultKind::kCorrupted;
   }
 
@@ -660,7 +656,7 @@ void FlAlgorithm::FinishClientJob(const ClientJob& job, FlatParams* residual,
   // before the fan-out (null for lossless schemes, which never read it).
   if (residual == nullptr) residual = &wire.decoded;
   comm::EncodeUpload(config_.codec, result.params, wire.dispatched,
-                     shape_table_, *residual, codec_rng, wire.frame);
+                     shape_table_, *residual, streams.codec, wire.frame);
   result.wire_bytes_up = wire.frame.size();
   util::Status uploaded = comm::DecodeUpload(wire.frame, wire.dispatched,
                                              shape_table_, wire.decoded);
@@ -674,73 +670,46 @@ void FlAlgorithm::FinishClientJob(const ClientJob& job, FlatParams* residual,
   result.upload_corrupt = decision.corrupt;
 }
 
-void FlAlgorithm::TrainClientsPlan(int round, int salt,
-                                   const std::vector<ClientJob>& jobs) {
-  int count = static_cast<int>(jobs.size());
-  struct SlotCtx {
-    util::Rng job_rng;
-    util::Rng fault_rng;
-    util::Rng codec_rng;
-    util::Rng privacy_rng;
+void FlAlgorithm::TrainUnit(int round, int salt,
+                            const std::vector<ClientJob>& jobs, int begin,
+                            int end) {
+  struct SlotRun {
+    JobStreams streams;
     FaultDecision decision;
     bool trains = false;
   };
-  // Same per-slot streams as the layer path, constructed from the same
-  // seeds; Prepare/train/Finish consume each stream in the same order a
-  // monolithic TrainClientJob would.
-  std::vector<SlotCtx> ctx;
-  ctx.reserve(count);
-  for (int slot = 0; slot < count; ++slot) {
-    ctx.push_back(SlotCtx{
-        util::Rng(ClientJobSeed(config_.seed, round, salt, slot)),
-        util::Rng(FaultSeed(config_.seed, round, salt, slot)),
-        util::Rng(CodecSeed(config_.seed, round, salt, slot)),
-        util::Rng(privacy::PrivacySeed(config_.seed, round, salt, slot)),
-        FaultDecision{}, false});
+  std::vector<SlotRun> runs;
+  std::vector<PlanJob> trained;
+  runs.reserve(end - begin);  // trained[i].rng points into runs
+  trained.reserve(end - begin);
+  for (int slot = begin; slot < end; ++slot) {
+    SlotRun& run = runs.emplace_back(
+        SlotRun{JobStreams(config_.seed, round, salt, slot), {}, false});
+    run.trains = PrepareClientJob(jobs[slot], *client_slots_[slot],
+                                  run.streams, config_.faults.round_deadline,
+                                  wire_scratch_[slot], results_[slot],
+                                  run.decision);
+    if (run.trains) {
+      trained.push_back({client_slots_[slot], &wire_scratch_[slot].dispatched,
+                         jobs[slot].spec, &run.streams.train,
+                         &results_[slot]});
+    }
   }
-  // Fault draws and the dispatch codec run per slot on the pool, as they do
-  // inside TrainClientJob on the layer path. Slots share nothing: each owns
-  // its streams, its WireScratch and its residual (pinned by TrainClients
-  // before this call), and encode scratch is thread_local.
-  ParallelFor(count, [&](int slot) {
-    ctx[slot].trains = PrepareClientJob(
-        jobs[slot], *client_slots_[slot], ctx[slot].fault_rng,
-        config_.faults.round_deadline, wire_scratch_[slot], results_[slot],
-        ctx[slot].decision);
-  });
-  std::vector<PlanJob> plan_jobs;
-  plan_jobs.reserve(count);
-  for (int slot = 0; slot < count; ++slot) {
-    if (!ctx[slot].trains) continue;
-    PlanJob pj;
-    pj.client = client_slots_[slot];
-    pj.init_params = &wire_scratch_[slot].dispatched;
-    pj.spec = jobs[slot].spec;
-    pj.rng = &ctx[slot].job_rng;
-    pj.result = &results_[slot];
-    plan_jobs.push_back(pj);
+  if (!trained.empty() &&
+      jobs[begin].spec->options.exec == ExecMode::kPlan) {
+    RunPlanJobs(pool_, trained.data(), static_cast<int>(trained.size()));
+  } else {
+    for (const PlanJob& job : trained) {  // a layer-path unit is one slot
+      job.client->Train(pool_, *job.init_params, *job.spec, *job.rng,
+                        *job.result);
+    }
   }
-
-  // One lockstep cohort per contiguous range of jobs, at most one per thread
-  // the fan-out runs on. Cohort boundaries only change how many replicas
-  // each fused GEMM spans; every job's bits come from its own per-slot
-  // streams, so the split is schedule-invariant.
-  ParallelRanges(static_cast<std::int64_t>(plan_jobs.size()),
-                 /*min_per_range=*/1,
-                 [&](std::int64_t begin, std::int64_t end) {
-                   RunPlanJobs(pool_, plan_jobs.data() + begin,
-                               static_cast<int>(end - begin));
-                 });
-
-  // DP sanitisation, corruption and the upload codec, fanned out the same
-  // way.
-  ParallelFor(count, [&](int slot) {
-    if (!ctx[slot].trains) return;
-    FinishClientJob(jobs[slot], residual_slots_[slot], ctx[slot].decision,
-                    ctx[slot].fault_rng, ctx[slot].codec_rng,
-                    ctx[slot].privacy_rng, wire_scratch_[slot],
-                    results_[slot]);
-  });
+  for (int slot = begin; slot < end; ++slot) {
+    SlotRun& run = runs[slot - begin];
+    if (!run.trains) continue;
+    FinishClientJob(jobs[slot], residual_slots_[slot], run.decision,
+                    run.streams, wire_scratch_[slot], results_[slot]);
+  }
 }
 
 const std::vector<LocalTrainResult>& FlAlgorithm::TrainClientsAsync(
@@ -776,18 +745,20 @@ const std::vector<LocalTrainResult>& FlAlgorithm::TrainClientsAsync(
     double t_dispatch = t_round;
     for (int attempt = 0;; ++attempt) {
       int attempt_salt = salt + attempt * kAsyncRetrySaltStride;
-      util::Rng job_rng(ClientJobSeed(config_.seed, round, attempt_salt, slot));
-      util::Rng fault_rng(FaultSeed(config_.seed, round, attempt_salt, slot));
-      util::Rng codec_rng(CodecSeed(config_.seed, round, attempt_salt, slot));
+      JobStreams streams(config_.seed, round, attempt_salt, slot);
       util::Rng clock_rng(ClockSeed(config_.seed, round, attempt_salt, slot));
-      util::Rng privacy_rng(
-          privacy::PrivacySeed(config_.seed, round, attempt_salt, slot));
       LocalTrainResult& result = out.result;
+      WireScratch& wire = wire_scratch_[slot];
       // The engine owns the deadline race (round_deadline = 0): stragglers
       // train slowly and land late instead of being dropped at a barrier.
-      TrainClientJob(job, *client_slots_[slot], residual_slots_[slot],
-                     job_rng, fault_rng, codec_rng, privacy_rng,
-                     /*round_deadline=*/0.0, wire_scratch_[slot], result);
+      FaultDecision decision;
+      if (PrepareClientJob(job, *client_slots_[slot], streams,
+                           /*round_deadline=*/0.0, wire, result, decision)) {
+        client_slots_[slot]->Train(pool_, wire.dispatched, *job.spec,
+                                   streams.train, result);
+        FinishClientJob(job, residual_slots_[slot], decision, streams, wire,
+                        result);
+      }
       result.client_id = job.client_id;
       result.slot = slot;
       result.dispatch_version = version;
@@ -1378,7 +1349,7 @@ util::Status FlAlgorithm::LoadCheckpoint(const std::string& path) {
     }
     std::int64_t slot = 0;
     FC_RETURN_IF_ERROR(reader.ReadI64(slot));
-    if (slot < 0 || slot >= DispatchWidth(config_, num_clients())) {
+    if (slot < 0 || slot >= DispatchSlots()) {
       return util::Status::InvalidArgument(
           "checkpoint in-flight slot " + std::to_string(slot) +
           " out of range");

@@ -262,6 +262,12 @@ class FlAlgorithm {
   // historical full shuffle (O(N)) or Floyd's algorithm (O(K)).
   std::vector<std::int64_t> SampleClients();
 
+  // Every slot of one of this algorithm's dispatch batches lies in
+  // [0, DispatchSlots()); LoadCheckpoint rejects an in-flight slot outside
+  // it. The default is what SampleClients draws: K plus the
+  // over-provisioned extras, capped at N.
+  virtual std::int64_t DispatchSlots() const;
+
   // One client-training job of a round: which client, which dispatched
   // model, and the algorithm-specific training ingredients. The pointed-to
   // data must stay valid (and unmodified) until TrainClients returns.
@@ -279,6 +285,11 @@ class FlAlgorithm {
   // batches issued within one round (e.g. FedCluster's per-cluster steps).
   // Model down/up traffic and the round's mean client loss are accounted on
   // the calling thread, in job order.
+  //
+  // Sync training is one fan-out over dispatch units (TrainUnit). Plan-path
+  // models under the lockstep line (fl::kLockstepStateBytes, a fixed 2 MiB
+  // of parameter state per replica) train in min(K, ParallelWidth())
+  // contiguous lockstep cohorts; every other job is a unit of its own.
   //
   // Under RoundMode::kAsync this delegates to the buffered event engine:
   // every job is dispatched against the current model version, and the
@@ -350,37 +361,40 @@ class FlAlgorithm {
     FlatParams decoded;     // upload frame decoded server-side
   };
 
-  // Body of one ClientJob: dispatch-frame round trip, fault draws
-  // (dedicated fault stream), local SGD, DP sanitisation, upload
-  // corruption, and the upload-frame round trip — all driven by the job's
-  // own rngs so jobs are order- and thread-independent. `client` and
-  // `residual` are resolved per slot on the coordinating thread before the
-  // parallel fan-out (population cache and state store are not
-  // thread-safe). `round_deadline` is the sync straggler budget (the async
-  // engine passes 0: its own dispatch_timeout replaces it, so stragglers
-  // train slowly and land late instead of being dropped by the fault
-  // model). Writes into `result`, recycling its buffers.
-  void TrainClientJob(const ClientJob& job, const FlClient& client,
-                      FlatParams* residual, util::Rng& rng,
-                      util::Rng& fault_rng, util::Rng& codec_rng,
-                      util::Rng& privacy_rng, double round_deadline,
-                      WireScratch& wire, LocalTrainResult& result);
+  // The per-slot streams of one dispatch attempt (defined in algorithm.cc):
+  // local training, fault draws, the upload codec and DP noise, each seeded
+  // from (seed, round, salt, slot) and independent of the others.
+  struct JobStreams;
 
-  // TrainClientJob split at the training boundary, so the plan-mode path
-  // can run all surviving jobs' local SGD as one lockstep cohort between
-  // the two halves. Prepare draws faults and round-trips the dispatch
-  // frame; it returns false (echoing the dispatch into `result`) when the
-  // job resolved to a dropout/straggler. Finish applies DP sanitisation,
-  // upload corruption and the upload round trip. Each consumes exactly the
-  // rng draws the corresponding region of TrainClientJob consumes.
+  // One ClientJob, split at the training boundary so a sync dispatch unit
+  // can train its surviving jobs as one lockstep cohort in between. Prepare
+  // draws faults and round-trips the dispatch frame; it returns false
+  // (echoing the dispatch into `result`) when the job resolved to a
+  // dropout/straggler. Finish applies DP sanitisation, upload corruption
+  // and the upload round trip. Both draw only from the job's own streams,
+  // so jobs are order- and thread-independent, and both write into
+  // `result`, recycling its buffers. `client` and `residual` are resolved
+  // per slot on the coordinating thread before the parallel fan-out
+  // (population cache and state store are not thread-safe).
+  // `round_deadline` is the sync straggler budget (the async engine passes
+  // 0: its own dispatch_timeout replaces it, so stragglers train slowly and
+  // land late instead of being dropped by the fault model).
   bool PrepareClientJob(const ClientJob& job, const FlClient& client,
-                        util::Rng& fault_rng, double round_deadline,
+                        JobStreams& streams, double round_deadline,
                         WireScratch& wire, LocalTrainResult& result,
                         FaultDecision& decision);
   void FinishClientJob(const ClientJob& job, FlatParams* residual,
-                       const FaultDecision& decision, util::Rng& fault_rng,
-                       util::Rng& codec_rng, util::Rng& privacy_rng,
+                       const FaultDecision& decision, JobStreams& streams,
                        WireScratch& wire, LocalTrainResult& result);
+
+  // One sync dispatch unit: slots [begin, end) of `jobs`, run on one worker
+  // from the dispatch round trip through local training to the upload
+  // codec, while their buffers are hot. On the plan path the unit's
+  // surviving jobs train as one lockstep cohort (RunPlanJobs); on the layer
+  // path a unit is one slot and trains through FlClient::Train. Writes
+  // results_[begin, end).
+  void TrainUnit(int round, int salt, const std::vector<ClientJob>& jobs,
+                 int begin, int end);
 
   // The secure-aggregation verification overlay for one aggregation event:
   // recomputes the cohort's sum under pairwise fixed-point masks, recovers
@@ -435,13 +449,6 @@ class FlAlgorithm {
   // residual_slots_ on the calling thread, before the fan-out, timed as
   // RoundPhase::kDispatch.
   void PinClientSlots(const std::vector<ClientJob>& jobs);
-
-  // The kTrain phase body for ExecMode::kPlan: Prepare every slot, run the
-  // surviving jobs through the lockstep plan runner (contiguous chunks
-  // across the FL thread pool), then Finish in slot order. Bit-identical
-  // to the layer path for every job at every --fl_threads value.
-  void TrainClientsPlan(int round, int salt,
-                        const std::vector<ClientJob>& jobs);
 
   // Deterministic fingerprint of (name, seed, K, N, model size, train
   // options); a checkpoint only restores into a matching configuration.

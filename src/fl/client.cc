@@ -34,6 +34,22 @@ void AdjustGradients(nn::Sequential& model, const ClientTrainSpec& spec) {
   }
 }
 
+void ArmReplica(ModelPool::Replica& replica, const FlatParams& init_params,
+                const TrainOptions& options) {
+  replica.model.ParamsFromFlat(init_params);
+  optim::SgdOptions sgd_options;
+  sgd_options.lr = options.lr;
+  sgd_options.momentum = options.momentum;
+  sgd_options.weight_decay = options.weight_decay;
+  sgd_options.grad_clip_norm = options.grad_clip_norm;
+  if (replica.sgd == nullptr) {
+    replica.sgd =
+        std::make_unique<optim::Sgd>(replica.model.Params(), sgd_options);
+  } else {
+    replica.sgd->Configure(sgd_options);
+  }
+}
+
 }  // namespace detail
 
 FlClient::FlClient(std::int64_t id,
@@ -61,21 +77,8 @@ void FlClient::Train(ModelPool& pool, const FlatParams& init_params,
   }
   ModelPool::Lease lease = pool.Acquire();
   ModelPool::Replica& replica = *lease;
+  detail::ArmReplica(replica, init_params, spec.options);
   nn::Sequential& model = replica.model;
-  model.ParamsFromFlat(init_params);
-
-  optim::SgdOptions sgd_options;
-  sgd_options.lr = spec.options.lr;
-  sgd_options.momentum = spec.options.momentum;
-  sgd_options.weight_decay = spec.options.weight_decay;
-  sgd_options.grad_clip_norm = spec.options.grad_clip_norm;
-  if (replica.sgd == nullptr) {
-    replica.sgd = std::make_unique<optim::Sgd>(model.Params(), sgd_options);
-  } else {
-    // Re-arm the pooled optimiser: same options semantics as construction,
-    // momentum buffers zeroed in place.
-    replica.sgd->Configure(sgd_options);
-  }
   optim::Sgd& sgd = *replica.sgd;
 
   util::Rng data_rng = rng.Fork(static_cast<std::uint64_t>(id_) + 1);

@@ -41,7 +41,8 @@ struct LocalTrainResult {
   double mean_loss = 0.0;   // mean training loss over all steps
   // Measured wire-frame sizes for this client's round (comm/wire.h codec):
   // the dispatch frame it received and the upload frame it produced (0 when
-  // the upload never happened). Filled by FlAlgorithm::TrainClientJob.
+  // the upload never happened). Filled by FlAlgorithm::PrepareClientJob
+  // and FinishClientJob.
   std::uint64_t wire_bytes_down = 0;
   std::uint64_t wire_bytes_up = 0;
   // True if the round produced no usable upload (dropout, straggler
@@ -121,6 +122,12 @@ namespace detail {
 // compiled definition shared by the layer-path trainer and the execution-
 // plan runner, so both paths apply bit-identical adjustments.
 void AdjustGradients(nn::Sequential& model, const ClientTrainSpec& spec);
+
+// Loads `init_params` into a pooled replica and arms its optimiser for
+// `options`: built on first use, re-armed in place (momentum zeroed) after.
+// Shared by both paths, so every job starts from the same state.
+void ArmReplica(ModelPool::Replica& replica, const FlatParams& init_params,
+                const TrainOptions& options);
 
 }  // namespace detail
 

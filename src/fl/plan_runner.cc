@@ -142,21 +142,7 @@ void RunPlanJobs(ModelPool& pool, const PlanJob* jobs, int count) {
              job.result != nullptr);
     slot->job = &job;
     slot->lease = pool.Acquire();
-    ModelPool::Replica& replica = *slot->lease;
-    replica.model.ParamsFromFlat(*job.init_params);
-
-    optim::SgdOptions sgd_options;
-    sgd_options.lr = job.spec->options.lr;
-    sgd_options.momentum = job.spec->options.momentum;
-    sgd_options.weight_decay = job.spec->options.weight_decay;
-    sgd_options.grad_clip_norm = job.spec->options.grad_clip_norm;
-    if (replica.sgd == nullptr) {
-      replica.sgd =
-          std::make_unique<optim::Sgd>(replica.model.Params(), sgd_options);
-    } else {
-      replica.sgd->Configure(sgd_options);
-    }
-
+    detail::ArmReplica(*slot->lease, *job.init_params, job.spec->options);
     slot->data_rng =
         job.rng->Fork(static_cast<std::uint64_t>(job.client->id()) + 1);
     slot->loader.emplace(job.client->dataset(), job.spec->options.batch_size,

@@ -13,8 +13,9 @@ using FlatParams = std::vector<float>;
 
 // How local SGD executes. kLayers walks Layer::Forward/Backward per model
 // (the historical path). kPlan compiles the model once into a static
-// execution plan (nn/plan.h) and runs all of a round's replicas in
-// lockstep, fusing each GEMM across replicas into one grouped call. Both
+// execution plan (nn/plan.h) and, for replicas small enough to share a
+// core's cache (fl/plan_runner.h), runs a round's replicas in lockstep
+// cohorts, fusing each GEMM across a cohort into one grouped call. Both
 // modes train bit-identically at every --fl_threads value. The whole model
 // zoo compiles — MLP/CNN/VGG straight lines, ResNet residual blocks, the
 // Embedding+LSTM head — so the per-job kLayers fallback is reserved for

@@ -1,6 +1,7 @@
 #include "util/flags.h"
 
 #include <cstdlib>
+#include <limits>
 
 namespace fedcross::util {
 
@@ -27,10 +28,18 @@ int FlagParser::GetInt(const std::string& name, int default_value) {
   used_[name] = true;
   auto it = values_.find(name);
   if (it == values_.end()) return default_value;
+  const std::string& text = it->second;
   char* end = nullptr;
-  long value = std::strtol(it->second.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') {
-    error_ = "flag --" + name + " expects an integer, got '" + it->second + "'";
+  long long value = std::strtoll(text.c_str(), &end, 10);
+  if (text.empty() || *end != '\0') {
+    error_ = "flag --" + name + " expects an integer, got '" + text + "'";
+    return default_value;
+  }
+  // strtoll saturates on overflow, so this also catches what long long
+  // cannot hold.
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    error_ = "flag --" + name + " is out of int range: '" + text + "'";
     return default_value;
   }
   return static_cast<int>(value);
@@ -42,7 +51,7 @@ double FlagParser::GetDouble(const std::string& name, double default_value) {
   if (it == values_.end()) return default_value;
   char* end = nullptr;
   double value = std::strtod(it->second.c_str(), &end);
-  if (end == nullptr || *end != '\0') {
+  if (it->second.empty() || *end != '\0') {
     error_ = "flag --" + name + " expects a number, got '" + it->second + "'";
     return default_value;
   }

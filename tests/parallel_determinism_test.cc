@@ -20,8 +20,10 @@
 #include "data/synthetic_image.h"
 #include "fl/algorithm.h"
 #include "fl/fedavg.h"
+#include "fl/plan_runner.h"
 #include "models/model_zoo.h"
 #include "nn/linear.h"
+#include "test_util.h"
 
 namespace fedcross::fl {
 namespace {
@@ -453,29 +455,52 @@ TEST(ParallelDeterminismTest, DeltaCodecTrainsIdenticallyToIdentity) {
 // Plan-path determinism
 // --------------------------------------------------------------------------
 
-// The plan executor runs each slot's fault draws and dispatch codec, then
-// its DP, corruption and upload codec, as pool fan-outs around the lockstep
-// training. These runs pin that path at 1, 2 and 4 threads, and against the
-// layer path it must match bit for bit.
-FlatParams RunFedCrossExec(int threads, ExecMode exec,
-                           AlgorithmConfig config) {
+// Sync training is one fan-out over dispatch units. A unit runs its slots'
+// fault draws and dispatch codec, their local training, then their DP,
+// corruption and upload codec. Under the lockstep line (fl/plan_runner.h)
+// a plan-path unit is a contiguous cohort of slots trained in lockstep;
+// above it every slot is a unit of its own. These runs pin both schedules
+// at 1, 2 and 4 threads, and against the layer path they must match bit
+// for bit.
+struct LineCase {
+  const char* name;
+  int dim;
+  models::ModelFactory factory;
+  bool lockstep;  // which side of the line the model sits on
+};
+
+std::vector<LineCase> ModelsAcrossTheLine() {
+  return {{"linear", 4, LinearFactory(4), true},
+          {"wide_mlp", testing::kWideMlpDim, testing::WideMlpFactory(),
+           false}};
+}
+
+FlatParams RunFedCrossExec(int threads, ExecMode exec, AlgorithmConfig config,
+                           const LineCase& model) {
   SetFlThreads(threads);
   config.train.exec = exec;
   core::FedCrossOptions options;
   options.alpha = 0.9;
-  core::FedCross fedcross(config, MakeToyFederated(8, 40, 4, 41),
-                          LinearFactory(4), options);
+  core::FedCross fedcross(config, MakeToyFederated(8, 40, model.dim, 41),
+                          model.factory, options);
   for (int r = 0; r < 4; ++r) fedcross.RunRound(r);
   return fedcross.GlobalParams();
 }
 
 void ExpectPlanPathThreadCountInvariant(const AlgorithmConfig& config) {
-  FlatParams one = RunFedCrossExec(1, ExecMode::kPlan, config);
-  FlatParams two = RunFedCrossExec(2, ExecMode::kPlan, config);
-  FlatParams four = RunFedCrossExec(4, ExecMode::kPlan, config);
-  ExpectBitIdentical(one, two);
-  ExpectBitIdentical(one, four);
-  ExpectBitIdentical(one, RunFedCrossExec(2, ExecMode::kLayers, config));
+  for (const LineCase& model : ModelsAcrossTheLine()) {
+    SCOPED_TRACE(model.name);
+    ASSERT_EQ(TrainsInLockstep(static_cast<std::int64_t>(
+                  model.factory().ParamsToFlat().size())),
+              model.lockstep);
+    FlatParams one = RunFedCrossExec(1, ExecMode::kPlan, config, model);
+    FlatParams two = RunFedCrossExec(2, ExecMode::kPlan, config, model);
+    FlatParams four = RunFedCrossExec(4, ExecMode::kPlan, config, model);
+    ExpectBitIdentical(one, two);
+    ExpectBitIdentical(one, four);
+    ExpectBitIdentical(one,
+                       RunFedCrossExec(2, ExecMode::kLayers, config, model));
+  }
 }
 
 TEST(ParallelDeterminismTest, PlanPathCodecsAreThreadCountInvariant) {
@@ -493,10 +518,13 @@ TEST(ParallelDeterminismTest, PlanPathCodecsAreThreadCountInvariant) {
 
 TEST(ParallelDeterminismTest,
      PlanPathDpFaultsAndScreeningAreThreadCountInvariant) {
-  // Dropout (ToyConfig), NaN corruption caught by the finite screen, and
-  // DP clipping plus noise, all under a lossy uplink.
+  // Dropout (ToyConfig), stragglers missing the round deadline, NaN
+  // corruption caught by the finite screen, and DP clipping plus noise, all
+  // under a lossy uplink with per-client residuals.
   FlThreadsGuard guard;
   AlgorithmConfig config = ToyConfig();
+  config.faults.profile.straggler_prob = 0.25;
+  config.faults.round_deadline = 4.0;
   config.dp.clip_norm = 0.5f;
   config.dp.noise_multiplier = 1.0f;
   config.faults.profile.corrupt_prob = 0.25;

@@ -27,6 +27,7 @@
 #include "fl/fedavg.h"
 #include "fl/fedgen.h"
 #include "fl/model_pool.h"
+#include "fl/plan_runner.h"
 #include "fl/scaffold.h"
 #include "models/model_zoo.h"
 #include "models/plan_support.h"
@@ -547,18 +548,21 @@ struct CohortRun {
   std::vector<int> cohorts;  // job count of each plan.lockstep span, sorted
 };
 
-// One traced plan-path FedCross round with K middleware models at the given
-// --fl_threads. Every slot trains (no client dropout), so the cohorts
-// partition all K jobs.
-CohortRun RunTracedFedCrossRound(int k, int threads) {
+// One traced FedCross round with K middleware models at the given
+// --fl_threads, on `dim`-feature toy data. Every slot trains (no client
+// dropout), so on the plan path the cohorts partition all K jobs.
+CohortRun RunTracedFedCrossRound(int k, int threads, int dim = 6,
+                                 const models::ModelFactory& factory =
+                                     MlpFactory(6, 2),
+                                 ExecMode exec = ExecMode::kPlan) {
   SetFlThreads(threads);
-  AlgorithmConfig config = ToyConfig(ExecMode::kPlan);
+  AlgorithmConfig config = ToyConfig(exec);
   config.clients_per_round = k;
   config.faults.profile.dropout_prob = 0.0;
   core::FedCrossOptions options;
   options.alpha = 0.9;
-  core::FedCross fedcross(config, MakeToyFederated(12, 35, 6, 41),
-                          MlpFactory(6, 2), options);
+  core::FedCross fedcross(config, MakeToyFederated(12, 35, dim, 41), factory,
+                          options);
   obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
   recorder.Clear();
   obs::SetTracingEnabled(true);
@@ -588,11 +592,13 @@ CohortRun RunTracedFedCrossRound(int k, int threads) {
 
 TEST(PlanExecutionTest, LockstepCohortsSpanTheFanOutWidth) {
   // --fl_threads N runs each fan-out on N workers plus the caller, so the
-  // plan path cuts its jobs into min(K, N + 1) contiguous cohorts. Cohort
-  // boundaries only change how many replicas share a grouped kernel call,
-  // never the bits.
+  // plan path cuts the jobs of a model under the lockstep line into
+  // min(K, N + 1) contiguous cohorts. Cohort boundaries only change how
+  // many replicas share a grouped kernel call, never the bits.
   FlThreadsGuard guard;
   TracingGuard tracing;
+  ASSERT_TRUE(TrainsInLockstep(
+      static_cast<std::int64_t>(MlpFactory(6, 2)().ParamsToFlat().size())));
   CohortRun k10_one = RunTracedFedCrossRound(10, 1);
   CohortRun k10_two = RunTracedFedCrossRound(10, 2);
   EXPECT_EQ(k10_one.cohorts, (std::vector<int>{10}));
@@ -604,6 +610,25 @@ TEST(PlanExecutionTest, LockstepCohortsSpanTheFanOutWidth) {
   EXPECT_EQ(k2_one.cohorts, (std::vector<int>{2}));
   EXPECT_EQ(k2_four.cohorts, (std::vector<int>{1, 1}));
   ExpectBitIdentical(k2_one.params, k2_four.params, "K=2: 1 vs 4 workers");
+
+  // Above the line every job trains solo, at every thread count, with the
+  // layer path's bits.
+  using testing::kWideMlpDim;
+  using testing::WideMlpFactory;
+  ASSERT_FALSE(TrainsInLockstep(
+      static_cast<std::int64_t>(WideMlpFactory()().ParamsToFlat().size())));
+  CohortRun wide_layers = RunTracedFedCrossRound(4, 1, kWideMlpDim,
+                                                 WideMlpFactory(),
+                                                 ExecMode::kLayers);
+  EXPECT_TRUE(wide_layers.cohorts.empty());
+  for (int threads : {1, 2, 4}) {
+    CohortRun wide =
+        RunTracedFedCrossRound(4, threads, kWideMlpDim, WideMlpFactory());
+    EXPECT_EQ(wide.cohorts, (std::vector<int>{1, 1, 1, 1})) << threads;
+    ExpectBitIdentical(wide_layers.params, wide.params,
+                       "wide MLP: layers vs plan at " +
+                           std::to_string(threads) + " workers");
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1189,6 +1189,21 @@ TEST(CheckpointValidationTest, InflightSlotMustBeADispatchSlot) {
                  "in-flight slot 4 out of range");
 }
 
+TEST(CheckpointValidationTest, FedCrossInflightSlotMustBeAMiddlewareLane) {
+  // Over-provisioned sampling draws K + 2 clients, but FedCross dispatches
+  // exactly K jobs and an arrival's slot is the middleware lane it updates:
+  // slot K is inside the sampler's width and still names no lane.
+  AlgorithmConfig config =
+      ResumeGridConfig("FedCross", /*async=*/true, comm::Scheme::kIdentity);
+  config.faults.over_provision = 2;
+  auto patch = [](std::vector<std::uint8_t>& bytes, FlAlgorithm&) {
+    Store(bytes, FirstInflightAt(bytes) + kInflightClientIdAt + 8,
+          std::int64_t{4});  // K = 4
+  };
+  ExpectRejected(LoadPatched("FedCross", config, 3, patch),
+                 "in-flight slot 4 out of range");
+}
+
 TEST(CheckpointValidationTest, InflightDispatchVersionMustBeAPastVersion) {
   // Staleness is the model version minus the dispatch version; a negative
   // dispatch version could overflow that subtraction.

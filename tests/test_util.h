@@ -6,6 +6,9 @@
 #include <vector>
 
 #include "data/dataset.h"
+#include "models/model_zoo.h"
+#include "nn/activations.h"
+#include "nn/linear.h"
 #include "nn/loss.h"
 #include "nn/sequential.h"
 #include "util/rng.h"
@@ -85,6 +88,24 @@ inline std::shared_ptr<data::InMemoryDataset> MakeToyDataset(
   }
   return std::make_shared<data::InMemoryDataset>(
       Tensor::Shape{dim}, std::move(features), std::move(labels), 2);
+}
+
+// fcbench's wide-server MLP, kWideMlpDim -> 1024 -> 64 -> 10: 263,882
+// parameters, so 3.2 MB of parameter state per replica, above the lockstep
+// line (fl::kLockstepStateBytes) where plan jobs train solo.
+inline constexpr int kWideMlpDim = 192;
+
+inline models::ModelFactory WideMlpFactory() {
+  return []() {
+    util::Rng rng(5);
+    nn::Sequential model;
+    model.Add(std::make_unique<nn::Linear>(kWideMlpDim, 1024, rng));
+    model.Add(std::make_unique<nn::Relu>());
+    model.Add(std::make_unique<nn::Linear>(1024, 64, rng));
+    model.Add(std::make_unique<nn::Relu>());
+    model.Add(std::make_unique<nn::Linear>(64, 10, rng));
+    return model;
+  };
 }
 
 }  // namespace fedcross::testing

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <numeric>
 #include <set>
 
@@ -237,6 +238,36 @@ TEST(FlagParserTest, RejectsMalformedInt) {
   const char* argv[] = {"prog", "--rounds=abc"};
   FlagParser flags(2, const_cast<char**>(argv));
   flags.GetInt("rounds", 0);
+  EXPECT_FALSE(flags.ok());
+}
+
+TEST(FlagParserTest, RejectsEmptyInt) {
+  const char* argv[] = {"prog", "--rounds="};
+  FlagParser flags(2, const_cast<char**>(argv));
+  EXPECT_EQ(flags.GetInt("rounds", 7), 7);
+  EXPECT_FALSE(flags.ok());
+}
+
+TEST(FlagParserTest, RejectsIntOutsideIntRange) {
+  // 2^32 + 1 would narrow to 1; past long long, strtoll saturates.
+  for (const char* arg :
+       {"--k=4294967297", "--k=-2147483649", "--k=99999999999999999999"}) {
+    const char* argv[] = {"prog", arg};
+    FlagParser flags(2, const_cast<char**>(argv));
+    EXPECT_EQ(flags.GetInt("k", 3), 3) << arg;
+    EXPECT_FALSE(flags.ok()) << arg;
+  }
+  const char* argv[] = {"prog", "--lo=-2147483648", "--hi=2147483647"};
+  FlagParser flags(3, const_cast<char**>(argv));
+  EXPECT_EQ(flags.GetInt("lo", 0), std::numeric_limits<int>::min());
+  EXPECT_EQ(flags.GetInt("hi", 0), std::numeric_limits<int>::max());
+  EXPECT_TRUE(flags.ok());
+}
+
+TEST(FlagParserTest, RejectsEmptyDouble) {
+  const char* argv[] = {"prog", "--alpha="};
+  FlagParser flags(2, const_cast<char**>(argv));
+  EXPECT_DOUBLE_EQ(flags.GetDouble("alpha", 0.5), 0.5);
   EXPECT_FALSE(flags.ok());
 }
 
