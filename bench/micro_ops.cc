@@ -166,7 +166,7 @@ BENCHMARK(BM_ConvBackward)->Arg(4)->Arg(8)->Arg(16);
 
 // Conv lowering at the fcbench shapes (arg = row of kConvShapes): the
 // bordered Im2Col/Col2Im per image, and the forward GEMMs of one replica's
-// mini-batch run per image (the layer path, and the plan's fallback) vs
+// mini-batch run per image (the layer path, and the plan's per-image path) vs
 // once over the whole batch plus the per-image transpose back (the plan's
 // batch-wide path). Both GEMM variants start from filled columns.
 struct ConvShape {
@@ -617,8 +617,8 @@ BENCHMARK(BM_FedCrossRound)
 
 // The same K x exec sweep on the compiled zoo topologies: ResNet (residual
 // skip refs + the cross-replica grouped-conv fusion) and the Embedding+LSTM
-// head (bounded per-timestep loop with grouped gate GEMMs). Both lower
-// natively, so plan:1 runs with zero interpreter fallbacks.
+// head (bounded per-timestep loop with grouped gate GEMMs). Both compile,
+// so plan:1 trains every job on the plan executor.
 void RunFedCrossZooRound(benchmark::State& state,
                          const models::ModelFactory& factory,
                          data::FederatedDataset data) {

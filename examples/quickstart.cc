@@ -7,8 +7,6 @@
 //                [--strategy lowest-similarity]
 //                [--codec identity|delta|int8|topk|int8_topk] [--topk 0.1]
 //                [--exec layers|plan]  (plan = batched execution-plan runtime)
-//                [--plan_bf16 false]  (plan mode: bf16 replica arenas,
-//                 fp32 compute — halves pooled activation memory)
 //                [--population resident|virtual]  (virtual = clients are
 //                 materialised on demand; --clients then scales to millions
 //                 with flat memory)
@@ -70,7 +68,6 @@ int Run(int argc, char** argv) {
   std::string codec_name = flags.GetString("codec", "identity");
   double topk = flags.GetDouble("topk", 0.1);
   std::string exec_name = flags.GetString("exec", "layers");
-  bool plan_bf16 = flags.GetBool("plan_bf16", false);
   std::string population_name = flags.GetString("population", "resident");
   int max_resident = flags.GetInt("max_resident", 0);
   std::string round_mode_name = flags.GetString("round_mode", "sync");
@@ -173,7 +170,6 @@ int Run(int argc, char** argv) {
                  exec_name.c_str());
     return 1;
   }
-  config.train.plan_bf16 = plan_bf16;
   if (!fl::ParseRoundMode(round_mode_name, &config.async.mode)) {
     std::fprintf(stderr, "unknown --round_mode '%s' (want sync|async)\n",
                  round_mode_name.c_str());

@@ -12,7 +12,7 @@
 // --events_out none / --trace_out none.
 //
 //   ./robust_federation [--rounds 40] [--clients 20] [--k 4]
-//                       [--exec layers|plan] [--plan_bf16 false]
+//                       [--exec layers|plan]
 //                       [--dp_clip 0] [--dp_noise 0] [--dp_delta 1e-5]
 //                       [--secure_agg false]
 //                       [--events_out events.jsonl] [--trace_out trace.json]
@@ -128,7 +128,6 @@ fedcross::comm::CodecOptions g_codec;
 // Local-training executor for every cell (set once from --exec); the fault
 // and screening paths are exercised identically under both runtimes.
 fl::ExecMode g_exec = fl::ExecMode::kLayers;
-bool g_plan_bf16 = false;  // --plan_bf16: bf16 replica arenas in plan mode
 
 // Privacy options applied to every cell (set once from --dp_* /
 // --secure_agg): DP sanitisation and the masked-aggregation overlay run
@@ -144,7 +143,6 @@ fl::AlgorithmConfig MakeConfig(int k, const Condition& condition) {
   config.train.lr = 0.03f;
   config.train.momentum = 0.5f;
   config.train.exec = g_exec;
-  config.train.plan_bf16 = g_plan_bf16;
   config.faults = condition.faults;
   config.screening = condition.screening;
   config.aggregator = condition.aggregator;
@@ -231,7 +229,6 @@ int Run(int argc, char** argv) {
   std::string codec_name = flags.GetString("codec", "identity");
   double topk = flags.GetDouble("topk", 0.1);
   std::string exec_name = flags.GetString("exec", "layers");
-  bool plan_bf16 = flags.GetBool("plan_bf16", false);
   double dp_clip = flags.GetDouble("dp_clip", 0.0);
   double dp_noise = flags.GetDouble("dp_noise", 0.0);
   double dp_delta = flags.GetDouble("dp_delta", 1e-5);
@@ -264,7 +261,6 @@ int Run(int argc, char** argv) {
                  exec_name.c_str());
     return 1;
   }
-  g_plan_bf16 = plan_bf16;
   g_dp.clip_norm = static_cast<float>(dp_clip);
   g_dp.noise_multiplier = static_cast<float>(dp_noise);
   g_dp.delta = dp_delta;

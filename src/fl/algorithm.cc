@@ -1104,12 +1104,7 @@ std::uint64_t FlAlgorithm::ConfigFingerprint() const {
                      static_cast<std::uint64_t>(
                          config_.secure_agg.fixed_point_bits)));
   }
-  // bf16 replica arenas change the training trajectory (activations round
-  // on every arena store), so the flag perturbs the fingerprint; exec mode
-  // itself stays out of it, fp32 plan == layers bit-for-bit.
-  if (config_.train.plan_bf16) {
-    h = MixSeed(h ^ 0x62663136ULL);  // "bf16"
-  }
+  // Exec mode stays out of the fingerprint: plan == layers bit-for-bit.
   return h;
 }
 

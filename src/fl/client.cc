@@ -64,8 +64,7 @@ void FlClient::Train(ModelPool& pool, const FlatParams& init_params,
                      LocalTrainResult& result) const {
   FC_TRACE_SPAN_ARG("client.train", id_);
   if (spec.options.exec == ExecMode::kPlan) {
-    // Plan-mode single job: a lockstep batch of one. RunPlanJobs falls back
-    // here with exec rewritten to kLayers when the topology is unsupported.
+    // Plan-mode single job: a lockstep batch of one.
     PlanJob job;
     job.client = this;
     job.init_params = &init_params;

@@ -98,17 +98,4 @@ const nn::plan::Program* ModelPool::ProgramFor(const Tensor::Shape& input_shape,
   return it->second.get();
 }
 
-bool ModelPool::SupportsPlan(const Tensor::Shape& input_shape) {
-  {
-    std::lock_guard<std::mutex> lock(plan_mutex_);
-    auto it = programs_.find(input_shape);
-    if (it != programs_.end()) return it->second != nullptr;
-  }
-  // Cache miss: borrow a pooled replica as the compile probe (Acquire and
-  // ProgramFor take different locks, so this cannot deadlock). The lease
-  // returns the replica untouched — Compile only walks the topology.
-  Lease probe = Acquire();
-  return ProgramFor(input_shape, probe->model) != nullptr;
-}
-
 }  // namespace fedcross::fl

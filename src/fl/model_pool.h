@@ -101,13 +101,6 @@ class ModelPool {
   const nn::plan::Program* ProgramFor(const Tensor::Shape& input_shape,
                                       nn::Sequential& probe);
 
-  // Whether the pooled topology compiles to an execution plan at
-  // `input_shape`. Shares ProgramFor's memoised cache (including the
-  // present-but-null negative entries), so repeated probes cost one map
-  // lookup; a cache miss borrows a pooled replica internally instead of
-  // building a throwaway model. Thread-safe.
-  bool SupportsPlan(const Tensor::Shape& input_shape);
-
  private:
   friend class Lease;
 

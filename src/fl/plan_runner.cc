@@ -1,6 +1,5 @@
 #include "fl/plan_runner.h"
 
-#include <algorithm>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -20,8 +19,6 @@ struct PlanRunnerMetrics {
       obs::MetricsRegistry::Global().GetCounter("fl.plan.steps");
   obs::Counter& fused =
       obs::MetricsRegistry::Global().GetCounter("fl.plan.fused_steps");
-  obs::Counter& fallbacks =
-      obs::MetricsRegistry::Global().GetCounter("fl.plan.fallback_jobs");
 };
 
 PlanRunnerMetrics& Metrics() {
@@ -97,39 +94,11 @@ bool NextSlotBatch(Slot& slot, Tensor& features, std::vector<int>& labels) {
   }
 }
 
-// Layer-path fallback for topologies the plan runtime cannot compile (the
-// whole current model zoo lowers, so this is reserved for future layer
-// kinds): each job reruns under exec=kLayers with its untouched rng, so the
-// results are exactly what the layer path would have produced.
-void RunFallback(ModelPool& pool, const PlanJob* jobs, int count) {
-  Metrics().fallbacks.Add(count);
-  for (int i = 0; i < count; ++i) {
-    ClientTrainSpec spec = *jobs[i].spec;
-    spec.options.exec = ExecMode::kLayers;
-    jobs[i].client->Train(pool, *jobs[i].init_params, spec, *jobs[i].rng,
-                          *jobs[i].result);
-  }
-}
-
 }  // namespace
 
 void RunPlanJobs(ModelPool& pool, const PlanJob* jobs, int count) {
   FC_CHECK_GT(count, 0);
   FC_TRACE_SPAN_ARG("plan.lockstep", count);
-
-  // Probe plan support once, before any job state (rngs included) is
-  // touched, so the fallback replays the jobs from scratch. Support is a
-  // topology property: if one valid shape compiles, they all do.
-  {
-    const data::Dataset& dataset = jobs[0].client->dataset();
-    Tensor::Shape probe_shape = dataset.example_shape();
-    int rows = std::min(jobs[0].spec->options.batch_size, dataset.size());
-    probe_shape.insert(probe_shape.begin(), std::max(rows, 1));
-    if (!pool.SupportsPlan(probe_shape)) {
-      RunFallback(pool, jobs, count);
-      return;
-    }
-  }
 
   // ---- Per-job setup, mirroring FlClient::Train ----
   std::vector<std::unique_ptr<Slot>> slots;
@@ -196,7 +165,9 @@ void RunPlanJobs(ModelPool& pool, const PlanJob* jobs, int count) {
       ModelPool::Replica& lead = *group[0]->lease;
       const nn::plan::Program* program =
           pool.ProgramFor(lead.features.shape(), lead.model);
-      FC_CHECK(program != nullptr);  // support was established by the probe
+      FC_CHECK(program != nullptr)
+          << "the execution plan cannot compile this model topology; train "
+             "it with --exec layers";
 
       int n = static_cast<int>(group.size());
       states.resize(n);
@@ -208,11 +179,9 @@ void RunPlanJobs(ModelPool& pool, const PlanJob* jobs, int count) {
         Slot& slot = *group[g];
         ModelPool::Replica& replica = *slot.lease;
         replica.model.ZeroGrad();
-        const bool want_bf16 = slot.job->spec->options.plan_bf16;
         nn::plan::PlanState& st = replica.plan_states[lead.features.shape()];
-        if (st.program != program || st.model != &replica.model ||
-            st.bf16 != want_bf16) {
-          st.Bind(*program, replica.model, want_bf16);
+        if (st.program != program || st.model != &replica.model) {
+          st.Bind(*program, replica.model);
         }
         states[g] = &st;
         batches[g] = {replica.features.data(), replica.labels.data()};

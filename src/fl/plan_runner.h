@@ -28,9 +28,10 @@ struct PlanJob {
 // (ops::GemmGrouped). Each job's parameter trajectory, loss accounting and
 // RNG consumption are bit-identical to FlClient::Train's layer path, so how
 // jobs are split into calls (cohort boundaries) never changes a job's bits.
-// When the pooled topology has no plan, every job falls back to the layer
-// path transparently. Thread-compatible: concurrent calls on disjoint job
-// ranges share only the (internally locked) pool.
+// The pooled topology must compile (nn::plan::Program::Compile); one that
+// does not stops the process with a message naming --exec layers.
+// Thread-compatible: concurrent calls on disjoint job ranges share only the
+// (internally locked) pool.
 void RunPlanJobs(ModelPool& pool, const PlanJob* jobs, int count);
 
 // Lockstep pays only while a cohort's replicas share one core's cache: it

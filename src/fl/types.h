@@ -18,9 +18,10 @@ using FlatParams = std::vector<float>;
 // cohorts, fusing each GEMM across a cohort into one grouped call. Both
 // modes train bit-identically at every --fl_threads value. The whole model
 // zoo compiles — MLP/CNN/VGG straight lines, ResNet residual blocks, the
-// Embedding+LSTM head — so the per-job kLayers fallback is reserved for
-// future layer kinds (e.g. batch-norm). Not part of the checkpoint
-// fingerprint: a run may switch modes across resume boundaries.
+// Embedding+LSTM head; kPlan refuses (stops the process on) a topology it
+// cannot compile, such as one with batch-norm, which trains only under
+// kLayers. Not part of the checkpoint fingerprint: a run may switch modes
+// across resume boundaries.
 enum class ExecMode { kLayers = 0, kPlan = 1 };
 
 // --exec flag plumbing for the example binaries.
@@ -51,13 +52,6 @@ struct TrainOptions {
   float weight_decay = 0.0f;
   float grad_clip_norm = 5.0f;  // stabilises small-width CPU models
   ExecMode exec = ExecMode::kLayers;
-  // Plan mode only: store replica activation arenas as bfloat16 (packed on
-  // write with round-to-nearest-even, computed in fp32), roughly halving
-  // pooled replica memory. Master weights, gradients and optimizer state
-  // stay fp32. Training remains deterministic across --fl_threads but is
-  // NOT bit-identical to fp32 runs, so the flag perturbs the checkpoint
-  // config fingerprint.
-  bool plan_bf16 = false;
 };
 
 // Test-set metrics of one global model.

@@ -330,33 +330,6 @@ void EmbeddingScatterAdd(const std::int64_t* ids, std::int64_t tokens,
   }
 }
 
-std::uint16_t Bf16FromFloat(float v) {
-  std::uint32_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  if ((bits & 0x7F800000u) == 0x7F800000u) {
-    // NaN/Inf: truncate (keeps the exponent all-ones; the high mantissa bit
-    // of a quiet NaN lives in the top 16 bits, so quietness survives).
-    return static_cast<std::uint16_t>(bits >> 16);
-  }
-  bits += 0x7FFFu + ((bits >> 16) & 1u);  // round to nearest, ties to even
-  return static_cast<std::uint16_t>(bits >> 16);
-}
-
-float Bf16ToFloat(std::uint16_t v) {
-  std::uint32_t bits = static_cast<std::uint32_t>(v) << 16;
-  float out;
-  std::memcpy(&out, &bits, sizeof(out));
-  return out;
-}
-
-void PackBf16(const float* src, std::uint16_t* dst, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) dst[i] = Bf16FromFloat(src[i]);
-}
-
-void UnpackBf16(const std::uint16_t* src, float* dst, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) dst[i] = Bf16ToFloat(src[i]);
-}
-
 void CrossEntropyInPlace(float* probs, int batch, int classes,
                          const int* labels, bool compute_grad, float* loss,
                          int* correct) {

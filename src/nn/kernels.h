@@ -105,16 +105,6 @@ void EmbeddingGather(const float* ids_f, std::int64_t tokens, int vocab,
 void EmbeddingScatterAdd(const std::int64_t* ids, std::int64_t tokens,
                          const float* dy, int embed, float* table_grad);
 
-// ---- bf16 storage -----------------------------------------------------------
-// Round-to-nearest-even float -> bfloat16 (the top 16 bits of the fp32 bit
-// pattern). NaN/Inf inputs truncate instead, so the rounding carry can never
-// corrupt the exponent; a bf16 arena therefore stores the same specials the
-// fp32 arena would.
-std::uint16_t Bf16FromFloat(float v);
-float Bf16ToFloat(std::uint16_t v);
-void PackBf16(const float* src, std::uint16_t* dst, std::int64_t n);
-void UnpackBf16(const std::uint16_t* src, float* dst, std::int64_t n);
-
 // ---- Softmax cross-entropy ------------------------------------------------
 // `probs` holds the logits on entry and is softmaxed in place; when
 // compute_grad it then becomes (softmax - onehot) / batch. Returns the mean

@@ -30,11 +30,8 @@ std::int64_t NumelOf(const Tensor::Shape& shape) {
 }
 
 // Counts capacity growth across ALL executor scratch (grouped instance
-// tables, staging slots) so the steady-state test can pin it at zero.
+// tables, scratch slots) so the steady-state test can pin it at zero.
 std::atomic<std::int64_t> g_scratch_reallocs{0};
-
-// Test switch: false compiles every conv step on the per-image path.
-std::atomic<bool> g_batch_wide_conv{true};
 
 // Process-wide logical arena bytes across live PlanStates, mirrored to the
 // fl.pool.arena_bytes gauge by Bind() and ~PlanState().
@@ -84,28 +81,31 @@ float* Resolve(PlanState& state, const BatchRef& batch, Ref ref) {
   return nullptr;
 }
 
-// ---- bf16 staging -----------------------------------------------------------
-// In bf16 mode every op computes in fp32 on thread-local staged views of the
-// packed arena: StageIn unpacks an operand, StageOut hands out a write view,
-// StageFlush rounds the view back (RNE) into the arena. In fp32 mode all
-// three degenerate to Resolve()/no-op, so the fp32 path touches the same
-// bytes it always did. A slot holds one operand role for all `count`
-// replicas (replica r's view at offset r*n; r == 0 sizes the slot), so the
-// staged values — and therefore the packed results — are independent of how
-// replicas were grouped, which keeps bf16 runs --fl_threads-invariant.
-
-constexpr int kStageSlots = 16;
-
-struct StageBuf {
-  std::vector<float> data;
-  std::int64_t n = 0;  // per-replica element count of the current role
+// Thread-local fp32 compute scratch, one buffer per role (ScratchRole).
+// A slot serves all `count` replicas of a call: replica r's window starts
+// at r*n, and r == 0 sizes the slot. Capacity is retained, so the steady
+// state allocates nothing.
+enum ScratchRole : int {
+  kWideGemm,    // conv: batch-wide forward output / transposed dY
+  kWideDCols,   // conv: batch-wide dColumns
+  kStepInput,   // lstm: x_t gathered from [batch, time, input]
+  kStepDh,      // lstm: dh_t and dh_{t-1}, ping-ponged across timesteps
+  kStepDhPrev,
+  kStepDc,      // lstm: dc_t
+  kStepDz,      // lstm: gate gradients
+  kStepDx,      // lstm: dx_t before its scatter into [batch, time, input]
+  kScratchSlots
 };
 
-float* SlotPtr(int slot, std::int64_t n, int r, int count) {
-  thread_local StageBuf bufs[kStageSlots];
+float* ScratchSlot(int slot, std::int64_t n, int r, int count) {
+  struct Buf {
+    std::vector<float> data;
+    std::int64_t n = 0;  // per-replica element count of the current use
+  };
+  thread_local Buf bufs[kScratchSlots];
   FC_CHECK_GE(slot, 0);
-  FC_CHECK_LT(slot, kStageSlots);
-  StageBuf& b = bufs[slot];
+  FC_CHECK_LT(slot, kScratchSlots);
+  Buf& b = bufs[slot];
   if (r == 0) {
     std::size_t need = static_cast<std::size_t>(n) * count;
     if (b.data.capacity() < need) {
@@ -116,44 +116,6 @@ float* SlotPtr(int slot, std::int64_t n, int r, int count) {
   }
   FC_CHECK_EQ(b.n, n);
   return b.data.data() + static_cast<std::int64_t>(r) * n;
-}
-
-// Read view of `ref` for replica r: unpacks bf16 arena refs into `slot`;
-// fp32 mode and kInput refs pass through untouched.
-float* StageIn(int slot, PlanState& st, const BatchRef& batch, Ref ref,
-               std::int64_t n, int r, int count) {
-  if (!st.bf16 || ref.space != Ref::Space::kArena) {
-    return Resolve(st, batch, ref);
-  }
-  float* dst = SlotPtr(slot, n, r, count);
-  kernels::UnpackBf16(st.arena16.data() + ref.offset, dst, n);
-  return dst;
-}
-
-// Write view of `ref` for replica r — same addressing as StageIn but no
-// unpack. Also the idempotent re-derive: once an operand is staged, calling
-// StageOut with the same (slot, n, r) returns the same pointer.
-float* StageOut(int slot, PlanState& st, const BatchRef& batch, Ref ref,
-                std::int64_t n, int r, int count) {
-  if (!st.bf16 || ref.space != Ref::Space::kArena) {
-    return Resolve(st, batch, ref);
-  }
-  return SlotPtr(slot, n, r, count);
-}
-
-// Rounds replica r's staged view back into the bf16 arena. No-op in fp32
-// mode (the op already wrote the arena directly).
-void StageFlush(int slot, PlanState& st, Ref ref, std::int64_t n, int r,
-                int count) {
-  if (!st.bf16 || ref.space != Ref::Space::kArena) return;
-  kernels::PackBf16(SlotPtr(slot, n, r, count),
-                    st.arena16.data() + ref.offset, n);
-}
-
-// Plain fp32 compute scratch in both modes (LSTM step workspaces, the
-// batch-wide conv GEMM operands).
-float* ScratchSlot(int slot, std::int64_t n, int r, int count) {
-  return SlotPtr(slot, n, r, count);
 }
 
 // dst[j][i][:] = src[i][j][:] for src of shape [outer, inner, area]: moves a
@@ -182,10 +144,6 @@ Ref Window(Ref base, std::int64_t delta) {
 namespace testing {
 std::int64_t ScratchReallocEvents() {
   return g_scratch_reallocs.load(std::memory_order_relaxed);
-}
-
-void SetBatchWideConv(bool enabled) {
-  g_batch_wide_conv.store(enabled, std::memory_order_relaxed);
 }
 }  // namespace testing
 
@@ -230,8 +188,7 @@ std::optional<Program> Program::Compile(Sequential& model,
     std::int64_t out_area = static_cast<std::int64_t>(op.out_h) * op.out_w;
     // One image has nothing to batch; the per-image path also keeps the
     // cross-replica interleave for it.
-    const bool batched =
-        op.batch > 1 && g_batch_wide_conv.load(std::memory_order_relaxed);
+    const bool batched = op.batch > 1;
     op.wide_y = batched && ops::detail::BatchWideGemmExact(
                                op.out_channels, out_area, patch, op.batch);
     op.wide_dx = batched && !op.skip_dx &&
@@ -342,7 +299,7 @@ std::optional<Program> Program::Compile(Sequential& model,
       if (op.dx.space == Ref::Space::kNone) op.dx = alloc(op.numel);
     } else if (auto* block = dynamic_cast<ResidualBlock*>(layer)) {
       // Residual lowering: a short branch in the step graph.
-      //   main: conv1 -> gn1 -> relu -> conv2 -> gn2 ----\
+      //   main: conv1 -> gn1 -> relu -> conv2 -> gn2 ----+
       //   skip: input, or proj_conv -> proj_gn ----------- kAdd -> relu_out
       // The two branch outputs' gradient refs BOTH alias dSum (written once
       // by relu_out's backward), so kAdd needs no backward work; the two
@@ -468,7 +425,7 @@ std::optional<Program> Program::Compile(Sequential& model,
       // Only lowered as the FIRST layer: the layer path stops backprop at
       // the embedding (discrete ids), so a mid-network embedding would keep
       // accumulating parameter gradients below it in the plan while the
-      // layer path would not — a divergence, so refuse and fall back.
+      // layer path would not — a divergence, so refuse it.
       if (!p.ops.empty() || cur.space != Ref::Space::kInput ||
           shape.size() != 2) {
         return std::nullopt;
@@ -503,7 +460,7 @@ std::optional<Program> Program::Compile(Sequential& model,
       p.ops.push_back(op);
       continue;
     } else {
-      return std::nullopt;  // BatchNorm / future layers: interpreter fallback
+      return std::nullopt;  // BatchNorm / future layers: no lowering
     }
 
     std::int64_t out_numel = NumelOf(shape);
@@ -526,20 +483,14 @@ PlanState::~PlanState() {
   if (accounted_bytes != 0) AccountArenaBytes(-accounted_bytes);
 }
 
-void PlanState::Bind(const Program& prog, Sequential& m, bool use_bf16) {
+void PlanState::Bind(const Program& prog, Sequential& m) {
   program = &prog;
   model = &m;
-  bf16 = use_bf16;
   FC_CHECK_GT(prog.arena_floats, 0);
   FC_CHECK_LE(prog.arena_floats, static_cast<std::int64_t>(1) << 31);
-  if (use_bf16) {
-    if (static_cast<std::int64_t>(arena16.size()) != prog.arena_floats) {
-      arena16.resize(prog.arena_floats);
-    }
-  } else {
-    arena.ResizeTo({static_cast<int>(prog.arena_floats)});
-  }
-  std::int64_t bytes = prog.arena_floats * (use_bf16 ? 2 : 4);
+  arena.ResizeTo({static_cast<int>(prog.arena_floats)});
+  std::int64_t bytes =
+      prog.arena_floats * static_cast<std::int64_t>(sizeof(float));
   if (bytes != accounted_bytes) {
     AccountArenaBytes(bytes - accounted_bytes);
     accounted_bytes = bytes;
@@ -593,6 +544,7 @@ void PlanState::Bind(const Program& prog, Sequential& m, bool use_bf16) {
   }
 }
 
+
 void ExecuteStep(const Program& p, PlanState* const* states,
                  const BatchRef* batches, int count, float* loss,
                  int* correct, const float* grad_scales) {
@@ -606,23 +558,20 @@ void ExecuteStep(const Program& p, PlanState* const* states,
         break;  // backward-only
       case OpKind::kLinear: {
         auto& groups = GroupScratch(count);
-        std::int64_t xn = static_cast<std::int64_t>(op.batch) * op.cols_in;
-        std::int64_t yn = static_cast<std::int64_t>(op.batch) * op.cols_out;
         for (int r = 0; r < count; ++r) {
           Linear* lin = states[r]->bindings[j].linear;
-          groups[r] = {StageIn(0, *states[r], batches[r], op.x, xn, r, count),
+          groups[r] = {Resolve(*states[r], batches[r], op.x),
                        lin->weight_param().value.data(),
-                       StageOut(1, *states[r], batches[r], op.y, yn, r, count)};
+                       Resolve(*states[r], batches[r], op.y)};
         }
         ops::GemmGrouped(false, false, op.batch, op.cols_out, op.cols_in,
                          1.0f, op.cols_in, op.cols_out, 0.0f, op.cols_out,
                          groups.data(), count);
         for (int r = 0; r < count; ++r) {
           kernels::BiasAddRows(
-              StageOut(1, *states[r], batches[r], op.y, yn, r, count),
+              Resolve(*states[r], batches[r], op.y),
               states[r]->bindings[j].linear->bias_param().value.data(),
               op.batch, op.cols_out);
-          StageFlush(1, *states[r], op.y, yn, r, count);
         }
         break;
       }
@@ -632,42 +581,35 @@ void ExecuteStep(const Program& p, PlanState* const* states,
         std::int64_t out_area = static_cast<std::int64_t>(op.out_h) * op.out_w;
         std::int64_t in_stride =
             static_cast<std::int64_t>(op.channels) * op.height * op.width;
-        std::int64_t out_stride = op.out_channels * out_area;
         std::int64_t col_size = patch * out_area;
-        std::int64_t xn = op.batch * in_stride;
-        std::int64_t cn = op.batch * col_size;
-        std::int64_t yn = op.batch * out_stride;
+        std::int64_t yn = op.batch * (op.out_channels * out_area);
         // Image b's columns: a column block of one [patch, batch*out_area]
         // matrix (wide_y) or its own dense [patch, out_area] block.
         const std::int64_t wide_n = op.batch * out_area;
         const std::int64_t col_ld = op.wide_y ? wide_n : out_area;
         const std::int64_t col_image = op.wide_y ? out_area : col_size;
         for (int r = 0; r < count; ++r) {
-          const float* x =
-              StageIn(0, *states[r], batches[r], op.x, xn, r, count);
-          float* cols =
-              StageOut(1, *states[r], batches[r], op.s0, cn, r, count);
+          const float* x = Resolve(*states[r], batches[r], op.x);
+          float* cols = Resolve(*states[r], batches[r], op.s0);
           for (int b = 0; b < op.batch; ++b) {
             ops::Im2Col(x + b * in_stride, op.channels, op.height, op.width,
                         op.kernel, op.kernel, op.stride, op.pad,
                         cols + b * col_image, col_ld);
           }
           if (!op.wide_y) continue;
-          // One GEMM over the whole batch into fp32 scratch (one buffer
-          // serves every replica in turn), transposed per image into y.
+          // One GEMM over the whole batch into scratch (one buffer serves
+          // every replica in turn), transposed per image into y.
           Conv2d* conv = states[r]->bindings[j].conv;
-          float* wide = ScratchSlot(4, yn, 0, 1);
+          float* wide = ScratchSlot(kWideGemm, yn, 0, 1);
           ops::Gemm(false, false, op.out_channels, static_cast<int>(wide_n),
                     static_cast<int>(patch), 1.0f,
                     conv->weight_param().value.data(), static_cast<int>(patch),
                     cols, static_cast<int>(wide_n), 0.0f, wide,
                     static_cast<int>(wide_n));
-          float* y = StageOut(2, *states[r], batches[r], op.y, yn, r, count);
+          float* y = Resolve(*states[r], batches[r], op.y);
           SwapOuterDims(wide, op.out_channels, op.batch, out_area, y);
           kernels::ConvBiasAdd(y, conv->bias_param().value.data(), op.batch,
                                op.out_channels, static_cast<int>(out_area));
-          StageFlush(1, *states[r], op.s0, cn, r, count);
-          StageFlush(2, *states[r], op.y, yn, r, count);
         }
         if (op.wide_y) break;
         // One fused cross-replica grouped conv over all images.
@@ -675,135 +617,100 @@ void ExecuteStep(const Program& p, PlanState* const* states,
         for (int r = 0; r < count; ++r) {
           cgroups[r] = {
               states[r]->bindings[j].conv->weight_param().value.data(),
-              StageOut(1, *states[r], batches[r], op.s0, cn, r, count),
-              StageOut(2, *states[r], batches[r], op.y, yn, r, count)};
+              Resolve(*states[r], batches[r], op.s0),
+              Resolve(*states[r], batches[r], op.y)};
         }
         ops::ConvGrouped(op.batch, op.out_channels, static_cast<int>(out_area),
                          static_cast<int>(patch), cgroups.data(), count);
         for (int r = 0; r < count; ++r) {
           kernels::ConvBiasAdd(
-              StageOut(2, *states[r], batches[r], op.y, yn, r, count),
+              Resolve(*states[r], batches[r], op.y),
               states[r]->bindings[j].conv->bias_param().value.data(),
               op.batch, op.out_channels, static_cast<int>(out_area));
-          StageFlush(1, *states[r], op.s0, cn, r, count);
-          StageFlush(2, *states[r], op.y, yn, r, count);
         }
         break;
       }
       case OpKind::kRelu:
         for (int r = 0; r < count; ++r) {
-          kernels::ReluForward(
-              StageIn(0, *states[r], batches[r], op.x, op.numel, r, count),
-              StageOut(1, *states[r], batches[r], op.y, op.numel, r, count),
-              op.numel);
-          StageFlush(1, *states[r], op.y, op.numel, r, count);
+          kernels::ReluForward(Resolve(*states[r], batches[r], op.x),
+                               Resolve(*states[r], batches[r], op.y),
+                               op.numel);
         }
         break;
       case OpKind::kTanh:
         for (int r = 0; r < count; ++r) {
-          kernels::TanhForward(
-              StageIn(0, *states[r], batches[r], op.x, op.numel, r, count),
-              StageOut(1, *states[r], batches[r], op.y, op.numel, r, count),
-              op.numel);
-          StageFlush(1, *states[r], op.y, op.numel, r, count);
+          kernels::TanhForward(Resolve(*states[r], batches[r], op.x),
+                               Resolve(*states[r], batches[r], op.y),
+                               op.numel);
         }
         break;
       case OpKind::kSigmoid:
         for (int r = 0; r < count; ++r) {
-          kernels::SigmoidForward(
-              StageIn(0, *states[r], batches[r], op.x, op.numel, r, count),
-              StageOut(1, *states[r], batches[r], op.y, op.numel, r, count),
-              op.numel);
-          StageFlush(1, *states[r], op.y, op.numel, r, count);
+          kernels::SigmoidForward(Resolve(*states[r], batches[r], op.x),
+                                  Resolve(*states[r], batches[r], op.y),
+                                  op.numel);
         }
         break;
       case OpKind::kAdd:
         for (int r = 0; r < count; ++r) {
-          kernels::Add(
-              StageIn(0, *states[r], batches[r], op.x, op.numel, r, count),
-              StageIn(1, *states[r], batches[r], op.x2, op.numel, r, count),
-              StageOut(2, *states[r], batches[r], op.y, op.numel, r, count),
-              op.numel);
-          StageFlush(2, *states[r], op.y, op.numel, r, count);
+          kernels::Add(Resolve(*states[r], batches[r], op.x),
+                       Resolve(*states[r], batches[r], op.x2),
+                       Resolve(*states[r], batches[r], op.y), op.numel);
         }
         break;
       case OpKind::kDropout:
         for (int r = 0; r < count; ++r) {
-          float* mask =
-              StageOut(1, *states[r], batches[r], op.s0, op.numel, r, count);
+          float* mask = Resolve(*states[r], batches[r], op.s0);
           kernels::DropoutMask(states[r]->bindings[j].dropout->mask_rng(),
                                op.rate, op.scale, mask, op.numel);
-          kernels::DropoutApply(
-              StageIn(0, *states[r], batches[r], op.x, op.numel, r, count),
-              mask,
-              StageOut(2, *states[r], batches[r], op.y, op.numel, r, count),
-              op.numel);
-          StageFlush(1, *states[r], op.s0, op.numel, r, count);
-          StageFlush(2, *states[r], op.y, op.numel, r, count);
+          kernels::DropoutApply(Resolve(*states[r], batches[r], op.x), mask,
+                                Resolve(*states[r], batches[r], op.y),
+                                op.numel);
         }
         break;
-      case OpKind::kMaxPool: {
-        std::int64_t yn = static_cast<std::int64_t>(op.batch) * op.channels *
-                          op.out_h * op.out_w;
-        std::int64_t xn = static_cast<std::int64_t>(op.batch) * op.channels *
-                          op.height * op.width;
+      case OpKind::kMaxPool:
         for (int r = 0; r < count; ++r) {
           kernels::MaxPoolForward(
-              StageIn(0, *states[r], batches[r], op.x, xn, r, count),
-              StageOut(1, *states[r], batches[r], op.y, yn, r, count),
+              Resolve(*states[r], batches[r], op.x),
+              Resolve(*states[r], batches[r], op.y),
               states[r]->argmax[op.argmax_slot].data(), op.batch, op.channels,
               op.height, op.width, op.out_h, op.out_w, op.kernel, op.stride);
-          StageFlush(1, *states[r], op.y, yn, r, count);
         }
         break;
-      }
-      case OpKind::kGlobalAvgPool: {
-        std::int64_t xn = static_cast<std::int64_t>(op.batch) * op.channels *
-                          op.height * op.width;
-        std::int64_t yn = static_cast<std::int64_t>(op.batch) * op.channels;
+      case OpKind::kGlobalAvgPool:
         for (int r = 0; r < count; ++r) {
           kernels::GlobalAvgPoolForward(
-              StageIn(0, *states[r], batches[r], op.x, xn, r, count),
-              StageOut(1, *states[r], batches[r], op.y, yn, r, count),
-              op.batch, op.channels, op.height * op.width);
-          StageFlush(1, *states[r], op.y, yn, r, count);
+              Resolve(*states[r], batches[r], op.x),
+              Resolve(*states[r], batches[r], op.y), op.batch, op.channels,
+              op.height * op.width);
         }
         break;
-      }
-      case OpKind::kGroupNorm: {
-        std::int64_t sn = static_cast<std::int64_t>(op.batch) * op.groups;
+      case OpKind::kGroupNorm:
         for (int r = 0; r < count; ++r) {
           GroupNorm* gn = states[r]->bindings[j].gn;
           kernels::GroupNormForward(
-              StageIn(0, *states[r], batches[r], op.x, op.numel, r, count),
-              StageOut(1, *states[r], batches[r], op.y, op.numel, r, count),
-              StageOut(2, *states[r], batches[r], op.s0, op.numel, r, count),
-              StageOut(3, *states[r], batches[r], op.s1, sn, r, count),
+              Resolve(*states[r], batches[r], op.x),
+              Resolve(*states[r], batches[r], op.y),
+              Resolve(*states[r], batches[r], op.s0),
+              Resolve(*states[r], batches[r], op.s1),
               gn->gamma_param().value.data(), gn->beta_param().value.data(),
               op.batch, op.channels, op.groups, op.height * op.width, op.eps);
-          StageFlush(1, *states[r], op.y, op.numel, r, count);
-          StageFlush(2, *states[r], op.s0, op.numel, r, count);
-          StageFlush(3, *states[r], op.s1, sn, r, count);
         }
         break;
-      }
       case OpKind::kEmbedding: {
         std::int64_t tokens = static_cast<std::int64_t>(op.batch) * op.time;
-        std::int64_t yn = tokens * op.cols_out;
         for (int r = 0; r < count; ++r) {
           kernels::EmbeddingGather(
               batches[r].features + op.x.offset, tokens, op.vocab,
               states[r]->bindings[j].embedding->table_param().value.data(),
               op.cols_out, states[r]->argmax[op.argmax_slot].data(),
-              StageOut(0, *states[r], batches[r], op.y, yn, r, count));
-          StageFlush(0, *states[r], op.y, yn, r, count);
+              Resolve(*states[r], batches[r], op.y));
         }
         break;
       }
       case OpKind::kLstm: {
         const int B = op.batch, T = op.time, E = op.cols_in, H = op.cols_out;
         const int H4 = 4 * H;
-        std::int64_t xn = static_cast<std::int64_t>(B) * T * E;
         std::int64_t zn = static_cast<std::int64_t>(B) * H4;
         std::int64_t hn = static_cast<std::int64_t>(B) * H;
         // Replica-outer, timestep-inner: the gate GEMMs are wider than the
@@ -819,20 +726,15 @@ void ExecuteStep(const Program& p, PlanState* const* states,
           const float* wh = lstm->weight_h_param().value.data();
           const float* bias = lstm->bias_param().value.data();
           // h_{-1} = 0 (hiddens window 0), exactly like the layer path's
-          // hiddens_[0].Fill(0) — a pure store, done straight in the arena.
-          if (states[r]->bf16) {
-            std::memset(states[r]->arena16.data() + op.s2.offset, 0,
-                        static_cast<std::size_t>(hn) * sizeof(std::uint16_t));
-          } else {
-            float* h0 = Resolve(*states[r], batches[r], op.s2);
-            std::fill(h0, h0 + hn, 0.0f);
-          }
-          // Stage the whole input once (slot 0); timestep slices are
-          // gathered from it below, same pure copy the layer performs.
-          const float* x =
-              StageIn(0, *states[r], batches[r], op.x, xn, r, count);
+          // hiddens_[0].Fill(0).
+          float* h0 = Resolve(*states[r], batches[r], op.s2);
+          std::fill(h0, h0 + hn, 0.0f);
+          // Timestep slices are gathered from the whole input below, the
+          // same pure copy the layer performs.
+          const float* x = Resolve(*states[r], batches[r], op.x);
           for (int t = 0; t < T; ++t) {
-            float* xt = ScratchSlot(6, static_cast<std::int64_t>(B) * E, r,
+            float* xt = ScratchSlot(kStepInput,
+                                    static_cast<std::int64_t>(B) * E, r,
                                     count);
             for (int b = 0; b < B; ++b) {
               const float* src =
@@ -844,34 +746,26 @@ void ExecuteStep(const Program& p, PlanState* const* states,
             Ref cell_w = Window(op.s1, static_cast<std::int64_t>(t) * hn);
             Ref hid_w = Window(op.s2, static_cast<std::int64_t>(t + 1) * hn);
             // z = x_t Wx  (beta 0 overwrites the gate window)
-            float* z =
-                StageOut(1, *states[r], batches[r], gate_w, zn, r, count);
+            float* z = Resolve(*states[r], batches[r], gate_w);
             ops::Gemm(false, false, B, H4, E, 1.0f, xt, E, wx, H4, 0.0f, z,
                       H4);
             // z += h_{t-1} Wh
             const float* h_prev =
-                StageIn(2, *states[r], batches[r],
-                        Window(op.s2, static_cast<std::int64_t>(t) * hn), hn,
-                        r, count);
+                Resolve(*states[r], batches[r],
+                        Window(op.s2, static_cast<std::int64_t>(t) * hn));
             ops::Gemm(false, false, B, H4, H, 1.0f, h_prev, H, wh, H4, 1.0f,
                       z, H4);
-            // bias, fused gate activation + state update; then round the
-            // activated gates / cell / hidden windows into the arena.
+            // bias, then the fused gate activation + state update into the
+            // activated-gates / cell / hidden windows.
             kernels::BiasAddRows(z, bias, B, H4);
             const float* c_prev =
-                t > 0 ? StageIn(3, *states[r], batches[r],
+                t > 0 ? Resolve(*states[r], batches[r],
                                 Window(op.s1,
-                                       static_cast<std::int64_t>(t - 1) * hn),
-                                hn, r, count)
+                                       static_cast<std::int64_t>(t - 1) * hn))
                       : nullptr;
-            float* c =
-                StageOut(4, *states[r], batches[r], cell_w, hn, r, count);
-            float* h =
-                StageOut(5, *states[r], batches[r], hid_w, hn, r, count);
+            float* c = Resolve(*states[r], batches[r], cell_w);
+            float* h = Resolve(*states[r], batches[r], hid_w);
             kernels::LstmGateForward(z, c_prev, c, h, B, H);
-            StageFlush(1, *states[r], gate_w, zn, r, count);
-            StageFlush(4, *states[r], cell_w, hn, r, count);
-            StageFlush(5, *states[r], hid_w, hn, r, count);
           }
         }
         break;
@@ -883,23 +777,15 @@ void ExecuteStep(const Program& p, PlanState* const* states,
   {
     std::int64_t n = static_cast<std::int64_t>(p.batch) * p.classes;
     for (int r = 0; r < count; ++r) {
-      float* dlogits =
-          StageOut(0, *states[r], batches[r], p.dlogits, n, r, count);
-      if (states[r]->bf16) {
-        // The unpack doubles as the logits -> dlogits copy.
-        kernels::UnpackBf16(states[r]->arena16.data() + p.logits.offset,
-                            dlogits, n);
-      } else {
-        std::memcpy(dlogits, Resolve(*states[r], batches[r], p.logits),
-                    static_cast<std::size_t>(n) * sizeof(float));
-      }
+      float* dlogits = Resolve(*states[r], batches[r], p.dlogits);
+      std::memcpy(dlogits, Resolve(*states[r], batches[r], p.logits),
+                  static_cast<std::size_t>(n) * sizeof(float));
       kernels::CrossEntropyInPlace(dlogits, p.batch, p.classes,
                                    batches[r].labels, /*compute_grad=*/true,
                                    &loss[r], &correct[r]);
       if (grad_scales != nullptr && grad_scales[r] != 1.0f) {
         for (std::int64_t i = 0; i < n; ++i) dlogits[i] *= grad_scales[r];
       }
-      StageFlush(0, *states[r], p.dlogits, n, r, count);
     }
   }
 
@@ -914,24 +800,18 @@ void ExecuteStep(const Program& p, PlanState* const* states,
         // dx += dy — the residual skip-gradient merge, same kernels::Add the
         // layer path uses (and the same operand order).
         for (int r = 0; r < count; ++r) {
-          float* dx =
-              StageIn(0, *states[r], batches[r], op.dx, op.numel, r, count);
-          kernels::Add(
-              dx,
-              StageIn(1, *states[r], batches[r], op.dy, op.numel, r, count),
-              dx, op.numel);
-          StageFlush(0, *states[r], op.dx, op.numel, r, count);
+          float* dx = Resolve(*states[r], batches[r], op.dx);
+          kernels::Add(dx, Resolve(*states[r], batches[r], op.dy), dx,
+                       op.numel);
         }
         break;
       case OpKind::kLinear: {
         auto& groups = GroupScratch(count);
-        std::int64_t xn = static_cast<std::int64_t>(op.batch) * op.cols_in;
-        std::int64_t yn = static_cast<std::int64_t>(op.batch) * op.cols_out;
         // dW += X^T * dY
         for (int r = 0; r < count; ++r) {
           groups[r] = {
-              StageIn(0, *states[r], batches[r], op.x, xn, r, count),
-              StageIn(1, *states[r], batches[r], op.dy, yn, r, count),
+              Resolve(*states[r], batches[r], op.x),
+              Resolve(*states[r], batches[r], op.dy),
               states[r]->bindings[j].linear->weight_param().grad.data()};
         }
         ops::GemmGrouped(true, false, op.cols_in, op.cols_out, op.batch, 1.0f,
@@ -940,7 +820,7 @@ void ExecuteStep(const Program& p, PlanState* const* states,
         // db += column sums of dY
         for (int r = 0; r < count; ++r) {
           kernels::BiasGradRows(
-              StageOut(1, *states[r], batches[r], op.dy, yn, r, count),
+              Resolve(*states[r], batches[r], op.dy),
               states[r]->bindings[j].linear->bias_param().grad.data(),
               op.batch, op.cols_out);
         }
@@ -948,16 +828,13 @@ void ExecuteStep(const Program& p, PlanState* const* states,
         if (!op.skip_dx) {
           for (int r = 0; r < count; ++r) {
             groups[r] = {
-                StageOut(1, *states[r], batches[r], op.dy, yn, r, count),
+                Resolve(*states[r], batches[r], op.dy),
                 states[r]->bindings[j].linear->weight_param().value.data(),
-                StageOut(2, *states[r], batches[r], op.dx, xn, r, count)};
+                Resolve(*states[r], batches[r], op.dx)};
           }
           ops::GemmGrouped(false, true, op.batch, op.cols_in, op.cols_out,
                            1.0f, op.cols_out, op.cols_out, 0.0f, op.cols_in,
                            groups.data(), count);
-          for (int r = 0; r < count; ++r) {
-            StageFlush(2, *states[r], op.dx, xn, r, count);
-          }
         }
         break;
       }
@@ -969,17 +846,12 @@ void ExecuteStep(const Program& p, PlanState* const* states,
             static_cast<std::int64_t>(op.channels) * op.height * op.width;
         std::int64_t out_stride = op.out_channels * out_area;
         std::int64_t col_size = patch * out_area;
-        std::int64_t xn = op.batch * in_stride;
         std::int64_t cn = op.batch * col_size;
         std::int64_t yn = op.batch * out_stride;
         // The forward's column layout (see there).
         const std::int64_t wide_n = op.batch * out_area;
         const std::int64_t col_ld = op.wide_y ? wide_n : out_area;
         const std::int64_t col_image = op.wide_y ? out_area : col_size;
-        for (int r = 0; r < count; ++r) {
-          StageIn(0, *states[r], batches[r], op.dy, yn, r, count);
-          StageIn(1, *states[r], batches[r], op.s0, cn, r, count);
-        }
         auto& groups = GroupScratch(count);
         for (int b = 0; b < op.batch; ++b) {
           // dW += dY_b * columns_b^T, one image at a time: the beta = 1
@@ -987,10 +859,8 @@ void ExecuteStep(const Program& p, PlanState* const* states,
           // batch-wide dW GEMM would merge.
           for (int r = 0; r < count; ++r) {
             groups[r] = {
-                StageOut(0, *states[r], batches[r], op.dy, yn, r, count) +
-                    b * out_stride,
-                StageOut(1, *states[r], batches[r], op.s0, cn, r, count) +
-                    b * col_image,
+                Resolve(*states[r], batches[r], op.dy) + b * out_stride,
+                Resolve(*states[r], batches[r], op.s0) + b * col_image,
                 states[r]->bindings[j].conv->weight_param().grad.data()};
           }
           ops::GemmGrouped(false, true, op.out_channels,
@@ -1002,35 +872,32 @@ void ExecuteStep(const Program& p, PlanState* const* states,
           // db += spatial sums of dY_b
           for (int r = 0; r < count; ++r) {
             kernels::ConvBiasGradImage(
-                StageOut(0, *states[r], batches[r], op.dy, yn, r, count) +
-                    b * out_stride,
+                Resolve(*states[r], batches[r], op.dy) + b * out_stride,
                 states[r]->bindings[j].conv->bias_param().grad.data(),
                 op.out_channels, static_cast<int>(out_area));
           }
         }
         if (op.skip_dx) break;
         // dColumns = W^T * dY, scattered back by Col2Im (which overwrites
-        // each image of dx). dColumns is fp32 scratch in both modes.
+        // each image of dx).
         if (op.wide_dx) {
           for (int r = 0; r < count; ++r) {
-            float* dy_wide = ScratchSlot(4, yn, 0, 1);
-            SwapOuterDims(
-                StageOut(0, *states[r], batches[r], op.dy, yn, r, count),
-                op.batch, op.out_channels, out_area, dy_wide);
-            float* dcols = ScratchSlot(5, cn, 0, 1);
+            float* dy_wide = ScratchSlot(kWideGemm, yn, 0, 1);
+            SwapOuterDims(Resolve(*states[r], batches[r], op.dy), op.batch,
+                          op.out_channels, out_area, dy_wide);
+            float* dcols = ScratchSlot(kWideDCols, cn, 0, 1);
             ops::Gemm(true, false, static_cast<int>(patch),
                       static_cast<int>(wide_n), op.out_channels, 1.0f,
                       states[r]->bindings[j].conv->weight_param().value.data(),
                       static_cast<int>(patch), dy_wide,
                       static_cast<int>(wide_n), 0.0f, dcols,
                       static_cast<int>(wide_n));
-            float* dx = StageOut(2, *states[r], batches[r], op.dx, xn, r, count);
+            float* dx = Resolve(*states[r], batches[r], op.dx);
             for (int b = 0; b < op.batch; ++b) {
               ops::Col2Im(dcols + b * out_area, op.channels, op.height,
                           op.width, op.kernel, op.kernel, op.stride, op.pad,
                           dx + b * in_stride, wide_n);
             }
-            StageFlush(2, *states[r], op.dx, xn, r, count);
           }
           break;
         }
@@ -1038,10 +905,8 @@ void ExecuteStep(const Program& p, PlanState* const* states,
           for (int r = 0; r < count; ++r) {
             groups[r] = {
                 states[r]->bindings[j].conv->weight_param().value.data(),
-                StageOut(0, *states[r], batches[r], op.dy, yn, r, count) +
-                    b * out_stride,
-                StageOut(3, *states[r], batches[r], op.s1, col_size, r,
-                         count)};
+                Resolve(*states[r], batches[r], op.dy) + b * out_stride,
+                Resolve(*states[r], batches[r], op.s1)};
           }
           ops::GemmGrouped(true, false, static_cast<int>(patch),
                            static_cast<int>(out_area), op.out_channels, 1.0f,
@@ -1049,62 +914,48 @@ void ExecuteStep(const Program& p, PlanState* const* states,
                            static_cast<int>(out_area), 0.0f,
                            static_cast<int>(out_area), groups.data(), count);
           for (int r = 0; r < count; ++r) {
-            ops::Col2Im(
-                StageOut(3, *states[r], batches[r], op.s1, col_size, r,
-                         count),
-                op.channels, op.height, op.width, op.kernel, op.kernel,
-                op.stride, op.pad,
-                StageOut(2, *states[r], batches[r], op.dx, xn, r, count) +
-                    b * in_stride);
+            ops::Col2Im(Resolve(*states[r], batches[r], op.s1), op.channels,
+                        op.height, op.width, op.kernel, op.kernel, op.stride,
+                        op.pad,
+                        Resolve(*states[r], batches[r], op.dx) + b * in_stride);
           }
-        }
-        for (int r = 0; r < count; ++r) {
-          StageFlush(2, *states[r], op.dx, xn, r, count);
         }
         break;
       }
       case OpKind::kRelu:
         if (op.skip_dx) break;
         for (int r = 0; r < count; ++r) {
-          kernels::ReluBackward(
-              StageIn(0, *states[r], batches[r], op.y, op.numel, r, count),
-              StageIn(1, *states[r], batches[r], op.dy, op.numel, r, count),
-              StageOut(2, *states[r], batches[r], op.dx, op.numel, r, count),
-              op.numel);
-          StageFlush(2, *states[r], op.dx, op.numel, r, count);
+          kernels::ReluBackward(Resolve(*states[r], batches[r], op.y),
+                                Resolve(*states[r], batches[r], op.dy),
+                                Resolve(*states[r], batches[r], op.dx),
+                                op.numel);
         }
         break;
       case OpKind::kTanh:
         if (op.skip_dx) break;
         for (int r = 0; r < count; ++r) {
-          kernels::TanhBackward(
-              StageIn(0, *states[r], batches[r], op.y, op.numel, r, count),
-              StageIn(1, *states[r], batches[r], op.dy, op.numel, r, count),
-              StageOut(2, *states[r], batches[r], op.dx, op.numel, r, count),
-              op.numel);
-          StageFlush(2, *states[r], op.dx, op.numel, r, count);
+          kernels::TanhBackward(Resolve(*states[r], batches[r], op.y),
+                                Resolve(*states[r], batches[r], op.dy),
+                                Resolve(*states[r], batches[r], op.dx),
+                                op.numel);
         }
         break;
       case OpKind::kSigmoid:
         if (op.skip_dx) break;
         for (int r = 0; r < count; ++r) {
-          kernels::SigmoidBackward(
-              StageIn(0, *states[r], batches[r], op.y, op.numel, r, count),
-              StageIn(1, *states[r], batches[r], op.dy, op.numel, r, count),
-              StageOut(2, *states[r], batches[r], op.dx, op.numel, r, count),
-              op.numel);
-          StageFlush(2, *states[r], op.dx, op.numel, r, count);
+          kernels::SigmoidBackward(Resolve(*states[r], batches[r], op.y),
+                                   Resolve(*states[r], batches[r], op.dy),
+                                   Resolve(*states[r], batches[r], op.dx),
+                                   op.numel);
         }
         break;
       case OpKind::kDropout:
         if (op.skip_dx) break;
         for (int r = 0; r < count; ++r) {
-          kernels::DropoutApply(
-              StageIn(0, *states[r], batches[r], op.dy, op.numel, r, count),
-              StageIn(1, *states[r], batches[r], op.s0, op.numel, r, count),
-              StageOut(2, *states[r], batches[r], op.dx, op.numel, r, count),
-              op.numel);
-          StageFlush(2, *states[r], op.dx, op.numel, r, count);
+          kernels::DropoutApply(Resolve(*states[r], batches[r], op.dy),
+                                Resolve(*states[r], batches[r], op.s0),
+                                Resolve(*states[r], batches[r], op.dx),
+                                op.numel);
         }
         break;
       case OpKind::kMaxPool: {
@@ -1114,55 +965,44 @@ void ExecuteStep(const Program& p, PlanState* const* states,
         std::int64_t xn = static_cast<std::int64_t>(op.batch) * op.channels *
                           op.height * op.width;
         for (int r = 0; r < count; ++r) {
-          kernels::MaxPoolBackward(
-              StageIn(0, *states[r], batches[r], op.dy, yn, r, count),
-              states[r]->argmax[op.argmax_slot].data(), yn,
-              StageOut(1, *states[r], batches[r], op.dx, xn, r, count), xn);
-          StageFlush(1, *states[r], op.dx, xn, r, count);
+          kernels::MaxPoolBackward(Resolve(*states[r], batches[r], op.dy),
+                                   states[r]->argmax[op.argmax_slot].data(),
+                                   yn, Resolve(*states[r], batches[r], op.dx),
+                                   xn);
         }
         break;
       }
-      case OpKind::kGlobalAvgPool: {
+      case OpKind::kGlobalAvgPool:
         if (op.skip_dx) break;
-        std::int64_t yn = static_cast<std::int64_t>(op.batch) * op.channels;
-        std::int64_t xn = static_cast<std::int64_t>(op.batch) * op.channels *
-                          op.height * op.width;
         for (int r = 0; r < count; ++r) {
           kernels::GlobalAvgPoolBackward(
-              StageIn(0, *states[r], batches[r], op.dy, yn, r, count),
-              StageOut(1, *states[r], batches[r], op.dx, xn, r, count),
-              op.batch, op.channels, op.height * op.width);
-          StageFlush(1, *states[r], op.dx, xn, r, count);
+              Resolve(*states[r], batches[r], op.dy),
+              Resolve(*states[r], batches[r], op.dx), op.batch, op.channels,
+              op.height * op.width);
         }
         break;
-      }
-      case OpKind::kGroupNorm: {
+      case OpKind::kGroupNorm:
         // Never skipped: dgamma/dbeta ride on the same pass.
-        std::int64_t sn = static_cast<std::int64_t>(op.batch) * op.groups;
         for (int r = 0; r < count; ++r) {
           GroupNorm* gn = states[r]->bindings[j].gn;
           kernels::GroupNormBackward(
-              StageIn(0, *states[r], batches[r], op.dy, op.numel, r, count),
-              StageIn(1, *states[r], batches[r], op.s0, op.numel, r, count),
-              StageIn(2, *states[r], batches[r], op.s1, sn, r, count),
+              Resolve(*states[r], batches[r], op.dy),
+              Resolve(*states[r], batches[r], op.s0),
+              Resolve(*states[r], batches[r], op.s1),
               gn->gamma_param().value.data(), gn->gamma_param().grad.data(),
               gn->beta_param().grad.data(),
-              StageOut(3, *states[r], batches[r], op.dx, op.numel, r, count),
-              op.batch, op.channels, op.groups, op.height * op.width);
-          StageFlush(3, *states[r], op.dx, op.numel, r, count);
+              Resolve(*states[r], batches[r], op.dx), op.batch, op.channels,
+              op.groups, op.height * op.width);
         }
         break;
-      }
       case OpKind::kEmbedding: {
         // No input gradient (token ids are discrete) but the table gradient
         // always accumulates, exactly like the layer path.
         std::int64_t tokens = static_cast<std::int64_t>(op.batch) * op.time;
-        std::int64_t yn = tokens * op.cols_out;
         for (int r = 0; r < count; ++r) {
           kernels::EmbeddingScatterAdd(
               states[r]->argmax[op.argmax_slot].data(), tokens,
-              StageIn(0, *states[r], batches[r], op.dy, yn, r, count),
-              op.cols_out,
+              Resolve(*states[r], batches[r], op.dy), op.cols_out,
               states[r]->bindings[j].embedding->table_param().grad.data());
         }
         break;
@@ -1170,7 +1010,6 @@ void ExecuteStep(const Program& p, PlanState* const* states,
       case OpKind::kLstm: {
         const int B = op.batch, T = op.time, E = op.cols_in, H = op.cols_out;
         const int H4 = 4 * H;
-        std::int64_t xn = static_cast<std::int64_t>(B) * T * E;
         std::int64_t zn = static_cast<std::int64_t>(B) * H4;
         std::int64_t hn = static_cast<std::int64_t>(B) * H;
         std::int64_t en = static_cast<std::int64_t>(B) * E;
@@ -1185,41 +1024,36 @@ void ExecuteStep(const Program& p, PlanState* const* states,
           float* dwx = lstm->weight_x_param().grad.data();
           float* dwh = lstm->weight_h_param().grad.data();
           float* db = lstm->bias_param().grad.data();
-          // Re-stage the full input (forward's slots were recycled) and the
-          // full-sequence input gradient we scatter into.
-          const float* x =
-              StageIn(0, *states[r], batches[r], op.x, xn, r, count);
-          float* gin = op.skip_dx
-                           ? nullptr
-                           : StageOut(1, *states[r], batches[r], op.dx, xn, r,
-                                      count);
-          // dh_T = this op's output gradient; dc_T = 0 (fp32 step scratch,
+          // The full input, and the full-sequence input gradient we scatter
+          // into.
+          const float* x = Resolve(*states[r], batches[r], op.x);
+          float* gin =
+              op.skip_dx ? nullptr : Resolve(*states[r], batches[r], op.dx);
+          // dh_T = this op's output gradient; dc_T = 0 (step scratch,
           // ping-ponged across timesteps below).
-          const float* dy =
-              StageIn(2, *states[r], batches[r], op.dy, hn, r, count);
-          float* dh = ScratchSlot(8, hn, r, count);
-          std::memcpy(dh, dy, static_cast<std::size_t>(hn) * sizeof(float));
-          ScratchSlot(9, hn, r, count);  // dh_prev buffer
-          float* dc = ScratchSlot(10, hn, r, count);
+          float* dh = ScratchSlot(kStepDh, hn, r, count);
+          std::memcpy(dh, Resolve(*states[r], batches[r], op.dy),
+                      static_cast<std::size_t>(hn) * sizeof(float));
+          ScratchSlot(kStepDhPrev, hn, r, count);  // dh_prev buffer
+          float* dc = ScratchSlot(kStepDc, hn, r, count);
           std::fill(dc, dc + hn, 0.0f);
-          int dh_slot = 8, dhp_slot = 9;
+          int dh_slot = kStepDh, dhp_slot = kStepDhPrev;
           for (int t = T - 1; t >= 0; --t) {
             Ref gate_w = Window(op.s0, static_cast<std::int64_t>(t) * zn);
             Ref cell_w = Window(op.s1, static_cast<std::int64_t>(t) * hn);
             const float* cell_prev =
-                t > 0 ? StageIn(4, *states[r], batches[r],
+                t > 0 ? Resolve(*states[r], batches[r],
                                 Window(op.s1,
-                                       static_cast<std::int64_t>(t - 1) * hn),
-                                hn, r, count)
+                                       static_cast<std::int64_t>(t - 1) * hn))
                       : nullptr;
-            float* dz = ScratchSlot(11, zn, r, count);
+            float* dz = ScratchSlot(kStepDz, zn, r, count);
             kernels::LstmGateBackward(
-                StageIn(3, *states[r], batches[r], gate_w, zn, r, count),
-                StageIn(5, *states[r], batches[r], cell_w, hn, r, count),
-                cell_prev, ScratchSlot(dh_slot, hn, r, count),
-                ScratchSlot(10, hn, r, count), dz, B, H);
+                Resolve(*states[r], batches[r], gate_w),
+                Resolve(*states[r], batches[r], cell_w), cell_prev,
+                ScratchSlot(dh_slot, hn, r, count),
+                ScratchSlot(kStepDc, hn, r, count), dz, B, H);
             // Gather x_t for the weight gradient (pure copy).
-            float* xt = ScratchSlot(6, en, r, count);
+            float* xt = ScratchSlot(kStepInput, en, r, count);
             for (int b = 0; b < B; ++b) {
               const float* src =
                   x + (static_cast<std::int64_t>(b) * T + t) * E;
@@ -1231,16 +1065,15 @@ void ExecuteStep(const Program& p, PlanState* const* states,
                       H4);
             // dWh += h_{t-1}^T dz (hiddens window t is h_{t-1})
             const float* h_prev =
-                StageIn(7, *states[r], batches[r],
-                        Window(op.s2, static_cast<std::int64_t>(t) * hn), hn,
-                        r, count);
+                Resolve(*states[r], batches[r],
+                        Window(op.s2, static_cast<std::int64_t>(t) * hn));
             ops::Gemm(true, false, H, H4, B, 1.0f, h_prev, H, dz, H4, 1.0f,
                       dwh, H4);
             // db += column sums of dz
             kernels::BiasGradRows(dz, db, B, H4);
             // dx_t = dz Wx^T, scattered back into [batch, time, input]
             if (!op.skip_dx) {
-              float* dxt = ScratchSlot(12, en, r, count);
+              float* dxt = ScratchSlot(kStepDx, en, r, count);
               ops::Gemm(false, true, B, E, H4, 1.0f, dz, H4, wx, H4, 0.0f,
                         dxt, E);
               for (int b = 0; b < B; ++b) {
@@ -1254,9 +1087,6 @@ void ExecuteStep(const Program& p, PlanState* const* states,
             ops::Gemm(false, true, B, H, H4, 1.0f, dz, H4, wh, H4, 0.0f,
                       ScratchSlot(dhp_slot, hn, r, count), H);
             std::swap(dh_slot, dhp_slot);  // buffers ping-pong; no allocation
-          }
-          if (!op.skip_dx) {
-            StageFlush(1, *states[r], op.dx, xn, r, count);
           }
         }
         break;

@@ -49,16 +49,6 @@ namespace plan {
 // The plan also skips work the layer path wastes: the input gradient of
 // the first layer (nothing consumes it) and the copy-in/copy-out of
 // elementwise layers (ops read and write arena buffers out of place).
-//
-// bf16 arena storage (PlanState::Bind with use_bf16): the arena holds
-// bfloat16 instead of fp32 — every arena store rounds to nearest-even at
-// pack time, every op computes in fp32 on thread-local staged views.
-// Parameters (and their gradients) stay fp32, so the optimizer state and
-// master weights are untouched; only activations/activation-gradients
-// round. A bf16 run is still bit-identical across --fl_threads values
-// (staging round-trips are per-replica, independent of fusion grouping)
-// but is NOT bit-identical to an fp32 run — callers mix the flag into
-// their config fingerprint.
 // -----------------------------------------------------------------------
 
 // A float-buffer reference: either the mini-batch input tensor (read-only)
@@ -146,17 +136,17 @@ struct Program {
   // Compiles `model` for `input_shape` (training semantics: dropout
   // active). The whole model zoo lowers — MLP/CNN/VGG straight lines,
   // ResNet residual blocks (skip-branch refs), LSTM heads (embedding
-  // gather + bounded timestep loop). Returns nullopt only for layer kinds
-  // the runtime has no lowering for (BatchNorm, mid-network embeddings,
-  // ...); callers then fall back to layer-by-layer execution.
+  // gather + bounded timestep loop). Returns nullopt for layer kinds the
+  // runtime has no lowering for (BatchNorm, mid-network embeddings, ...);
+  // such a model trains only under --exec layers.
   static std::optional<Program> Compile(Sequential& model,
                                         const Tensor::Shape& input_shape);
 };
 
-// Per-replica executor state: the arena (fp32, or packed bf16), MaxPool
-// argmax / Embedding id slots, and borrowed layer pointers (parameters and
-// the dropout RNG live in the model). Bind() reuses storage capacity, so
-// rebinding the same program is allocation-free after the first call.
+// Per-replica executor state: the fp32 arena, MaxPool argmax / Embedding id
+// slots, and borrowed layer pointers (parameters and the dropout RNG live
+// in the model). Bind() reuses storage capacity, so rebinding the same
+// program is allocation-free after the first call.
 // Non-copyable: each state accounts its arena bytes in the process-wide
 // fl.pool.arena_bytes gauge and settles up in the destructor.
 struct PlanState {
@@ -176,17 +166,14 @@ struct PlanState {
 
   const Program* program = nullptr;
   Sequential* model = nullptr;
-  bool bf16 = false;
-  Tensor arena;                       // fp32 storage (bf16 == false)
-  std::vector<std::uint16_t> arena16; // bf16 storage (bf16 == true)
+  Tensor arena;
   std::vector<std::vector<std::int64_t>> argmax;
   std::vector<OpBinding> bindings;
   std::int64_t accounted_bytes = 0;   // this state's arena-gauge contribution
 
   // Binds `model`'s layers to `program`'s ops (type-checked) and sizes the
-  // arena — as packed bf16 when use_bf16 (fp32 compute on staged views; see
-  // the header comment). The program must outlive this state.
-  void Bind(const Program& prog, Sequential& m, bool use_bf16 = false);
+  // arena. The program must outlive this state.
+  void Bind(const Program& prog, Sequential& m);
 };
 
 // One replica's mini-batch: borrowed pointers into the caller's feature
@@ -210,16 +197,10 @@ void ExecuteStep(const Program& program, PlanState* const* states,
 
 namespace testing {
 // Number of capacity-growth events across the executor's thread-local
-// scratch (grouped-GEMM/conv instance tables, bf16 staging slots). Warmed-up
+// scratch (grouped-GEMM/conv instance tables, scratch slots). Warmed-up
 // steady-state training must not grow scratch; the steady-state test pins
 // this alongside Tensor::HeapAllocations.
 std::int64_t ScratchReallocEvents();
-
-// Programs compiled while disabled put every conv step on the per-image
-// GEMM path (Op::wide_y/wide_dx false): the reference the batch-wide path
-// is checked against where no layer-path reference exists (bf16 arenas).
-// Defaults to enabled. Not thread-safe; call only from test setup.
-void SetBatchWideConv(bool enabled);
 }  // namespace testing
 
 }  // namespace plan

@@ -1,5 +1,6 @@
 #include "util/flags.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 
@@ -51,8 +52,9 @@ double FlagParser::GetDouble(const std::string& name, double default_value) {
   if (it == values_.end()) return default_value;
   char* end = nullptr;
   double value = std::strtod(it->second.c_str(), &end);
-  if (it->second.empty() || *end != '\0') {
-    error_ = "flag --" + name + " expects a number, got '" + it->second + "'";
+  if (it->second.empty() || *end != '\0' || !std::isfinite(value)) {
+    error_ = "flag --" + name + " expects a finite number, got '" +
+             it->second + "'";
     return default_value;
   }
   return value;
@@ -74,6 +76,15 @@ bool FlagParser::GetBool(const std::string& name, bool default_value) {
   if (value == "false" || value == "0" || value == "no") return false;
   error_ = "flag --" + name + " expects a boolean, got '" + value + "'";
   return default_value;
+}
+
+std::string FlagParser::error() const {
+  if (!error_.empty()) return error_;
+  std::string message;
+  for (const std::string& name : UnusedFlags()) {
+    message += (message.empty() ? "unknown flag --" : ", --") + name;
+  }
+  return message;
 }
 
 std::vector<std::string> FlagParser::UnusedFlags() const {

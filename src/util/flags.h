@@ -9,7 +9,8 @@ namespace fedcross::util {
 
 // Minimal command-line flag parser for example and bench binaries.
 // Accepts "--name=value" and "--name value"; "--help" support is the
-// caller's job via Usage().
+// caller's job via Usage(). A provided flag that no getter reads is an
+// error, so check ok() after the last getter:
 //
 //   FlagParser flags(argc, argv);
 //   int rounds = flags.GetInt("rounds", 40);
@@ -18,8 +19,9 @@ class FlagParser {
  public:
   FlagParser(int argc, char** argv);
 
-  // Typed getters with defaults. Unknown names return the default; malformed
-  // values set the error state.
+  // Typed getters with defaults. Absent names return the default; malformed
+  // values set the error state (GetDouble also rejects nan, inf and values
+  // that overflow to inf).
   int GetInt(const std::string& name, int default_value);
   double GetDouble(const std::string& name, double default_value);
   std::string GetString(const std::string& name, std::string default_value);
@@ -27,9 +29,11 @@ class FlagParser {
 
   bool Has(const std::string& name) const { return values_.count(name) > 0; }
 
-  // Parse errors (bad syntax or bad typed value).
-  bool ok() const { return error_.empty(); }
-  const std::string& error() const { return error_; }
+  // Parse errors (bad syntax or bad typed value), then provided flags that
+  // no getter has read ("unknown flag --name"). Call after the last getter:
+  // a flag read later would be reported here as unknown.
+  bool ok() const { return error().empty(); }
+  std::string error() const;
 
   // Flags that were provided but never requested by a getter; useful for
   // catching typos in experiment scripts.

@@ -25,7 +25,14 @@ std::string ResolvePath(FlagParser& flags, const std::string& name,
 }  // namespace
 
 Status InitObservability(FlagParser& flags, const ObsOptions& defaults) {
+  // Read every flag before validating any, so a rejected value never leaves
+  // a later flag unread (FlagParser::ok() reports unread flags as unknown).
   std::string log_level = flags.GetString("log_level", "");
+  std::string metrics_out =
+      ResolvePath(flags, "metrics_out", defaults.metrics_out);
+  std::string trace_out = ResolvePath(flags, "trace_out", defaults.trace_out);
+  std::string events_out =
+      ResolvePath(flags, "events_out", defaults.events_out);
   if (!log_level.empty()) {
     LogLevel level = LogLevel::kInfo;
     if (!ParseLogLevel(log_level, &level)) {
@@ -35,10 +42,8 @@ Status InitObservability(FlagParser& flags, const ObsOptions& defaults) {
     SetLogLevel(level);
   }
 
-  g_metrics_out = ResolvePath(flags, "metrics_out", defaults.metrics_out);
-  g_trace_out = ResolvePath(flags, "trace_out", defaults.trace_out);
-  std::string events_out =
-      ResolvePath(flags, "events_out", defaults.events_out);
+  g_metrics_out = metrics_out;
+  g_trace_out = trace_out;
 
   obs::SetMetricsEnabled(!g_metrics_out.empty());
   obs::SetTracingEnabled(!g_trace_out.empty());

@@ -2,11 +2,10 @@
 // GEMM/conv primitives must be bit-identical to standalone calls on every
 // dispatch tier, and --exec=plan must train byte-for-byte like
 // --exec=layers for every algorithm, the whole model zoo (MLP/CNN/VGG,
-// ResNet residual stacks, the Embedding+LSTM head — no fallbacks), every
-// --fl_threads value, and both round modes, while keeping the steady-state
-// round free of tensor heap allocations and scratch growth. bf16 arena
-// storage must stay thread-invariant, within bf16 rounding of fp32, and
-// cut the pooled arena bytes roughly in half.
+// ResNet residual stacks, the Embedding+LSTM head), every --fl_threads
+// value, and both round modes, while keeping the steady-state round free of
+// tensor heap allocations and scratch growth. A topology the plan cannot
+// compile is refused, not trained on the layer path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,12 +29,12 @@
 #include "fl/plan_runner.h"
 #include "fl/scaffold.h"
 #include "models/model_zoo.h"
-#include "models/plan_support.h"
 #include "nn/activations.h"
 #include "nn/conv2d.h"
 #include "nn/dropout.h"
 #include "nn/flatten.h"
 #include "nn/linear.h"
+#include "nn/norm.h"
 #include "nn/plan.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -481,9 +480,8 @@ void ExpectBitIdentical(const FlatParams& a, const FlatParams& b,
 }
 
 std::unique_ptr<FlAlgorithm> MakeAlgorithm(const std::string& name,
-                                           ExecMode exec, bool bf16 = false) {
+                                           ExecMode exec) {
   AlgorithmConfig config = ToyConfig(exec);
-  config.train.plan_bf16 = bf16;
   data::FederatedDataset data = MakeToyFederated(8, 35, 6, 41);
   models::ModelFactory factory = MlpFactory(6, 2);
   if (name == "fedavg") {
@@ -508,9 +506,9 @@ std::unique_ptr<FlAlgorithm> MakeAlgorithm(const std::string& name,
 }
 
 FlatParams RunToy(const std::string& algo, ExecMode exec, int threads,
-                  int rounds, bool bf16 = false) {
+                  int rounds) {
   SetFlThreads(threads);
-  std::unique_ptr<FlAlgorithm> server = MakeAlgorithm(algo, exec, bf16);
+  std::unique_ptr<FlAlgorithm> server = MakeAlgorithm(algo, exec);
   for (int r = 0; r < rounds; ++r) server->RunRound(r);
   return server->GlobalParams();
 }
@@ -760,23 +758,17 @@ TEST(PlanExecutionTest, LstmBitIdenticalAcrossThreadsAndRoundModes) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch-wide conv steps across batch geometries: plan == layers in fp32, and
-// in bf16 (no layer reference) the batch-wide plan == the per-image plan
+// Batch-wide conv steps across batch geometries: plan == layers
 // ---------------------------------------------------------------------------
 
-struct BatchWideConvGuard {
-  ~BatchWideConvGuard() { nn::plan::testing::SetBatchWideConv(true); }
-};
-
 FlatParams RunConvFedAvg(const models::ModelFactory& factory, ExecMode exec,
-                         int batch_size, bool bf16) {
+                         int batch_size) {
   AlgorithmConfig config;
   config.clients_per_round = 3;
   config.train.local_epochs = 1;
   config.train.batch_size = batch_size;
   config.train.lr = 0.05f;
   config.train.exec = exec;
-  config.train.plan_bf16 = bf16;
   config.seed = 23;
   FedAvg server(config, MakeImageFederated(4, 9), factory);
   for (int r = 0; r < 2; ++r) server.RunRound(r);
@@ -785,7 +777,6 @@ FlatParams RunConvFedAvg(const models::ModelFactory& factory, ExecMode exec,
 
 TEST(PlanConvTest, BatchWidePathBitIdenticalAcrossBatchGeometries) {
   FlThreadsGuard threads;
-  BatchWideConvGuard wide;
   SetFlThreads(1);  // one cohort of 3 replicas: the per-image path fuses
   models::CnnConfig cnn;
   cnn.height = cnn.width = 8;
@@ -807,19 +798,9 @@ TEST(PlanConvTest, BatchWidePathBitIdenticalAcrossBatchGeometries) {
       const std::string tag =
           std::string(model.name) + " batch " + std::to_string(batch);
       FlatParams layers =
-          RunConvFedAvg(model.factory, ExecMode::kLayers, batch, false);
-      FlatParams plan = RunConvFedAvg(model.factory, ExecMode::kPlan, batch,
-                                      false);
-      ExpectBitIdentical(layers, plan, tag + ": fp32 plan vs layers");
-
-      FlatParams bf16_wide =
-          RunConvFedAvg(model.factory, ExecMode::kPlan, batch, true);
-      nn::plan::testing::SetBatchWideConv(false);
-      FlatParams bf16_per_image =
-          RunConvFedAvg(model.factory, ExecMode::kPlan, batch, true);
-      nn::plan::testing::SetBatchWideConv(true);
-      ExpectBitIdentical(bf16_per_image, bf16_wide,
-                         tag + ": bf16 batch-wide vs per-image");
+          RunConvFedAvg(model.factory, ExecMode::kLayers, batch);
+      FlatParams plan = RunConvFedAvg(model.factory, ExecMode::kPlan, batch);
+      ExpectBitIdentical(layers, plan, tag + ": plan vs layers");
     }
   }
 }
@@ -827,6 +808,26 @@ TEST(PlanConvTest, BatchWidePathBitIdenticalAcrossBatchGeometries) {
 // ---------------------------------------------------------------------------
 // Support matrix + program properties
 // ---------------------------------------------------------------------------
+
+// Conv2d -> BatchNorm2d: a layer kind the plan runtime has no lowering for.
+models::ModelFactory BatchNormConvFactory() {
+  return []() {
+    util::Rng rng(3);
+    nn::Sequential model;
+    model.Add(std::make_unique<nn::Conv2d>(3, 4, 3, 1, 1, rng));
+    model.Add(std::make_unique<nn::BatchNorm2d>(4));
+    model.Add(std::make_unique<nn::Relu>());
+    model.Add(std::make_unique<nn::Flatten>());
+    model.Add(std::make_unique<nn::Linear>(4 * 8 * 8, 4, rng));
+    return model;
+  };
+}
+
+bool Compiles(const models::ModelFactory& factory,
+              const Tensor::Shape& input_shape) {
+  nn::Sequential model = factory();
+  return nn::plan::Program::Compile(model, input_shape).has_value();
+}
 
 TEST(PlanCompileTest, SupportMatrixMatchesTopologies) {
   models::CnnConfig cnn;
@@ -840,15 +841,35 @@ TEST(PlanCompileTest, SupportMatrixMatchesTopologies) {
   resnet.num_classes = 4;
   models::LstmConfig lstm;
 
-  EXPECT_TRUE(models::SupportsExecutionPlan(MlpFactory(6, 2), {4, 6}));
-  EXPECT_TRUE(
-      models::SupportsExecutionPlan(models::MakeCnn(cnn), {2, 3, 8, 8}));
-  EXPECT_TRUE(
-      models::SupportsExecutionPlan(models::MakeVgg(vgg), {2, 3, 8, 8}));
-  EXPECT_TRUE(models::SupportsExecutionPlan(models::MakeResNet(resnet),
-                                            {2, 3, 8, 8}));
-  EXPECT_TRUE(models::SupportsExecutionPlan(models::MakeLstm(lstm),
-                                            {2, 16}));
+  EXPECT_TRUE(Compiles(MlpFactory(6, 2), {4, 6}));
+  EXPECT_TRUE(Compiles(models::MakeCnn(cnn), {2, 3, 8, 8}));
+  EXPECT_TRUE(Compiles(models::MakeVgg(vgg), {2, 3, 8, 8}));
+  EXPECT_TRUE(Compiles(models::MakeResNet(resnet), {2, 3, 8, 8}));
+  EXPECT_TRUE(Compiles(models::MakeLstm(lstm), {2, 16}));
+  EXPECT_FALSE(Compiles(BatchNormConvFactory(), {2, 3, 8, 8}));
+}
+
+// --exec plan refuses a topology it cannot compile instead of training it
+// on the layer path; --exec layers still trains it.
+TEST(PlanCompileDeathTest, PlanTrainingStopsOnAnUncompilableTopology) {
+  // Threadsafe style re-executes the test binary for the child, so no
+  // thread-pool state is forked (the TSan job runs this suite).
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  FlThreadsGuard guard;
+  SetFlThreads(1);
+  auto run_round = [](ExecMode exec) {
+    AlgorithmConfig config;
+    config.clients_per_round = 2;
+    config.train.local_epochs = 1;
+    config.train.batch_size = 10;
+    config.train.exec = exec;
+    FedAvg server(config, MakeImageFederated(4, 9), BatchNormConvFactory());
+    server.RunRound(0);
+    return server.GlobalParams();
+  };
+  EXPECT_FALSE(run_round(ExecMode::kLayers).empty());
+  EXPECT_DEATH(run_round(ExecMode::kPlan),
+               "cannot compile this model topology.*--exec layers");
 }
 
 TEST(PlanCompileTest, FirstOpSkipsInputGradientAndProgramsAreCached) {
@@ -884,7 +905,6 @@ TEST(PlanCompileTest, FirstOpSkipsInputGradientAndProgramsAreCached) {
   const nn::plan::Program* rp =
       resnet_pool.ProgramFor({2, 3, 8, 8}, resnet_lease->model);
   ASSERT_NE(rp, nullptr);  // residual stacks compile natively now
-  EXPECT_TRUE(resnet_pool.SupportsPlan({2, 3, 8, 8}));
   // The compiled residual graph carries skip-join steps.
   bool has_add = false;
   for (const nn::plan::Op& op : rp->ops) {
@@ -1054,91 +1074,6 @@ TEST(PlanGradCheckTest, LstmLoweredSteps) {
   double err = PlanGradCheckWorstRel(models::MakeLstm(lstm), input,
                                      CyclicLabels(3, lstm.num_classes));
   EXPECT_LT(err, kGradTol);
-}
-
-// ---------------------------------------------------------------------------
-// bf16 replica storage: thread-invariant, within bf16 rounding of fp32,
-// fingerprinted, and roughly half the pooled arena bytes
-// ---------------------------------------------------------------------------
-
-TEST(PlanBf16Test, ThreadInvariantAndWithinBf16RoundingOfFp32) {
-  FlThreadsGuard guard;
-  FlatParams fp32 = RunToy("fedcross", ExecMode::kPlan, 1, 3);
-  FlatParams b1 = RunToy("fedcross", ExecMode::kPlan, 1, 3, /*bf16=*/true);
-  FlatParams b4 = RunToy("fedcross", ExecMode::kPlan, 4, 3, /*bf16=*/true);
-  // Determinism semantics: a bf16 run is a *different* deterministic
-  // trajectory (every arena store rounds to nearest-even) that reproduces
-  // exactly across --fl_threads; it is NOT bit-identical to fp32, which is
-  // why the flag perturbs the config fingerprint.
-  ExpectBitIdentical(b1, b4, "bf16: plan@1 vs plan@4");
-  ASSERT_EQ(fp32.size(), b1.size());
-  double diff2 = 0.0, ref2 = 0.0;
-  for (std::size_t i = 0; i < fp32.size(); ++i) {
-    double a = fp32[i], b = b1[i];
-    diff2 += (a - b) * (a - b);
-    ref2 += a * a;
-  }
-  ASSERT_GT(ref2, 0.0);
-  double rel = std::sqrt(diff2 / ref2);
-  // Only activations round (master weights and the optimizer path stay
-  // fp32), so after three FedCross rounds the parameters must sit within
-  // one bf16 mantissa step of the fp32 trajectory — rounding, not drift.
-  EXPECT_LE(rel, 1.0 / 256);  // 2^-8
-  EXPECT_GT(rel, 0.0);        // and it genuinely rounds (not silently fp32)
-}
-
-TEST(PlanBf16Test, PerturbsTheCheckpointFingerprint) {
-  FlThreadsGuard guard;
-  SetFlThreads(1);
-  const char* path = "plan_bf16_fp.ckpt";
-  models::ModelFactory factory = MlpFactory(6, 2);
-  AlgorithmConfig config = ToyConfig(ExecMode::kPlan);
-  config.train.plan_bf16 = true;
-  FedAvg writer(config, MakeToyFederated(8, 35, 6, 41), factory);
-  writer.Run(2, 1);
-  ASSERT_TRUE(writer.SaveCheckpoint(path).ok());
-
-  // The same bf16 configuration resumes...
-  FedAvg same(config, MakeToyFederated(8, 35, 6, 41), factory);
-  EXPECT_TRUE(same.LoadCheckpoint(path).ok());
-  // ...but an fp32 run must refuse the checkpoint: the parameter
-  // trajectories are not interchangeable (unlike ExecMode, which is).
-  FedAvg other(ToyConfig(ExecMode::kPlan), MakeToyFederated(8, 35, 6, 41),
-               factory);
-  EXPECT_FALSE(other.LoadCheckpoint(path).ok());
-  std::remove(path);
-}
-
-TEST(PlanBf16Test, ArenaGaugeDropsByHalfAtK20) {
-  const bool was_enabled = obs::MetricsEnabled();
-  obs::SetMetricsEnabled(true);
-  models::ModelFactory factory = models::MakeResNet(SmallResNet());
-  nn::Sequential probe = factory();
-  std::optional<nn::plan::Program> program =
-      nn::plan::Program::Compile(probe, {10, 3, 8, 8});
-  ASSERT_TRUE(program.has_value());
-  obs::Gauge& gauge =
-      obs::MetricsRegistry::Global().GetGauge("fl.pool.arena_bytes");
-  const double base = gauge.Value();
-
-  // Bind a K=20 pooled fleet and read this fleet's gauge contribution; the
-  // states settle their accounting on destruction at scope exit.
-  auto fleet_bytes = [&](bool bf16) {
-    std::vector<std::unique_ptr<nn::Sequential>> models;
-    std::vector<std::unique_ptr<nn::plan::PlanState>> states;
-    for (int k = 0; k < 20; ++k) {
-      models.push_back(std::make_unique<nn::Sequential>(factory()));
-      states.push_back(std::make_unique<nn::plan::PlanState>());
-      states.back()->Bind(*program, *models.back(), bf16);
-    }
-    return gauge.Value() - base;
-  };
-  const double fp32_bytes = fleet_bytes(false);
-  const double bf16_bytes = fleet_bytes(true);
-  EXPECT_GT(fp32_bytes, 0.0);
-  EXPECT_LE(bf16_bytes, 0.55 * fp32_bytes);  // >= 45% cut (acceptance bar)
-  EXPECT_NEAR(gauge.Value(), base, 1.0);     // destructors settled up
-  obs::SetMetricsEnabled(was_enabled);
 }
 
 // ---------------------------------------------------------------------------

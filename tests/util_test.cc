@@ -271,6 +271,22 @@ TEST(FlagParserTest, RejectsEmptyDouble) {
   EXPECT_FALSE(flags.ok());
 }
 
+TEST(FlagParserTest, RejectsNonFiniteDouble) {
+  for (const char* arg : {"--alpha=nan", "--alpha=inf", "--alpha=-inf",
+                          "--alpha=1e999"}) {
+    const char* argv[] = {"prog", arg};
+    FlagParser flags(2, const_cast<char**>(argv));
+    EXPECT_DOUBLE_EQ(flags.GetDouble("alpha", 0.5), 0.5) << arg;
+    EXPECT_FALSE(flags.ok()) << arg;
+    EXPECT_NE(flags.error().find("--alpha"), std::string::npos) << arg;
+  }
+  const char* argv[] = {"prog", "--alpha=1e308", "--beta=-0.25"};
+  FlagParser flags(3, const_cast<char**>(argv));
+  EXPECT_DOUBLE_EQ(flags.GetDouble("alpha", 0.0), 1e308);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("beta", 0.0), -0.25);
+  EXPECT_TRUE(flags.ok());
+}
+
 TEST(FlagParserTest, RejectsPositional) {
   const char* argv[] = {"prog", "positional"};
   FlagParser flags(2, const_cast<char**>(argv));
@@ -284,6 +300,8 @@ TEST(FlagParserTest, ReportsUnusedFlags) {
   std::vector<std::string> unused = flags.UnusedFlags();
   ASSERT_EQ(unused.size(), 1u);
   EXPECT_EQ(unused[0], "typo");
+  EXPECT_FALSE(flags.ok());
+  EXPECT_NE(flags.error().find("--typo"), std::string::npos) << flags.error();
 }
 
 TEST(FlagParserTest, BoolVariants) {
