@@ -5,6 +5,7 @@
 // check: FedAvg's minima are sharper than FedCross's.
 #include <cstdio>
 #include <memory>
+#include <string_view>
 
 #include "bench_common.h"
 #include "core/landscape.h"
@@ -37,7 +38,7 @@ int Main(int argc, char** argv) {
                             "Border sharpness", "Max increase"});
 
   for (double beta : {0.1, 0.0}) {
-    for (const std::string& method : {"fedavg", "fedcross"}) {
+    for (const char* method : {"fedavg", "fedcross"}) {
       DataSpec data_spec;
       data_spec.dataset = "cifar10";
       data_spec.beta = beta;
@@ -67,7 +68,7 @@ int Main(int argc, char** argv) {
       config.seed = spec.seed;
 
       std::unique_ptr<fl::FlAlgorithm> algorithm;
-      if (method == "fedavg") {
+      if (std::string_view(method) == "fedavg") {
         algorithm = std::make_unique<fl::FedAvg>(
             config, std::move(data).value(), factory.value());
       } else {

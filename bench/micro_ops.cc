@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "comm/wire.h"
@@ -21,6 +22,7 @@
 #include "models/model_zoo.h"
 #include "nn/activations.h"
 #include "nn/conv2d.h"
+#include "nn/kernels.h"
 #include "nn/linear.h"
 #include "nn/loss.h"
 #include "obs/events.h"
@@ -163,6 +165,75 @@ void BM_ConvBackward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConvBackward)->Arg(4)->Arg(8)->Arg(16);
+
+// GroupNorm kernels at the fcbench ResNet-8 shapes of one batch-5 step (4
+// groups): arg 0 is the stem and stage 1 (8 channels on 8x8), 1 stage 2
+// (16 on 4x4), 2 stage 3 (32 on 2x2).
+struct GroupNormShape {
+  int channels;
+  int side;
+};
+constexpr GroupNormShape kGroupNormShapes[] = {{8, 8}, {16, 4}, {32, 2}};
+
+void RunGroupNorm(benchmark::State& state, bool backward) {
+  const GroupNormShape shape = kGroupNormShapes[state.range(0)];
+  const int batch = 5, groups = 4, area = shape.side * shape.side;
+  const std::size_t n = static_cast<std::size_t>(batch) * shape.channels * area;
+  util::Rng rng(9);
+  std::vector<float> x(n), dy(n), y(n), xhat(n), dx(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    x[i] = static_cast<float>(rng.Normal());
+    dy[i] = static_cast<float>(rng.Normal());
+  }
+  std::vector<float> gamma(shape.channels, 1.0f), beta(shape.channels, 0.0f);
+  std::vector<float> dgamma(shape.channels), dbeta(shape.channels);
+  std::vector<float> inv_std(batch * groups);
+  nn::kernels::GroupNormForward(x.data(), y.data(), xhat.data(),
+                                inv_std.data(), gamma.data(), beta.data(),
+                                batch, shape.channels, groups, area, 1e-5f);
+  for (auto _ : state) {
+    if (backward) {
+      nn::kernels::GroupNormBackward(dy.data(), xhat.data(), inv_std.data(),
+                                     gamma.data(), dgamma.data(),
+                                     dbeta.data(), dx.data(), batch,
+                                     shape.channels, groups, area);
+      benchmark::DoNotOptimize(dx.data());
+      benchmark::DoNotOptimize(dgamma.data());
+    } else {
+      nn::kernels::GroupNormForward(x.data(), y.data(), xhat.data(),
+                                    inv_std.data(), gamma.data(), beta.data(),
+                                    batch, shape.channels, groups, area,
+                                    1e-5f);
+      benchmark::DoNotOptimize(y.data());
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+  state.SetLabel(std::to_string(shape.channels) + "ch " +
+                 std::to_string(shape.side) + "x" +
+                 std::to_string(shape.side));
+}
+
+void BM_GroupNormForward(benchmark::State& state) {
+  RunGroupNorm(state, /*backward=*/false);
+}
+BENCHMARK(BM_GroupNormForward)->DenseRange(0, 2);
+
+void BM_GroupNormBackward(benchmark::State& state) {
+  RunGroupNorm(state, /*backward=*/true);
+}
+BENCHMARK(BM_GroupNormBackward)->DenseRange(0, 2);
+
+// The gradient-clipping norm of Sgd::Step over one tensor: 23K parameters
+// (the cnn-sync CNN) and 264K (the wide-server MLP).
+void BM_SquaredL2Norm(benchmark::State& state) {
+  util::Rng rng(10);
+  const Tensor t =
+      Tensor::RandomNormal({static_cast<int>(state.range(0))}, rng);
+  for (auto _ : state) benchmark::DoNotOptimize(t.SquaredL2Norm());
+  state.SetItemsProcessed(state.iterations() * t.numel());
+}
+BENCHMARK(BM_SquaredL2Norm)->Arg(23000)->Arg(264000);
 
 // Conv lowering at the fcbench shapes (arg = row of kConvShapes): the
 // bordered Im2Col/Col2Im per image, and the forward GEMMs of one replica's

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "core/fedcross.h"
 #include "core/landscape.h"
@@ -90,9 +91,9 @@ int Run(int argc, char** argv) {
   landscape_options.radius = radius;
   landscape_options.max_examples = 120;
 
-  for (const std::string& method : {"FedAvg", "FedCross"}) {
+  for (const char* method : {"FedAvg", "FedCross"}) {
     std::unique_ptr<fl::FlAlgorithm> algorithm;
-    if (method == "FedAvg") {
+    if (std::string_view(method) == "FedAvg") {
       algorithm = std::make_unique<fl::FedAvg>(config, make_data(), factory);
     } else {
       core::FedCrossOptions options;
@@ -105,7 +106,7 @@ int Run(int argc, char** argv) {
     core::LandscapeResult landscape = core::ProbeLossLandscape(
         factory, params, algorithm->test_set(), landscape_options);
 
-    std::printf("\n%s after %d rounds — accuracy %.2f%%\n", method.c_str(),
+    std::printf("\n%s after %d rounds — accuracy %.2f%%\n", method,
                 rounds,
                 algorithm->history().BestAccuracy() * 100);
     std::printf("  loss surface (radius %.2f, filter-normalised):\n", radius);

@@ -145,6 +145,33 @@ std::int64_t DispatchWidth(const AlgorithmConfig& config,
   return want;
 }
 
+// Reads an event tally. Tallies count up from 0, so a negative one, or one
+// whose next ++ overflows, was not written by a run.
+util::Status ReadTally(StateReader& reader, const char* what,
+                       std::int64_t& tally) {
+  FC_RETURN_IF_ERROR(reader.ReadI64(tally));
+  if (tally < 0 || tally == std::numeric_limits<std::int64_t>::max()) {
+    return util::Status::InvalidArgument(
+        std::string("checkpoint ") + what + " tally " +
+        std::to_string(tally) + " out of range");
+  }
+  return util::Status::Ok();
+}
+
+// Reads an int the file stores as an int64.
+util::Status ReadInt(StateReader& reader, const char* what, int& value) {
+  std::int64_t wide = 0;
+  FC_RETURN_IF_ERROR(reader.ReadI64(wide));
+  if (wide < std::numeric_limits<int>::min() ||
+      wide > std::numeric_limits<int>::max()) {
+    return util::Status::InvalidArgument(std::string("checkpoint ") + what +
+                                         " " + std::to_string(wide) +
+                                         " does not fit an int");
+  }
+  value = static_cast<int>(wide);
+  return util::Status::Ok();
+}
+
 }  // namespace
 
 FlAlgorithm::PhaseScope::PhaseScope(FlAlgorithm& algo, RoundPhase phase)
@@ -555,7 +582,7 @@ const std::vector<LocalTrainResult>& FlAlgorithm::TrainClients(
 void FlAlgorithm::ApplyMaskingOverlay(
     int round, int salt, const std::vector<const FlatParams*>& uploads) {
   privacy::MaskedSumReport report = privacy::SimulateMaskedAggregation(
-      config_.seed, round, salt, uploads, config_.secure_agg);
+      config_.seed, round, salt, uploads, config_.secure_agg, mask_scratch_);
   FC_CHECK(report.exact)
       << "masked aggregate failed to unmask to the direct fixed-point sum "
          "(cohort "
@@ -1248,21 +1275,18 @@ util::Status FlAlgorithm::LoadCheckpoint(const std::string& path) {
   FC_RETURN_IF_ERROR(reader.ReadU64(total_wire_wasted));
 
   FaultStats stats;
-  FC_RETURN_IF_ERROR(reader.ReadI64(stats.dropouts));
-  FC_RETURN_IF_ERROR(reader.ReadI64(stats.stragglers));
-  FC_RETURN_IF_ERROR(reader.ReadI64(stats.corrupted));
-  FC_RETURN_IF_ERROR(reader.ReadI64(stats.rejected));
-  FC_RETURN_IF_ERROR(reader.ReadI64(stats.timeouts));
-  FC_RETURN_IF_ERROR(reader.ReadI64(stats.retries));
+  for (std::int64_t* tally :
+       {&stats.dropouts, &stats.stragglers, &stats.corrupted, &stats.rejected,
+        &stats.timeouts, &stats.retries}) {
+    FC_RETURN_IF_ERROR(ReadTally(reader, "fault", *tally));
+  }
 
   std::uint64_t record_count = 0;
   FC_RETURN_IF_ERROR(reader.ReadU64(record_count));
   MetricsHistory restored;
   for (std::uint64_t i = 0; i < record_count; ++i) {
     RoundRecord record;
-    std::int64_t round = 0;
-    FC_RETURN_IF_ERROR(reader.ReadI64(round));
-    record.round = static_cast<int>(round);
+    FC_RETURN_IF_ERROR(ReadInt(reader, "history round", record.round));
     FC_RETURN_IF_ERROR(reader.ReadF32(record.test_loss));
     FC_RETURN_IF_ERROR(reader.ReadF32(record.test_accuracy));
     FC_RETURN_IF_ERROR(reader.ReadF64(record.bytes_up));
@@ -1304,26 +1328,43 @@ util::Status FlAlgorithm::LoadCheckpoint(const std::string& path) {
   std::int64_t dispatch_seq = 0;
   std::vector<PendingUpload> inflight;
   FC_RETURN_IF_ERROR(reader.ReadF64(virtual_now));
+  // A NaN time would break the in-flight heap's strict weak ordering.
+  if (!std::isfinite(virtual_now)) {
+    return util::Status::InvalidArgument(
+        "checkpoint virtual clock is not finite");
+  }
   FC_RETURN_IF_ERROR(reader.ReadI64(model_version));
+  if (model_version < 0) {
+    return util::Status::InvalidArgument(
+        "negative checkpoint model version");
+  }
   FC_RETURN_IF_ERROR(reader.ReadI64(dispatch_seq));
   std::uint64_t inflight_count = 0;
   FC_RETURN_IF_ERROR(reader.ReadU64(inflight_count));
   for (std::uint64_t i = 0; i < inflight_count; ++i) {
     PendingUpload pending;
     FC_RETURN_IF_ERROR(reader.ReadF64(pending.arrival));
+    if (!std::isfinite(pending.arrival)) {
+      return util::Status::InvalidArgument(
+          "checkpoint in-flight arrival time is not finite");
+    }
     FC_RETURN_IF_ERROR(reader.ReadI64(pending.seq));
+    // Each dispatch takes the counter's next value, so a later dispatch
+    // must not reuse (tie with) an in-flight sequence number.
+    if (pending.seq >= dispatch_seq) {
+      return util::Status::InvalidArgument(
+          "checkpoint dispatch counter is not above in-flight seq " +
+          std::to_string(pending.seq));
+    }
     LocalTrainResult& r = pending.result;
     FC_RETURN_IF_ERROR(reader.ReadFloats(r.params));
     if (r.params.size() != static_cast<std::size_t>(model_size_)) {
       return util::Status::InvalidArgument(
           "checkpoint in-flight params do not match the model size");
     }
-    std::int64_t num_samples = 0;
-    std::int64_t num_steps = 0;
-    FC_RETURN_IF_ERROR(reader.ReadI64(num_samples));
-    FC_RETURN_IF_ERROR(reader.ReadI64(num_steps));
-    r.num_samples = static_cast<int>(num_samples);
-    r.num_steps = static_cast<int>(num_steps);
+    FC_RETURN_IF_ERROR(ReadInt(reader, "in-flight sample count",
+                               r.num_samples));
+    FC_RETURN_IF_ERROR(ReadInt(reader, "in-flight step count", r.num_steps));
     FC_RETURN_IF_ERROR(reader.ReadF32(r.lr));
     FC_RETURN_IF_ERROR(reader.ReadF64(r.mean_loss));
     FC_RETURN_IF_ERROR(reader.ReadU64(r.wire_bytes_down));
@@ -1374,9 +1415,11 @@ util::Status FlAlgorithm::LoadCheckpoint(const std::string& path) {
     return util::Status::InvalidArgument(
         "checkpoint accountant order grid does not match this build");
   }
-  FC_RETURN_IF_ERROR(reader.ReadI64(privacy_stats.clipped));
-  FC_RETURN_IF_ERROR(reader.ReadI64(privacy_stats.mask_pairs));
-  FC_RETURN_IF_ERROR(reader.ReadI64(privacy_stats.mask_recoveries));
+  for (std::int64_t* tally :
+       {&privacy_stats.clipped, &privacy_stats.mask_pairs,
+        &privacy_stats.mask_recoveries}) {
+    FC_RETURN_IF_ERROR(ReadTally(reader, "privacy", *tally));
+  }
 
   FC_RETURN_IF_ERROR(LoadExtraState(reader));
   if (!reader.AtEnd()) {

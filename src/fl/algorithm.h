@@ -501,6 +501,7 @@ class FlAlgorithm {
   // (sync) and popped-arrival result indices (async; -1 = dropped member).
   std::vector<const FlatParams*> mask_slots_;
   std::vector<int> mask_indices_;
+  privacy::MaskScratch mask_scratch_;  // masked-sum buffers, recycled
   int completed_rounds_ = 0;
   std::string checkpoint_path_;  // autosave target; empty = disabled
   int checkpoint_every_ = 0;

@@ -168,27 +168,232 @@ void GlobalAvgPoolBackward(const float* dy, float* dx, int batch, int channels,
   }
 }
 
+namespace {
+
+// GroupNorm's reductions are serial chains (double statistics, float
+// dgamma/dbeta), so each waits on its own adds. Its (sample, group) blocks
+// are contiguous and independent, and dgamma/dbeta keep one chain per
+// channel, so kNormChains chains run side by side, one per lane of a vector
+// accumulator. Every chain keeps its element order and its expression: a
+// lane's multiply-add contracts into an FMA exactly when the scalar one
+// does, so every value keeps its bits. The lanes are spelled as vector
+// types rather than left to the vectoriser, which may turn a single chain
+// into a vector multiply feeding in-order scalar adds and so drop its FMA.
+constexpr int kNormChains = 8;
+typedef float NormLanesF
+    __attribute__((vector_size(kNormChains * sizeof(float))));
+typedef double NormLanesD
+    __attribute__((vector_size(kNormChains * sizeof(double))));
+
+// Lane j reads rows[j][i]; a lane past the live ones re-reads the last
+// live row and its result is dropped. (Lane vectors pass by reference
+// throughout: a by-value vector changes the calling convention between
+// SIMD tiers.)
+inline void LoadLanes(const float* const (&rows)[kNormChains], std::int64_t i,
+                      NormLanesF& lanes) {
+  lanes = NormLanesF{rows[0][i], rows[1][i], rows[2][i], rows[3][i],
+                     rows[4][i], rows[5][i], rows[6][i], rows[7][i]};
+}
+
+// cols[t][j] = rows[j][i + t] for t < kNormChains: the next eight
+// elements of every lane, as eight lane vectors. Eight row loads and an 8x8
+// transpose cost far less than building each lane vector from scalars.
+inline void LoadColumns(const float* const (&rows)[kNormChains],
+                        std::int64_t i, NormLanesF (&cols)[kNormChains]) {
+  typedef std::int32_t Index __attribute__((vector_size(sizeof(NormLanesF))));
+  NormLanesF r[kNormChains] = {};
+  for (int j = 0; j < kNormChains; ++j) {
+    std::memcpy(&r[j], rows[j] + i, sizeof(NormLanesF));
+  }
+  NormLanesF pairs[kNormChains];  // rows 2k, 2k+1 interleaved
+  for (int k = 0; k < 4; ++k) {
+    pairs[2 * k] = __builtin_shuffle(r[2 * k], r[2 * k + 1],
+                                     Index{0, 8, 1, 9, 4, 12, 5, 13});
+    pairs[2 * k + 1] = __builtin_shuffle(r[2 * k], r[2 * k + 1],
+                                         Index{2, 10, 3, 11, 6, 14, 7, 15});
+  }
+  NormLanesF quads[kNormChains];  // four rows per 128-bit half
+  for (int k = 0; k < 2; ++k) {
+    for (int h = 0; h < 2; ++h) {
+      const NormLanesF& a = pairs[4 * k + h];
+      const NormLanesF& b = pairs[4 * k + 2 + h];
+      quads[4 * k + 2 * h] =
+          __builtin_shuffle(a, b, Index{0, 1, 8, 9, 4, 5, 12, 13});
+      quads[4 * k + 2 * h + 1] =
+          __builtin_shuffle(a, b, Index{2, 3, 10, 11, 6, 7, 14, 15});
+    }
+  }
+  for (int t = 0; t < 4; ++t) {
+    cols[t] = __builtin_shuffle(quads[t], quads[4 + t],
+                                Index{0, 1, 2, 3, 8, 9, 10, 11});
+    cols[4 + t] = __builtin_shuffle(quads[t], quads[4 + t],
+                                    Index{4, 5, 6, 7, 12, 13, 14, 15});
+  }
+}
+
+// Row pointers of `width` live lanes, `stride` floats apart from `first`.
+inline void LaneRows(const float* first, std::int64_t stride, int width,
+                     const float* (&rows)[kNormChains]) {
+  for (int j = 0; j < kNormChains; ++j) {
+    rows[j] = first + std::min(j, width - 1) * stride;
+  }
+}
+
+// Mean and variance of `width` consecutive (sample, group) blocks of `size`
+// floats starting at x.
+void GroupMoments(const float* x, std::int64_t size, int width, double* mean,
+                  double* var) {
+  const float* rows[kNormChains] = {};
+  LaneRows(x, size, width, rows);
+  NormLanesF cols[kNormChains] = {};
+  NormLanesD m = {};
+  auto add = [&](const NormLanesF& lanes) {
+    m += __builtin_convertvector(lanes, NormLanesD);
+  };
+  std::int64_t i = 0;
+  for (; i + kNormChains <= size; i += kNormChains) {
+    LoadColumns(rows, i, cols);
+    for (int t = 0; t < kNormChains; ++t) add(cols[t]);
+  }
+  for (; i < size; ++i) {
+    LoadLanes(rows, i, cols[0]);
+    add(cols[0]);
+  }
+  m /= static_cast<double>(size);
+  NormLanesD v = {};
+  auto add_square = [&](const NormLanesF& lanes) {
+    NormLanesD d = __builtin_convertvector(lanes, NormLanesD) - m;
+    v += d * d;
+  };
+  for (i = 0; i + kNormChains <= size; i += kNormChains) {
+    LoadColumns(rows, i, cols);
+    for (int t = 0; t < kNormChains; ++t) add_square(cols[t]);
+  }
+  for (; i < size; ++i) {
+    LoadLanes(rows, i, cols[0]);
+    add_square(cols[0]);
+  }
+  v /= static_cast<double>(size);
+  for (int j = 0; j < width; ++j) {
+    mean[j] = m[j];
+    var[j] = v[j];
+  }
+}
+
+// Sums of dxhat = dy * gamma and of dxhat * xhat over `width` consecutive
+// blocks starting at block `first` (dy and xhat point at its first element).
+void GroupGradSums(const float* dy, const float* xhat, const float* gamma,
+                   int first, int width, int groups, int chans_per_group,
+                   int area, double* sum_dxhat, double* sum_dxhat_xhat) {
+  const std::int64_t size = static_cast<std::int64_t>(chans_per_group) * area;
+  const float* dy_rows[kNormChains] = {};
+  const float* xhat_rows[kNormChains] = {};
+  LaneRows(dy, size, width, dy_rows);
+  LaneRows(xhat, size, width, xhat_rows);
+  const float* gamma_rows[kNormChains] = {};  // each lane's channel group
+  for (int j = 0; j < kNormChains; ++j) {
+    const int block = first + std::min(j, width - 1);
+    gamma_rows[j] = gamma + (block % groups) * chans_per_group;
+  }
+  NormLanesD s1 = {};
+  NormLanesD s2 = {};
+  // Element e of a block is pixel e % area of its channel e / area.
+  int c = 0;
+  std::int64_t channel_end = area;
+  NormLanesF scale = {};
+  LoadLanes(gamma_rows, 0, scale);
+  auto add = [&](std::int64_t e, const NormLanesF& dyv,
+                 const NormLanesF& xh) {
+    if (e == channel_end) {
+      LoadLanes(gamma_rows, ++c, scale);
+      channel_end += area;
+    }
+    NormLanesF dxhat = dyv * scale;
+    NormLanesD wide = __builtin_convertvector(dxhat, NormLanesD);
+    s1 += wide;
+    s2 += wide * __builtin_convertvector(xh, NormLanesD);
+  };
+  NormLanesF dy_cols[kNormChains] = {};
+  NormLanesF xhat_cols[kNormChains] = {};
+  std::int64_t e = 0;
+  for (; e + kNormChains <= size; e += kNormChains) {
+    LoadColumns(dy_rows, e, dy_cols);
+    LoadColumns(xhat_rows, e, xhat_cols);
+    for (int t = 0; t < kNormChains; ++t) add(e + t, dy_cols[t], xhat_cols[t]);
+  }
+  for (; e < size; ++e) {
+    LoadLanes(dy_rows, e, dy_cols[0]);
+    LoadLanes(xhat_rows, e, xhat_cols[0]);
+    add(e, dy_cols[0], xhat_cols[0]);
+  }
+  for (int j = 0; j < width; ++j) {
+    sum_dxhat[j] = s1[j];
+    sum_dxhat_xhat[j] = s2[j];
+  }
+}
+
+// dgamma/dbeta of `width` consecutive channels: one chain per channel in
+// (sample, pixel) order. dy and xhat point at the first channel's plane of
+// sample 0.
+void ChannelParamGrads(const float* dy, const float* xhat, int width,
+                       int batch, int channels, int area, float* dgamma,
+                       float* dbeta) {
+  NormLanesF g = {};
+  NormLanesF bsum = {};
+  for (int j = 0; j < width; ++j) {
+    g[j] = dgamma[j];
+    bsum[j] = dbeta[j];
+  }
+  auto add = [&](const NormLanesF& dyv, const NormLanesF& xh) {
+    g += dyv * xh;
+    bsum += dyv;
+  };
+  const std::int64_t sample = static_cast<std::int64_t>(channels) * area;
+  NormLanesF dy_cols[kNormChains] = {};
+  NormLanesF xhat_cols[kNormChains] = {};
+  for (int b = 0; b < batch; ++b) {
+    const float* dy_rows[kNormChains] = {};
+    const float* xhat_rows[kNormChains] = {};
+    LaneRows(dy + b * sample, area, width, dy_rows);
+    LaneRows(xhat + b * sample, area, width, xhat_rows);
+    int i = 0;
+    for (; i + kNormChains <= area; i += kNormChains) {
+      LoadColumns(dy_rows, i, dy_cols);
+      LoadColumns(xhat_rows, i, xhat_cols);
+      for (int t = 0; t < kNormChains; ++t) add(dy_cols[t], xhat_cols[t]);
+    }
+    for (; i < area; ++i) {
+      LoadLanes(dy_rows, i, dy_cols[0]);
+      LoadLanes(xhat_rows, i, xhat_cols[0]);
+      add(dy_cols[0], xhat_cols[0]);
+    }
+  }
+  for (int j = 0; j < width; ++j) {
+    dgamma[j] = g[j];
+    dbeta[j] = bsum[j];
+  }
+}
+
+}  // namespace
+
 void GroupNormForward(const float* x, float* y, float* xhat, float* inv_std,
                       const float* gamma, const float* beta, int batch,
                       int channels, int groups, int area, float eps) {
   int chans_per_group = channels / groups;
   std::int64_t group_size = static_cast<std::int64_t>(chans_per_group) * area;
-  for (int b = 0; b < batch; ++b) {
-    for (int g = 0; g < groups; ++g) {
-      std::int64_t base =
-          (static_cast<std::int64_t>(b) * channels + g * chans_per_group) *
-          area;
-      double mean = 0.0;
-      for (std::int64_t i = 0; i < group_size; ++i) mean += x[base + i];
-      mean /= group_size;
-      double var = 0.0;
-      for (std::int64_t i = 0; i < group_size; ++i) {
-        double d = x[base + i] - mean;
-        var += d * d;
-      }
-      var /= group_size;
-      float istd = static_cast<float>(1.0 / std::sqrt(var + eps));
-      inv_std[static_cast<std::size_t>(b) * groups + g] = istd;
+  const int blocks = batch * groups;  // block b * groups + g, contiguous
+  for (int first = 0; first < blocks; first += kNormChains) {
+    const int width = std::min(kNormChains, blocks - first);
+    double means[kNormChains] = {};
+    double vars[kNormChains] = {};
+    GroupMoments(x + first * group_size, group_size, width, means, vars);
+    for (int j = 0; j < width; ++j) {
+      const int block = first + j;
+      const int g = block % groups;
+      const std::int64_t base = block * group_size;
+      const double mean = means[j];
+      float istd = static_cast<float>(1.0 / std::sqrt(vars[j] + eps));
+      inv_std[block] = istd;
       for (int c = 0; c < chans_per_group; ++c) {
         int channel = g * chans_per_group + c;
         std::int64_t offset = base + static_cast<std::int64_t>(c) * area;
@@ -209,36 +414,39 @@ void GroupNormBackward(const float* dy, const float* xhat,
                        int groups, int area) {
   int chans_per_group = channels / groups;
   std::int64_t group_size = static_cast<std::int64_t>(chans_per_group) * area;
-  for (int b = 0; b < batch; ++b) {
-    for (int g = 0; g < groups; ++g) {
-      std::int64_t base =
-          (static_cast<std::int64_t>(b) * channels + g * chans_per_group) *
-          area;
-      float istd = inv_std[static_cast<std::size_t>(b) * groups + g];
 
-      // Accumulate the two per-group reductions of dxhat = dy * gamma.
-      double sum_dxhat = 0.0;
-      double sum_dxhat_xhat = 0.0;
-      for (int c = 0; c < chans_per_group; ++c) {
-        int channel = g * chans_per_group + c;
-        std::int64_t offset = base + static_cast<std::int64_t>(c) * area;
-        for (int i = 0; i < area; ++i) {
-          float dxhat = dy[offset + i] * gamma[channel];
-          sum_dxhat += dxhat;
-          sum_dxhat_xhat += static_cast<double>(dxhat) * xhat[offset + i];
-        }
-      }
-      float mean_dxhat = static_cast<float>(sum_dxhat / group_size);
-      float mean_dxhat_xhat = static_cast<float>(sum_dxhat_xhat / group_size);
+  // dgamma/dbeta first: every read of dy precedes the writes of dx, so dx
+  // may alias dy.
+  for (int first = 0; first < channels; first += kNormChains) {
+    const int width = std::min(kNormChains, channels - first);
+    const std::int64_t plane = static_cast<std::int64_t>(first) * area;
+    ChannelParamGrads(dy + plane, xhat + plane, width, batch, channels, area,
+                      dgamma + first, dbeta + first);
+  }
 
+  const int blocks = batch * groups;
+  for (int first = 0; first < blocks; first += kNormChains) {
+    const int width = std::min(kNormChains, blocks - first);
+    // The two per-group reductions of dxhat = dy * gamma.
+    double sums_dxhat[kNormChains] = {};
+    double sums_dxhat_xhat[kNormChains] = {};
+    const std::int64_t start = first * group_size;
+    GroupGradSums(dy + start, xhat + start, gamma, first, width, groups,
+                  chans_per_group, area, sums_dxhat, sums_dxhat_xhat);
+    for (int j = 0; j < width; ++j) {
+      const int block = first + j;
+      const int g = block % groups;
+      const std::int64_t base = block * group_size;
+      float istd = inv_std[block];
+      float mean_dxhat = static_cast<float>(sums_dxhat[j] / group_size);
+      float mean_dxhat_xhat =
+          static_cast<float>(sums_dxhat_xhat[j] / group_size);
       for (int c = 0; c < chans_per_group; ++c) {
         int channel = g * chans_per_group + c;
         std::int64_t offset = base + static_cast<std::int64_t>(c) * area;
         for (int i = 0; i < area; ++i) {
           float dyv = dy[offset + i];
           float xh = xhat[offset + i];
-          dgamma[channel] += dyv * xh;
-          dbeta[channel] += dyv;
           float dxhat = dyv * gamma[channel];
           dx[offset + i] = istd * (dxhat - mean_dxhat - xh * mean_dxhat_xhat);
         }

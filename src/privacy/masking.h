@@ -1,6 +1,7 @@
 #ifndef FEDCROSS_PRIVACY_MASKING_H_
 #define FEDCROSS_PRIVACY_MASKING_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -68,11 +69,32 @@ struct MaskedSumReport {
   bool exact = false;
 };
 
+// The buffers one masked aggregation works in. A caller that masks every
+// round keeps one and passes it back, so the overlay allocates only when a
+// cohort outgrows every earlier one.
+struct MaskScratch {
+  struct Pair {
+    int lower = 0;  // cohort positions, lower < higher
+    int higher = 0;
+    bool lower_alive = false;  // the member's upload entered the sum
+    bool higher_alive = false;
+  };
+  std::vector<std::uint64_t> direct;  // direct fixed-point sum
+  std::vector<std::uint64_t> masked;  // masked server sum
+  std::vector<Pair> pairs;            // every pair with an uploading member
+  std::vector<Pair> dangling;         // pairs with exactly one
+};
+
 // Runs one masked aggregation over a dispatch cohort. `uploads[m]` is
 // member m's decoded upload as aggregation would consume it, or nullptr if
 // the member dropped / timed out / was screened away (its masks are then
 // recovered). All non-null uploads must be equal length. Deterministic in
 // (run_seed, round, salt, cohort contents) — thread counts never touch it.
+MaskedSumReport SimulateMaskedAggregation(
+    std::uint64_t run_seed, int round, int salt,
+    const std::vector<const fl::FlatParams*>& uploads,
+    const MaskOptions& options, MaskScratch& scratch);
+// The same with buffers of its own, allocated per call.
 MaskedSumReport SimulateMaskedAggregation(
     std::uint64_t run_seed, int round, int salt,
     const std::vector<const fl::FlatParams*>& uploads,
@@ -83,6 +105,12 @@ MaskedSumReport SimulateMaskedAggregation(
 // encode as 0, and the scaled magnitude saturates at +/-2^62 so llround
 // stays in-domain. Wrapping uint64 domain.
 std::uint64_t FixedPointEncode(float value, int bits);
+
+// sums[i] += FixedPointEncode(values[i], bits) for i in [0, n), mod 2^64:
+// the block-vectorised encode the masked sum runs, equal to the scalar one
+// for every float.
+void FixedPointEncodeAccumulate(const float* values, std::size_t n, int bits,
+                                std::uint64_t* sums);
 
 }  // namespace fedcross::privacy
 

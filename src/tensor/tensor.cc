@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <sstream>
 
@@ -203,7 +204,53 @@ float Tensor::Max() const {
   return *std::max_element(data_.begin(), data_.end());
 }
 
+namespace {
+
+typedef double Double8 __attribute__((vector_size(8 * sizeof(double))));
+
+}  // namespace
+
 float Tensor::SquaredL2Norm() const {
+  // The serial chain at the bottom defines the bits, but it is
+  // latency-bound, so sum first in 32 independent lanes (four 8-wide
+  // accumulators) into B. Each term v^2 is exact in double and
+  // non-negative, so B and the serial sum T both lie within gamma * S of
+  // the exact sum S, gamma = (n + 64) u / (1 - (n + 64) u) with u = 2^-53
+  // (no term passes through more than n + 64 additions in either order).
+  // Hence |T - B| <= 2 gamma S <= 2.5 gamma B, and if that interval around
+  // B lies strictly inside the rounding interval of (float)B, T rounds to
+  // the same float. The 0.5 gamma B of slack covers the rounding in the
+  // test itself. Otherwise (B near a float midpoint, non-finite, or
+  // FLT_MAX-sized) run the serial loop.
+  const float* values = data_.data();
+  const std::size_t n = data_.size();
+  constexpr std::size_t kChains = 4;
+  constexpr std::size_t kStep = kChains * 8;
+  Double8 acc[kChains] = {};
+  std::size_t i = 0;
+  for (; i + kStep <= n; i += kStep) {
+    for (std::size_t c = 0; c < kChains; ++c) {
+      const float* p = values + i + 8 * c;
+      const Double8 w = {p[0], p[1], p[2], p[3], p[4], p[5], p[6], p[7]};
+      acc[c] += w * w;
+    }
+  }
+  const Double8 lanes = (acc[0] + acc[1]) + (acc[2] + acc[3]);
+  double sum = 0.0;
+  for (int lane = 0; lane < 8; ++lane) sum += lanes[lane];
+  for (; i < n; ++i) sum += static_cast<double>(values[i]) * values[i];
+
+  const float rounded = static_cast<float>(sum);
+  if (std::isfinite(sum) && rounded < std::numeric_limits<float>::max()) {
+    const double ku = (static_cast<double>(n) + 64.0) * 0x1p-53;
+    const double slack = 2.5 * (ku / (1.0 - ku)) * sum;
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    const double below =
+        (static_cast<double>(std::nextafter(rounded, -kInf)) + rounded) * 0.5;
+    const double above =
+        (static_cast<double>(std::nextafter(rounded, kInf)) + rounded) * 0.5;
+    if (sum - below > slack && above - sum > slack) return rounded;
+  }
   double total = 0.0;
   for (float value : data_) total += static_cast<double>(value) * value;
   return static_cast<float>(total);

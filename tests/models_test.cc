@@ -94,7 +94,7 @@ TEST(LstmModelTest, ForwardShape) {
 }
 
 TEST(ModelSpecTest, DispatchesAllArchitectures) {
-  for (const std::string& arch : {"cnn", "resnet", "vgg", "lstm"}) {
+  for (const char* arch : {"cnn", "resnet", "vgg", "lstm"}) {
     ModelSpec spec;
     spec.arch = arch;
     spec.num_classes = 6;

@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "nn/activations.h"
 #include "nn/conv2d.h"
 #include "nn/dropout.h"
 #include "nn/embedding.h"
 #include "nn/flatten.h"
+#include "nn/kernels.h"
 #include "nn/linear.h"
 #include "nn/loss.h"
 #include "nn/lstm.h"
@@ -177,6 +181,189 @@ TEST(GroupNormTest, GammaBetaApplied) {
   Tensor output = norm.Forward(input, true);
   // Output mean should be beta (= -1) since normalised mean is 0.
   EXPECT_NEAR(output.Mean(), -1.0f, 1e-4f);
+}
+
+// The serial GroupNorm loops the kernels must reproduce bit for bit: one
+// statistics chain per (sample, group) block and one dgamma/dbeta chain per
+// channel, each in element order.
+void ReferenceGroupNormForward(const float* x, float* y, float* xhat,
+                               float* inv_std, const float* gamma,
+                               const float* beta, int batch, int channels,
+                               int groups, int area, float eps) {
+  int chans_per_group = channels / groups;
+  std::int64_t group_size = static_cast<std::int64_t>(chans_per_group) * area;
+  for (int b = 0; b < batch; ++b) {
+    for (int g = 0; g < groups; ++g) {
+      std::int64_t base =
+          (static_cast<std::int64_t>(b) * channels + g * chans_per_group) *
+          area;
+      double mean = 0.0;
+      for (std::int64_t i = 0; i < group_size; ++i) mean += x[base + i];
+      mean /= group_size;
+      double var = 0.0;
+      for (std::int64_t i = 0; i < group_size; ++i) {
+        double d = x[base + i] - mean;
+        var += d * d;
+      }
+      var /= group_size;
+      float istd = static_cast<float>(1.0 / std::sqrt(var + eps));
+      inv_std[static_cast<std::size_t>(b) * groups + g] = istd;
+      for (int c = 0; c < chans_per_group; ++c) {
+        int channel = g * chans_per_group + c;
+        std::int64_t offset = base + static_cast<std::int64_t>(c) * area;
+        for (int i = 0; i < area; ++i) {
+          float normalized =
+              (x[offset + i] - static_cast<float>(mean)) * istd;
+          xhat[offset + i] = normalized;
+          y[offset + i] = gamma[channel] * normalized + beta[channel];
+        }
+      }
+    }
+  }
+}
+
+void ReferenceGroupNormBackward(const float* dy, const float* xhat,
+                                const float* inv_std, const float* gamma,
+                                float* dgamma, float* dbeta, float* dx,
+                                int batch, int channels, int groups,
+                                int area) {
+  int chans_per_group = channels / groups;
+  std::int64_t group_size = static_cast<std::int64_t>(chans_per_group) * area;
+  for (int b = 0; b < batch; ++b) {
+    for (int g = 0; g < groups; ++g) {
+      std::int64_t base =
+          (static_cast<std::int64_t>(b) * channels + g * chans_per_group) *
+          area;
+      float istd = inv_std[static_cast<std::size_t>(b) * groups + g];
+
+      // Accumulate the two per-group reductions of dxhat = dy * gamma.
+      double sum_dxhat = 0.0;
+      double sum_dxhat_xhat = 0.0;
+      for (int c = 0; c < chans_per_group; ++c) {
+        int channel = g * chans_per_group + c;
+        std::int64_t offset = base + static_cast<std::int64_t>(c) * area;
+        for (int i = 0; i < area; ++i) {
+          float dxhat = dy[offset + i] * gamma[channel];
+          sum_dxhat += dxhat;
+          sum_dxhat_xhat += static_cast<double>(dxhat) * xhat[offset + i];
+        }
+      }
+      float mean_dxhat = static_cast<float>(sum_dxhat / group_size);
+      float mean_dxhat_xhat = static_cast<float>(sum_dxhat_xhat / group_size);
+
+      for (int c = 0; c < chans_per_group; ++c) {
+        int channel = g * chans_per_group + c;
+        std::int64_t offset = base + static_cast<std::int64_t>(c) * area;
+        for (int i = 0; i < area; ++i) {
+          float dyv = dy[offset + i];
+          float xh = xhat[offset + i];
+          dgamma[channel] += dyv * xh;
+          dbeta[channel] += dyv;
+          float dxhat = dyv * gamma[channel];
+          dx[offset + i] = istd * (dxhat - mean_dxhat - xh * mean_dxhat_xhat);
+        }
+      }
+    }
+  }
+}
+
+void ExpectSameBits(const std::vector<float>& got,
+                    const std::vector<float>& want, const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+            0)
+      << what;
+}
+
+TEST(GroupNormKernelTest, ForwardAndBackwardMatchSerialLoopsBitForBit) {
+  // (batch, groups) factorings of every batch x groups count, so the
+  // kernels see full tiles of eight blocks, partial ones and single blocks.
+  const std::pair<int, int> blockings[] = {
+      {1, 1}, {7, 1}, {1, 7}, {2, 4}, {8, 1}, {3, 3}, {9, 1},
+      {5, 4}, {20, 1}, {4, 5}, {11, 3}, {33, 1}};
+  util::Rng rng(57);
+  int cases = 0;
+  for (const auto& [batch, groups] : blockings) {
+    for (int area : {1, 4, 64}) {
+      for (int chans_per_group : {1, 2, 8}) {
+        const int channels = groups * chans_per_group;
+        const std::size_t n =
+            static_cast<std::size_t>(batch) * channels * area;
+        auto random = [&](std::size_t count, double mean, double stddev) {
+          std::vector<float> v(count);
+          for (float& e : v) e = static_cast<float>(rng.Normal(mean, stddev));
+          return v;
+        };
+        const std::vector<float> x = random(n, 3.0, 2.0);
+        const std::vector<float> gamma = random(channels, 1.0, 0.5);
+        const std::vector<float> beta = random(channels, 0.0, 0.5);
+        const std::vector<float> dy = random(n, 0.0, 1.0);
+        const float eps = 1e-5f;
+
+        std::vector<float> y(n), xhat(n), inv_std(batch * groups);
+        std::vector<float> ref_y(n), ref_xhat(n), ref_inv_std(batch * groups);
+        kernels::GroupNormForward(x.data(), y.data(), xhat.data(),
+                                  inv_std.data(), gamma.data(), beta.data(),
+                                  batch, channels, groups, area, eps);
+        ReferenceGroupNormForward(x.data(), ref_y.data(), ref_xhat.data(),
+                                  ref_inv_std.data(), gamma.data(),
+                                  beta.data(), batch, channels, groups, area,
+                                  eps);
+        ExpectSameBits(y, ref_y, "y");
+        ExpectSameBits(xhat, ref_xhat, "xhat");
+        ExpectSameBits(inv_std, ref_inv_std, "inv_std");
+
+        // dgamma/dbeta accumulate, so both start from earlier gradients.
+        std::vector<float> dgamma = random(channels, 0.0, 3.0);
+        std::vector<float> dbeta = random(channels, 0.0, 3.0);
+        std::vector<float> ref_dgamma = dgamma, ref_dbeta = dbeta;
+        std::vector<float> dx(n), ref_dx(n);
+        kernels::GroupNormBackward(dy.data(), xhat.data(), inv_std.data(),
+                                   gamma.data(), dgamma.data(), dbeta.data(),
+                                   dx.data(), batch, channels, groups, area);
+        ReferenceGroupNormBackward(dy.data(), ref_xhat.data(),
+                                   ref_inv_std.data(), gamma.data(),
+                                   ref_dgamma.data(), ref_dbeta.data(),
+                                   ref_dx.data(), batch, channels, groups,
+                                   area);
+        ExpectSameBits(dx, ref_dx, "dx");
+        ExpectSameBits(dgamma, ref_dgamma, "dgamma");
+        ExpectSameBits(dbeta, ref_dbeta, "dbeta");
+        ++cases;
+        if (HasFailure()) {
+          FAIL() << "batch " << batch << " groups " << groups << " area "
+                 << area << " channels/group " << chans_per_group;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 108);
+}
+
+TEST(GroupNormKernelTest, BackwardMayWriteDxOverDy) {
+  const int batch = 5, channels = 16, groups = 4, area = 16;
+  const std::size_t n = static_cast<std::size_t>(batch) * channels * area;
+  util::Rng rng(58);
+  std::vector<float> x(n), gamma(channels, 1.5f), beta(channels, 0.25f);
+  for (float& v : x) v = static_cast<float>(rng.Normal());
+  std::vector<float> y(n), xhat(n), inv_std(batch * groups);
+  kernels::GroupNormForward(x.data(), y.data(), xhat.data(), inv_std.data(),
+                            gamma.data(), beta.data(), batch, channels, groups,
+                            area, 1e-5f);
+  std::vector<float> dy(n);
+  for (float& v : dy) v = static_cast<float>(rng.Normal());
+  std::vector<float> dgamma(channels), dbeta(channels), dx(n);
+  kernels::GroupNormBackward(dy.data(), xhat.data(), inv_std.data(),
+                             gamma.data(), dgamma.data(), dbeta.data(),
+                             dx.data(), batch, channels, groups, area);
+  std::vector<float> in_place = dy;
+  std::vector<float> dgamma2(channels), dbeta2(channels);
+  kernels::GroupNormBackward(in_place.data(), xhat.data(), inv_std.data(),
+                             gamma.data(), dgamma2.data(), dbeta2.data(),
+                             in_place.data(), batch, channels, groups, area);
+  ExpectSameBits(in_place, dx, "dx over dy");
+  ExpectSameBits(dgamma2, dgamma, "dgamma");
+  ExpectSameBits(dbeta2, dbeta, "dbeta");
 }
 
 // ---------------------------------------------------------------- Dropout

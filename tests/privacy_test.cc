@@ -12,6 +12,9 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "comm/wire.h"
 #include "core/fedcross.h"
@@ -324,6 +327,99 @@ TEST(MaskingTest, FixedPointEncodeBasics) {
             static_cast<std::uint64_t>(-(std::int64_t{1} << 62)));
 }
 
+// Encodes values with the block-vectorised encode and checks each word
+// against the scalar FixedPointEncode.
+void ExpectVectorEncodeMatchesScalar(const std::vector<float>& values,
+                                     int bits) {
+  std::vector<std::uint64_t> sums(values.size(), 0);
+  privacy::FixedPointEncodeAccumulate(values.data(), values.size(), bits,
+                                      sums.data());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (sums[i] != privacy::FixedPointEncode(values[i], bits)) {
+      std::uint32_t pattern;
+      std::memcpy(&pattern, &values[i], sizeof(pattern));
+      FAIL() << "value " << values[i] << " (bits 0x" << std::hex << pattern
+             << std::dec << ") at scale 2^" << bits;
+    }
+  }
+}
+
+TEST(MaskingTest, VectorEncodeMatchesScalarOnAStridedSweepOfAllFloats) {
+  // Every 257th bit pattern (NaNs, infinities, subnormals and both zeros
+  // included), in odd-length chunks so the scalar tail runs too.
+  constexpr std::uint64_t kStride = 257;
+  constexpr std::size_t kChunk = 4093;
+  std::vector<float> chunk;
+  for (std::uint64_t pattern = 0; pattern < (std::uint64_t{1} << 32);
+       pattern += kStride) {
+    const auto word = static_cast<std::uint32_t>(pattern);
+    float value;
+    std::memcpy(&value, &word, sizeof(value));
+    chunk.push_back(value);
+    if (chunk.size() == kChunk) {
+      ExpectVectorEncodeMatchesScalar(chunk, 20);
+      if (HasFatalFailure()) return;
+      chunk.clear();
+    }
+  }
+  ExpectVectorEncodeMatchesScalar(chunk, 20);
+  // Other scales on a coarser sweep, including scales that saturate most
+  // floats and a scale below one.
+  for (int bits : {0, 8, 31, 52, -3, 700}) {
+    chunk.clear();
+    for (std::uint64_t pattern = 0; pattern < (std::uint64_t{1} << 32);
+         pattern += 65537) {
+      const auto word = static_cast<std::uint32_t>(pattern);
+      float value;
+      std::memcpy(&value, &word, sizeof(value));
+      chunk.push_back(value);
+    }
+    ExpectVectorEncodeMatchesScalar(chunk, bits);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(MaskingTest, VectorEncodeMatchesScalarOnEveryTie) {
+  // x * 2^20 = k + 1/2 exactly for x = (2k + 1) * 2^-21, representable for
+  // every k < 2^23; llround takes each away from zero.
+  std::vector<float> ties;
+  ties.reserve(std::size_t{1} << 24);
+  for (std::uint32_t k = 0; k < (1u << 23); ++k) {
+    const float tie = std::ldexp(static_cast<float>(2 * k + 1), -21);
+    ties.push_back(tie);
+    ties.push_back(-tie);
+  }
+  ExpectVectorEncodeMatchesScalar(ties, 20);
+}
+
+TEST(MaskingTest, VectorEncodeMatchesScalarAroundTheSaturationBound) {
+  // 2^42 * 2^20 = 2^62: the floats around +/-2^42 straddle the clamp, and
+  // at scale 1 the floats around 2^62 itself do.
+  for (const auto& [center, bits] :
+       {std::pair<float, int>{0x1p42f, 20}, std::pair<float, int>{0x1p62f, 0},
+        std::pair<float, int>{0x1p31f, 31}}) {
+    std::vector<float> values;
+    for (float sign : {1.0f, -1.0f}) {
+      float up = center;
+      float down = center;
+      for (int step = 0; step < 40; ++step) {
+        values.push_back(sign * up);
+        values.push_back(sign * down);
+        up = std::nextafter(up, std::numeric_limits<float>::infinity());
+        down = std::nextafter(down, 0.0f);
+      }
+    }
+    values.push_back(std::numeric_limits<float>::max());
+    values.push_back(-std::numeric_limits<float>::max());
+    ExpectVectorEncodeMatchesScalar(values, bits);
+  }
+  std::vector<std::uint64_t> sums(2, 0);
+  const float bound[] = {0x1p42f, -0x1p42f};
+  privacy::FixedPointEncodeAccumulate(bound, 2, 20, sums.data());
+  EXPECT_EQ(sums[0], std::uint64_t{1} << 62);
+  EXPECT_EQ(sums[1], static_cast<std::uint64_t>(-(std::int64_t{1} << 62)));
+}
+
 TEST(MaskingTest, PairSeedsAreDistinctPerPairAndRound) {
   EXPECT_NE(privacy::PairSeed(9, 1, 0, 0, 1), privacy::PairSeed(9, 1, 0, 0, 2));
   EXPECT_NE(privacy::PairSeed(9, 1, 0, 0, 1), privacy::PairSeed(9, 2, 0, 0, 1));
@@ -386,6 +482,120 @@ TEST(MaskingTest, EmptyAndSingletonCohortsAreTriviallyExact) {
       privacy::SimulateMaskedAggregation(1, 0, 0, one, options);
   EXPECT_TRUE(report.exact);
   EXPECT_EQ(report.pairs, 0);
+}
+
+// The serial masked aggregation the SIMD one must agree with in every
+// report field: scalar encode, one util::Rng stream per pair, applied a
+// coordinate at a time.
+privacy::MaskedSumReport ReferenceMaskedAggregation(
+    std::uint64_t run_seed, int round, int salt,
+    const std::vector<const fl::FlatParams*>& uploads,
+    const privacy::MaskOptions& options,
+    std::vector<std::uint64_t>& direct_out) {
+  privacy::MaskedSumReport report;
+  report.cohort = static_cast<std::int64_t>(uploads.size());
+  std::size_t size = 0;
+  for (const fl::FlatParams* upload : uploads) {
+    if (upload == nullptr) continue;
+    ++report.survivors;
+    if (size == 0) size = upload->size();
+  }
+  direct_out.clear();
+  if (report.survivors == 0) {
+    report.exact = true;
+    return report;
+  }
+  std::vector<std::uint64_t> direct(size, 0);
+  for (const fl::FlatParams* upload : uploads) {
+    if (upload == nullptr) continue;
+    for (std::size_t i = 0; i < size; ++i) {
+      direct[i] +=
+          privacy::FixedPointEncode((*upload)[i], options.fixed_point_bits);
+    }
+  }
+  std::vector<std::uint64_t> masked = direct;
+  const int members = static_cast<int>(uploads.size());
+  std::vector<std::pair<int, int>> dangling;
+  for (int u = 0; u < members; ++u) {
+    for (int v = u + 1; v < members; ++v) {
+      const bool u_alive = uploads[u] != nullptr;
+      const bool v_alive = uploads[v] != nullptr;
+      if (!u_alive && !v_alive) continue;
+      ++report.pairs;
+      util::Rng stream(privacy::PairSeed(run_seed, round, salt, u, v));
+      if (u_alive && v_alive) {
+        for (std::size_t i = 0; i < size; ++i) {
+          std::uint64_t m = stream.NextUint64();
+          masked[i] += m;
+          masked[i] -= m;
+        }
+      } else {
+        for (std::size_t i = 0; i < size; ++i) {
+          std::uint64_t m = stream.NextUint64();
+          masked[i] += u_alive ? m : static_cast<std::uint64_t>(0) - m;
+        }
+        dangling.emplace_back(u, v);
+      }
+    }
+  }
+  for (const auto& [u, v] : dangling) {
+    util::Rng stream(privacy::PairSeed(run_seed, round, salt, u, v));
+    const bool u_alive = uploads[u] != nullptr;
+    for (std::size_t i = 0; i < size; ++i) {
+      std::uint64_t m = stream.NextUint64();
+      masked[i] -= u_alive ? m : static_cast<std::uint64_t>(0) - m;
+    }
+    ++report.recovered_pairs;
+    report.recovery_seed_bytes += sizeof(std::uint64_t);
+  }
+  report.exact = masked == direct;
+  direct_out = direct;
+  return report;
+}
+
+TEST(MaskingTest, MatchesTheSerialReferenceInEveryReportField) {
+  util::Rng rng(23);
+  privacy::MaskOptions options;
+  options.enabled = true;
+  // One scratch for every call: cohorts and sizes grow and shrink.
+  privacy::MaskScratch scratch;
+  int calls = 0;
+  for (std::size_t size : {1, 7, 8, 9, 1000, 21000}) {
+    for (int cohort = 1; cohort <= 17; ++cohort) {
+      std::vector<fl::FlatParams> uploads(cohort, fl::FlatParams(size));
+      for (auto& upload : uploads) {
+        for (float& v : upload) v = static_cast<float>(rng.Normal(0.0, 3.0));
+      }
+      std::vector<const fl::FlatParams*> pointers;
+      for (int m = 0; m < cohort; ++m) {
+        // Roughly a third of the members drop; sometimes all of them do.
+        const bool dropped = rng.Uniform() < 0.35;
+        pointers.push_back(dropped ? nullptr : &uploads[m]);
+      }
+      const int round = static_cast<int>(rng.UniformInt(1000));
+      const int salt = static_cast<int>(rng.UniformInt(4));
+      std::vector<std::uint64_t> direct;
+      const privacy::MaskedSumReport want = ReferenceMaskedAggregation(
+          99, round, salt, pointers, options, direct);
+      const privacy::MaskedSumReport got = privacy::SimulateMaskedAggregation(
+          99, round, salt, pointers, options, scratch);
+      SCOPED_TRACE("size " + std::to_string(size) + " cohort " +
+                   std::to_string(cohort));
+      EXPECT_EQ(got.cohort, want.cohort);
+      EXPECT_EQ(got.survivors, want.survivors);
+      EXPECT_EQ(got.pairs, want.pairs);
+      EXPECT_EQ(got.recovered_pairs, want.recovered_pairs);
+      EXPECT_EQ(got.recovery_seed_bytes, want.recovery_seed_bytes);
+      EXPECT_EQ(got.exact, want.exact);
+      EXPECT_TRUE(got.exact);
+      if (want.survivors > 0) {
+        // The vector-encoded direct sum is the scalar one, word for word.
+        EXPECT_TRUE(scratch.direct == direct);
+      }
+      ++calls;
+    }
+  }
+  EXPECT_EQ(calls, 6 * 17);
 }
 
 // ---------------------------------------------------------------------------

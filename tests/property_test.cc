@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <memory>
 #include <set>
+#include <string_view>
 
 #include "core/fedcross.h"
 #include "data/partition.h"
@@ -275,7 +276,7 @@ TEST(OptimizerPropertyTest, SgdAndAdamBothSolveToyProblem) {
   dataset->GetBatch(all, features, labels);
   nn::CrossEntropyLoss criterion;
 
-  for (const std::string& which : {"sgd", "adam"}) {
+  for (std::string_view which : {"sgd", "adam"}) {
     util::Rng rng(11);
     nn::Sequential model;
     model.Add(std::make_unique<nn::Linear>(4, 2, rng));

@@ -1149,23 +1149,29 @@ TEST(CheckpointValidationTest, FedGenSyntheticLabelMustNameAClass) {
                  "synthetic label out of range");
 }
 
-// Offset of the first in-flight record of a checkpoint with an empty
+// Offset of the event-engine state (virtual time, model version, dispatch
+// counter, then the in-flight table count) of a checkpoint with an empty
 // residual table (identity codec).
-std::size_t FirstInflightAt(const std::vector<std::uint8_t>& bytes) {
+std::size_t EngineAt(const std::vector<std::uint8_t>& bytes) {
   const std::uint64_t records = LoadU64(bytes, kHistoryCountAt);
   const std::size_t residuals =
       kHistoryCountAt + 8 + records * kHistoryRecordBytes;
   EXPECT_EQ(LoadU64(bytes, residuals), 0u);
-  // virtual time, model version, dispatch counter, then the table count.
-  const std::size_t engine = residuals + 8;
+  return residuals + 8;
+}
+
+// Offset of the first in-flight record.
+std::size_t FirstInflightAt(const std::vector<std::uint8_t>& bytes) {
+  const std::size_t engine = EngineAt(bytes);
   EXPECT_GT(LoadU64(bytes, engine + 24), 0u) << "nothing in flight";
   return engine + 32;
 }
 
-// Record fields before the client id: arrival, seq, params, samples, steps,
-// lr, loss, wire down/up, dropped, fault kind.
+// Record fields before the sample count: arrival, seq, params.
+constexpr std::size_t kInflightSamplesAt = 8 + 8 + 8 + 4 * kToyModelSize;
+// Then samples, steps, lr, loss, wire down/up, dropped, fault kind.
 constexpr std::size_t kInflightClientIdAt =
-    8 + 8 + 8 + 4 * kToyModelSize + 8 + 8 + 4 + 8 + 8 + 8 + 1 + 4;
+    kInflightSamplesAt + 8 + 8 + 4 + 8 + 8 + 8 + 1 + 4;
 
 AlgorithmConfig InflightConfig() {
   return ResumeGridConfig("FedAvg", /*async=*/true, comm::Scheme::kIdentity);
@@ -1213,6 +1219,119 @@ TEST(CheckpointValidationTest, InflightDispatchVersionMustBeAPastVersion) {
   };
   ExpectRejected(LoadPatched("FedAvg", InflightConfig(), 3, patch),
                  "in-flight dispatch version out of range");
+}
+
+TEST(CheckpointValidationTest, InflightSampleAndStepCountsMustFitAnInt) {
+  for (std::size_t field : {std::size_t{0}, std::size_t{8}}) {
+    auto patch = [field](std::vector<std::uint8_t>& bytes, FlAlgorithm&) {
+      Store(bytes, FirstInflightAt(bytes) + kInflightSamplesAt + field,
+            field == 0 ? std::int64_t{1} << 40 : -(std::int64_t{1} << 40));
+    };
+    ExpectRejected(LoadPatched("FedAvg", InflightConfig(), 3, patch),
+                   field == 0 ? "in-flight sample count 1099511627776 does "
+                                "not fit an int"
+                              : "in-flight step count -1099511627776 does "
+                                "not fit an int");
+  }
+}
+
+TEST(CheckpointValidationTest, InflightArrivalMustBeFinite) {
+  for (double arrival : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+    auto patch = [arrival](std::vector<std::uint8_t>& bytes, FlAlgorithm&) {
+      Store(bytes, FirstInflightAt(bytes), arrival);
+    };
+    ExpectRejected(LoadPatched("FedAvg", InflightConfig(), 3, patch),
+                   "in-flight arrival time is not finite");
+  }
+}
+
+TEST(CheckpointValidationTest, DispatchCounterMustBeAboveEveryInflightSeq) {
+  // The next dispatch would take seq 0 again and tie with an in-flight one.
+  auto patch = [](std::vector<std::uint8_t>& bytes, FlAlgorithm&) {
+    Store(bytes, EngineAt(bytes) + 16, std::int64_t{0});
+  };
+  ExpectRejected(LoadPatched("FedAvg", InflightConfig(), 3, patch),
+                 "dispatch counter is not above in-flight seq");
+}
+
+TEST(CheckpointValidationTest, VirtualClockMustBeFinite) {
+  auto patch = [](std::vector<std::uint8_t>& bytes, FlAlgorithm&) {
+    Store(bytes, EngineAt(bytes), std::numeric_limits<double>::quiet_NaN());
+  };
+  ExpectRejected(LoadPatched("FedAvg", ToyConfig(), 1, patch),
+                 "virtual clock is not finite");
+}
+
+TEST(CheckpointValidationTest, ModelVersionMustNotBeNegative) {
+  auto patch = [](std::vector<std::uint8_t>& bytes, FlAlgorithm&) {
+    Store(bytes, EngineAt(bytes) + 8, std::int64_t{-1});
+  };
+  ExpectRejected(LoadPatched("FedAvg", ToyConfig(), 1, patch),
+                 "negative checkpoint model version");
+}
+
+TEST(CheckpointValidationTest, HistoryRoundMustFitAnInt) {
+  auto patch = [](std::vector<std::uint8_t>& bytes, FlAlgorithm&) {
+    ASSERT_GT(LoadU64(bytes, kHistoryCountAt), 0u);
+    Store(bytes, kHistoryCountAt + 8, std::int64_t{1} << 40);
+  };
+  ExpectRejected(LoadPatched("FedAvg", ToyConfig(), 1, patch),
+                 "history round 1099511627776 does not fit an int");
+}
+
+TEST(CheckpointValidationTest, FaultTalliesMustBeCountsThatCanStillGrow) {
+  // The six fault tallies sit right before the history count.
+  const std::int64_t bad[] = {-1, std::numeric_limits<std::int64_t>::max()};
+  for (int tally = 0; tally < 6; ++tally) {
+    for (std::int64_t value : bad) {
+      auto patch = [tally, value](std::vector<std::uint8_t>& bytes,
+                                  FlAlgorithm&) {
+        Store(bytes, kHistoryCountAt - 6 * 8 + tally * 8, value);
+      };
+      ExpectRejected(LoadPatched("FedAvg", ToyConfig(), 1, patch),
+                     "fault tally " + std::to_string(value) + " out of range");
+    }
+  }
+}
+
+TEST(CheckpointValidationTest, PrivacyTalliesMustBeCountsThatCanStillGrow) {
+  // clipped, mask pairs and mask recoveries close the base state, right
+  // before FedAvg's global model.
+  const std::int64_t bad[] = {-1, std::numeric_limits<std::int64_t>::max()};
+  for (int tally = 0; tally < 3; ++tally) {
+    for (std::int64_t value : bad) {
+      auto patch = [tally, value](std::vector<std::uint8_t>& bytes,
+                                  FlAlgorithm& algo) {
+        const std::size_t global = FindFloats(bytes, algo.GlobalParams());
+        Store(bytes, global - 24 + tally * 8, value);
+      };
+      ExpectRejected(LoadPatched("FedAvg", ToyConfig(), 1, patch),
+                     "privacy tally " + std::to_string(value) +
+                         " out of range");
+    }
+  }
+}
+
+TEST(CheckpointValidationTest, RejectedLoadLeavesTheStateUnchanged) {
+  const std::string path = ::testing::TempDir() + "/robustness_unchanged.bin";
+  std::unique_ptr<FlAlgorithm> writer = MakeAlgorithm("FedAvg", ToyConfig());
+  writer->Run(3, /*eval_every=*/1);
+  ASSERT_TRUE(writer->SaveCheckpoint(path).ok());
+  std::vector<std::uint8_t> bytes = ReadBytes(path);
+  Store(bytes, EngineAt(bytes) + 8, std::int64_t{-1});  // model version
+  Reseal(bytes);
+  WriteBytes(path, bytes);
+
+  std::unique_ptr<FlAlgorithm> reader = MakeAlgorithm("FedAvg", ToyConfig());
+  reader->Run(1, /*eval_every=*/1);
+  const FlatParams params = reader->GlobalParams();
+  const std::size_t records = reader->history().records().size();
+  ExpectRejected(reader->LoadCheckpoint(path), "model version");
+  EXPECT_EQ(reader->completed_rounds(), 1);
+  EXPECT_EQ(reader->history().records().size(), records);
+  ExpectBitIdentical(reader->GlobalParams(), params);
+  std::remove(path.c_str());
 }
 
 // --------------------------------------------------------------------------

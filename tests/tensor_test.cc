@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <set>
@@ -88,6 +90,129 @@ TEST(TensorTest, Reductions) {
   EXPECT_FLOAT_EQ(t.Max(), 3.0f);
   EXPECT_FLOAT_EQ(t.SquaredL2Norm(), 30.0f);
   EXPECT_FLOAT_EQ(t.L2Norm(), std::sqrt(30.0f));
+}
+
+// SquaredL2Norm's defining loop, verbatim: one double chain in element
+// order.
+float SerialSquaredL2Norm(const std::vector<float>& data) {
+  double total = 0.0;
+  for (float value : data) total += static_cast<double>(value) * value;
+  return static_cast<float>(total);
+}
+
+std::uint32_t FloatBits(float value) {
+  std::uint32_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+Tensor FromValues(const std::vector<float>& values) {
+  if (values.empty()) return Tensor();
+  return Tensor::FromVector({static_cast<int>(values.size())}, values);
+}
+
+void ExpectNormMatchesSerial(const std::vector<float>& values) {
+  const Tensor t = FromValues(values);
+  ASSERT_EQ(FloatBits(t.SquaredL2Norm()),
+            FloatBits(SerialSquaredL2Norm(values)))
+      << "n = " << values.size();
+}
+
+TEST(SquaredL2NormTest, RandomTensorsMatchSerialLoopBitForBit) {
+  util::Rng rng(41);
+  const float specials[] = {0.0f,
+                            -0.0f,
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min(),
+                            std::numeric_limits<float>::min() / 3.0f,
+                            std::numeric_limits<float>::max(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN()};
+  const std::size_t lengths[] = {0,  1,   7,    31,    32,     33,
+                                 63, 64,  65,   100,   1000,   4099,
+                                 23000, 65536, 264000, 300000};
+  for (std::size_t n : lengths) {
+    for (int trial = 0; trial < 6; ++trial) {
+      // Trials 0-2 span magnitudes from subnormal to 2^40; 3 sprinkles
+      // zeros, signed zeros and subnormals; 4 a few non-finite values;
+      // 5 huge values whose squares overflow float.
+      std::vector<float> values(n);
+      for (float& v : values) {
+        const double exponent =
+            trial == 0 ? rng.Uniform(-30.0, 10.0)
+                       : (trial == 1 ? rng.Uniform(-149.0, -120.0)
+                                     : rng.Uniform(-140.0, 40.0));
+        v = static_cast<float>(rng.Normal() * std::exp2(exponent));
+        if (trial == 5) v = static_cast<float>(rng.Normal() * 0x1p70);
+      }
+      if (n > 0 && (trial == 3 || trial == 4)) {
+        const int picks = trial == 3 ? 40 : 2;
+        for (int k = 0; k < picks; ++k) {
+          const std::size_t at = rng.UniformInt(n);
+          values[at] = trial == 3 ? specials[rng.UniformInt(5)]
+                                  : specials[5 + rng.UniformInt(4)];
+        }
+      }
+      ExpectNormMatchesSerial(values);
+    }
+  }
+}
+
+TEST(SquaredL2NormTest, SumsAtAndBesideFloatMidpointsTakeTheSerialPath) {
+  // Values that are powers of two square exactly, and any dyadic total is
+  // a sum of such squares: 2^p = (2^(p/2))^2 for even p, two halves of it
+  // for odd p. Each target sits on the rounding midpoint above a float f or
+  // a few double ulps beside it, where only the serial chain's own rounding
+  // decides the float.
+  auto squares_summing_to = [](double target, std::vector<float>& out) {
+    for (int p = 200; p >= -290; --p) {
+      const double bit = std::ldexp(1.0, p);
+      if (target < bit) continue;
+      target -= bit;
+      if (p % 2 == 0) {
+        out.push_back(static_cast<float>(std::ldexp(1.0, p / 2)));
+      } else {
+        const float half = static_cast<float>(std::ldexp(1.0, (p - 1) / 2));
+        out.push_back(half);
+        out.push_back(half);
+      }
+    }
+    ASSERT_EQ(target, 0.0);
+  };
+  util::Rng rng(43);
+  int cases = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const float f = static_cast<float>(std::ldexp(
+        rng.Uniform(1.0, 2.0), static_cast<int>(rng.UniformInt(60)) - 30));
+    const double mid =
+        (static_cast<double>(f) + std::nextafter(f, 2.0f * f)) * 0.5;
+    for (int ulps = -3; ulps <= 3; ++ulps) {
+      double target = mid;
+      for (int k = 0; k < std::abs(ulps); ++k) {
+        target = std::nextafter(target, ulps < 0 ? 0.0 : 2.0 * mid);
+      }
+      std::vector<float> values;
+      squares_summing_to(target, values);
+      // Pad with zeros and with squares far below the total's double ulp:
+      // the serial chain drops each of those, summed in lanes they add up.
+      const std::size_t pad = rng.UniformInt(400);
+      const float tiny =
+          static_cast<float>(std::ldexp(1.0, std::ilogb(mid) / 2 - 28));
+      for (std::size_t k = 0; k < pad; ++k) {
+        values.push_back(trial % 2 == 0 ? 0.0f : tiny);
+      }
+      rng.Shuffle(values);
+      if (trial % 3 == 0) {
+        // Big terms first, so the serial chain drops every tiny one.
+        std::stable_sort(values.begin(), values.end(),
+                         [](float a, float b) { return a > b; });
+      }
+      ExpectNormMatchesSerial(values);
+      ++cases;
+    }
+  }
+  EXPECT_EQ(cases, 1400);
 }
 
 TEST(TensorTest, OutOfPlaceOperators) {
