@@ -190,6 +190,20 @@ int Run(int argc, char** argv) {
   config.async.clock.bandwidth_min = bw_min;
   config.async.clock.bandwidth_max = bw_max;
   config.async.clock.jitter = jitter;
+  if (util::Status async = fl::ValidateAsyncOptions(config.async);
+      !async.ok()) {
+    // The message leads with the field; name the flags that set it.
+    const char* flag = "--jitter";
+    for (const auto& [field, flags_for] :
+         {std::pair{"max_retries", "--max_retries"},
+          std::pair{"buffer_size", "--buffer"},
+          std::pair{"compute_speed", "--speed_min/--speed_max"},
+          std::pair{"bandwidth", "--bw_min/--bw_max"}}) {
+      if (async.message().starts_with(field)) flag = flags_for;
+    }
+    std::fprintf(stderr, "%s: %s\n", flag, async.ToString().c_str());
+    return 1;
+  }
   config.faults.profile.dropout_prob = dropout_prob;
   config.faults.profile.straggler_prob = straggler_prob;
   config.faults.profile.slowdown_min = slowdown_min;

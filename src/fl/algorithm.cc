@@ -110,12 +110,6 @@ std::uint64_t CodecSeed(std::uint64_t seed, int round, int salt, int slot) {
   return MixSeed(h + static_cast<std::uint64_t>(slot));
 }
 
-// Salt stride between async retry attempts of the same slot. Every in-round
-// salt is tiny (FedCluster uses salt = cluster step < K), so attempt k's
-// streams — derived from salt + k * stride — can never collide with another
-// job's.
-constexpr int kAsyncRetrySaltStride = 1 << 16;
-
 // Local-work estimate for a job that never trained (sync deadline miss):
 // what FlClient::Train would have counted — epochs times per-epoch batches,
 // including the ragged tail batch.
@@ -211,6 +205,8 @@ FlAlgorithm::FlAlgorithm(std::string name, AlgorithmConfig config,
       << "K exceeds the number of clients";
   const util::Status codec = comm::ValidateCodecOptions(config_.codec);
   FC_CHECK(codec.ok()) << codec.ToString();
+  const util::Status async = ValidateAsyncOptions(config_.async);
+  FC_CHECK(async.ok()) << async.ToString();
   residual_store_.Configure(config_.state_store);
   // Probe the pool's first replica once for the model size and the factory's
   // initial parameters; the replica is recycled by every later job.
@@ -453,128 +449,141 @@ void FlAlgorithm::PinClientSlots(const std::vector<ClientJob>& jobs) {
 
 const std::vector<LocalTrainResult>& FlAlgorithm::TrainClients(
     int round, int salt, const std::vector<ClientJob>& jobs) {
-  if (config_.async.mode == RoundMode::kAsync) {
-    return TrainClientsAsync(round, salt, jobs);
-  }
-  int count = static_cast<int>(jobs.size());
+  const int count = static_cast<int>(jobs.size());
+  const bool async = config_.async.mode == RoundMode::kAsync;
   Metrics().client_jobs.Add(count);
   // resize keeps surviving elements' params capacity from the last round.
   results_.resize(count);
+  records_.resize(count);
   if (static_cast<int>(wire_scratch_.size()) < count) {
     wire_scratch_.resize(count);
   }
   PinClientSlots(jobs);
   {
     PhaseScope phase(*this, RoundPhase::kTrain);
+    // The chain sees the mode only through these two numbers: sync
+    // stragglers race the round deadline before training, async attempts
+    // race the dispatch timeout after it.
+    const double deadline = async ? 0.0 : config_.faults.round_deadline;
+    const double timeout = async ? config_.async.dispatch_timeout : 0.0;
     // One fan-out over dispatch units: lockstep cohorts, or one unit per
     // job claimed by whichever thread is free. Units never change bits.
-    const bool lockstep = count > 0 && jobs[0].spec != nullptr &&
-                          jobs[0].spec->options.exec == ExecMode::kPlan &&
-                          TrainsInLockstep(model_size_);
-    if (lockstep) {
+    // Async slots always train solo: cohorts measured larger and slower
+    // on the async ResNet workload (DESIGN.md §11).
+    const bool plan = count > 0 && jobs[0].spec != nullptr &&
+                      jobs[0].spec->options.exec == ExecMode::kPlan;
+    if (!async && plan && TrainsInLockstep(model_size_)) {
       ParallelRanges(count, /*min_per_range=*/1,
                      [&](std::int64_t begin, std::int64_t end) {
                        TrainUnit(round, salt, jobs, static_cast<int>(begin),
-                                 static_cast<int>(end));
+                                 static_cast<int>(end), plan, deadline,
+                                 timeout);
                      });
     } else {
       ParallelFor(count, [&](int slot) {
-        TrainUnit(round, salt, jobs, slot, slot + 1);
+        TrainUnit(round, salt, jobs, slot, slot + 1, plan, deadline, timeout);
       });
     }
   }
-  // Bookkeeping and upload screening on the calling thread, in job order,
-  // so accounting is race-free and independent of the parallel schedule.
+
   PhaseScope phase(*this, RoundPhase::kScreen);
-  bool screen = config_.screening.Enabled();
-  double makespan = 0.0;
+  // Fold every attempt's traffic serially in slot order, so accounting is
+  // race-free and independent of the schedule: a non-final attempt bought
+  // nothing, and neither did the final one when the slot ended dropped.
+  const std::uint64_t raw = CommTracker::FloatBytes(model_size_);
   for (int slot = 0; slot < count; ++slot) {
-    LocalTrainResult& result = results_[slot];
-    result.client_id = jobs[slot].client_id;
-    result.slot = slot;
-    result.dispatch_version = model_version_;
-    comm_.AddDownload(CommTracker::FloatBytes(model_size_),
-                      result.wire_bytes_down);
-    // Sync clock observation: the barrier waits for the slowest slot, so
-    // the round's virtual makespan is the max simulated duration. A dropout
-    // costs only its dispatch transfer; a deadline-missing straggler holds
-    // the barrier for the full budget (deadline x the fault-free compute
-    // time of the work it was sent) before the server gives up on it.
-    {
-      ClockProfile profile = DrawClockProfile(
-          config_.async.clock, config_.seed, jobs[slot].client_id);
-      util::Rng clock_rng(ClockSeed(config_.seed, round, salt, slot));
-      double jitter = DrawJitter(config_.async.clock, clock_rng);
-      double steps = static_cast<double>(result.num_steps);
-      double slowdown = result.slowdown;
-      if (result.fault == FaultKind::kDropout) {
-        steps = 0.0;
-      } else if (result.fault == FaultKind::kStraggler) {
-        steps = NominalSteps(jobs[slot].spec->options, result.num_samples);
-        slowdown = config_.faults.round_deadline;
+    const SlotRecord& record = records_[slot];
+    const int attempts = static_cast<int>(record.attempts.size());
+    for (int a = 0; a < attempts; ++a) {
+      const AttemptLog& log = record.attempts[a];
+      comm_.AddDownload(raw, log.wire_down);
+      if (log.uploaded) comm_.AddUpload(raw, log.wire_up);
+      if (log.timed_out) ++fault_stats_.timeouts;
+      if (a + 1 < attempts || results_[slot].dropped) {
+        comm_.AddWasted(log.uploaded ? raw * 2 : raw,
+                        log.wire_down + log.wire_up);
       }
-      makespan = std::max(
-          makespan,
-          SimulatedDuration(profile, slowdown, steps, result.wire_bytes_down,
-                            result.wire_bytes_up, jitter));
     }
-    if (result.fault == FaultKind::kDropout) ++fault_stats_.dropouts;
-    if (result.fault == FaultKind::kStraggler) ++fault_stats_.stragglers;
-    if (result.dropped) {
-      // the device never uploads; its dispatch bought nothing
-      comm_.AddWasted(CommTracker::FloatBytes(model_size_),
-                      result.wire_bytes_down);
-      continue;
+    fault_stats_.retries += record.retries;
+  }
+
+  // Collection. Sync hands every slot over in slot order, dropped ones
+  // echoing their dispatch, and the barrier releases at the latest arrival
+  // (max over slots of t + d is t + max d bit for bit: adding a fixed t
+  // rounds monotonically); its masking cohort is every slot. Async pushes every slot onto
+  // the in-flight heap, then pops arrivals in (arrival, seq) order until
+  // `buffer_size` usable uploads land or the sky empties: dropped and
+  // rejected arrivals are tallied and skipped without counting against the
+  // buffer, so a straggler-heavy cohort degrades the round instead of
+  // stalling it. Its cohort is the arrivals that uploaded, in pop order,
+  // rejected ones as dropped members (dropouts and terminal stragglers
+  // never uploaded a masked sum). Pair masks key on cohort position, so
+  // duplicate client ids (the same client sampled by overlapping rounds)
+  // still cancel exactly.
+  mask_indices_.clear();
+  if (!async) {
+    for (int slot = 0; slot < count; ++slot) {
+      virtual_now_ = std::max(virtual_now_, records_[slot].arrival);
+      mask_indices_.push_back(Receive(results_[slot]) ? slot : -1);
     }
-    comm_.AddUpload(CommTracker::FloatBytes(model_size_),
-                    result.wire_bytes_up);
-    if (result.fault == FaultKind::kCorrupted) ++fault_stats_.corrupted;
-    // Counted at upload receipt, before the screening verdict: a clipped
-    // upload the screener then rejects was still clipped on-device.
-    if (result.dp_clipped) ++privacy_stats_.clipped;
-    if (screen) {
-      util::Status verdict = ScreenUpload(*jobs[slot].init_params,
-                                          result.params, config_.screening);
-      if (!verdict.ok()) {
-        // Degrade exactly like a dropout: the contribution is discarded and
-        // params echo the dispatched model (so FedCross keeps its
-        // middleware copy). Both legs of the round trip bought nothing.
-        result.params = *jobs[slot].init_params;
-        result.dropped = true;
-        result.fault = FaultKind::kRejected;
-        ++fault_stats_.rejected;
-        comm_.AddWasted(CommTracker::FloatBytes(model_size_) * 2,
-                        result.wire_bytes_down + result.wire_bytes_up);
+  } else {
+    auto after = [](const PendingUpload& a, const PendingUpload& b) {
+      return a.arrival != b.arrival ? a.arrival > b.arrival : a.seq > b.seq;
+    };
+    for (int slot = 0; slot < count; ++slot) {
+      inflight_.push_back(PendingUpload{records_[slot].arrival,
+                                        dispatch_seq_++,
+                                        std::move(results_[slot])});
+      std::push_heap(inflight_.begin(), inflight_.end(), after);
+    }
+    const AsyncOptions& options = config_.async;
+    const int want = options.buffer_size > 0 ? options.buffer_size : count;
+    results_.clear();
+    while (static_cast<int>(results_.size()) < want && !inflight_.empty()) {
+      std::pop_heap(inflight_.begin(), inflight_.end(), after);
+      PendingUpload event = std::move(inflight_.back());
+      inflight_.pop_back();
+      virtual_now_ = std::max(virtual_now_, event.arrival);
+      LocalTrainResult& result = event.result;
+      if (!Receive(result)) {
+        if (result.fault == FaultKind::kRejected) mask_indices_.push_back(-1);
         continue;
       }
+      const int tau =
+          static_cast<int>(model_version_ - result.dispatch_version);
+      result.staleness = tau;
+      result.weight_scale =
+          StalenessWeight(options.staleness, options.staleness_exponent, tau);
+      round_staleness_sum_ += tau;
+      ++round_staleness_count_;
+      round_staleness_max_ = std::max(round_staleness_max_, tau);
+      if (obs::MetricsEnabled()) {
+        Metrics().staleness.Observe(static_cast<double>(tau));
+      }
+      mask_indices_.push_back(static_cast<int>(results_.size()));
+      results_.push_back(std::move(result));
     }
-    Metrics().uploads_accepted.Add(1);
-    round_loss_sum_ += result.mean_loss;
-    ++round_loss_count_;
   }
-  // Secure-aggregation overlay over the dispatch cohort: members whose
-  // upload survived screening contribute; dropouts, deadline stragglers and
-  // rejections are the dropped members whose masks recovery reconstructs.
-  if (config_.secure_agg.Enabled() && count > 0) {
-    mask_slots_.resize(count);
-    for (int slot = 0; slot < count; ++slot) {
-      mask_slots_[slot] =
-          results_[slot].dropped ? nullptr : &results_[slot].params;
+
+  // Indices (not pointers) were recorded because results_ grows above.
+  if (config_.secure_agg.Enabled() && !mask_indices_.empty()) {
+    mask_slots_.clear();
+    for (int index : mask_indices_) {
+      mask_slots_.push_back(index < 0 ? nullptr : &results_[index].params);
     }
     ApplyMaskingOverlay(round, salt, mask_slots_);
   }
-  // One noised aggregation event enters the RDP ledger at this batch's
-  // actual sampling rate (FedCluster's per-cluster batches compose as
-  // separate events, exactly as the mechanism fires).
+  // Every dispatched job ran the DP mechanism once, so one noised event at
+  // this batch's sampling rate enters the ledger, whenever its upload is
+  // collected (FedCluster's per-cluster batches compose as separate
+  // events, exactly as the mechanism fires).
   if (config_.dp.Noised() && count > 0) {
     accountant_.AccumulateRound(
         std::min(1.0, static_cast<double>(count) /
                           static_cast<double>(num_clients())),
         config_.dp.noise_multiplier);
   }
-  // The barrier releases when the slowest slot reports; the aggregation
-  // that follows is one global-model version.
-  virtual_now_ += makespan;
+  // The aggregation the caller performs on these results is one version.
   ++model_version_;
   return results_;
 }
@@ -699,10 +708,14 @@ void FlAlgorithm::FinishClientJob(const ClientJob& job, FlatParams* residual,
 
 void FlAlgorithm::TrainUnit(int round, int salt,
                             const std::vector<ClientJob>& jobs, int begin,
-                            int end) {
+                            int end, bool plan, double round_deadline,
+                            double timeout) {
   struct SlotRun {
     JobStreams streams;
-    FaultDecision decision;
+    ClockProfile profile;
+    double t_dispatch = 0.0;  // virtual time the live attempt was sent
+    FaultDecision decision = {};
+    bool live = true;
     bool trains = false;
   };
   std::vector<SlotRun> runs;
@@ -710,256 +723,130 @@ void FlAlgorithm::TrainUnit(int round, int salt,
   runs.reserve(end - begin);  // trained[i].rng points into runs
   trained.reserve(end - begin);
   for (int slot = begin; slot < end; ++slot) {
-    SlotRun& run = runs.emplace_back(
-        SlotRun{JobStreams(config_.seed, round, salt, slot), {}, false});
-    run.trains = PrepareClientJob(jobs[slot], *client_slots_[slot],
-                                  run.streams, config_.faults.round_deadline,
-                                  wire_scratch_[slot], results_[slot],
-                                  run.decision);
-    if (run.trains) {
-      trained.push_back({client_slots_[slot], &wire_scratch_[slot].dispatched,
-                         jobs[slot].spec, &run.streams.train,
-                         &results_[slot]});
+    runs.push_back({JobStreams(config_.seed, round, salt, slot),
+                    DrawClockProfile(config_.async.clock, config_.seed,
+                                     jobs[slot].client_id),
+                    virtual_now_});
+    records_[slot].attempts.clear();
+    records_[slot].retries = 0;
+  }
+  // Attempt k draws every stream from (seed, round, salt + k *
+  // kRetrySaltStride, slot), so each attempt is a pure function of these.
+  for (int attempt = 0, unresolved = end - begin; unresolved > 0;
+       ++attempt) {
+    const int attempt_salt = salt + attempt * kRetrySaltStride;
+    trained.clear();
+    for (int slot = begin; slot < end; ++slot) {
+      SlotRun& run = runs[slot - begin];
+      if (!run.live) continue;
+      if (attempt > 0) {
+        run.streams = JobStreams(config_.seed, round, attempt_salt, slot);
+      }
+      run.trains = PrepareClientJob(jobs[slot], *client_slots_[slot],
+                                    run.streams, round_deadline,
+                                    wire_scratch_[slot], results_[slot],
+                                    run.decision);
+      if (run.trains) {
+        trained.push_back({client_slots_[slot],
+                           &wire_scratch_[slot].dispatched, jobs[slot].spec,
+                           &run.streams.train, &results_[slot]});
+      }
     }
-  }
-  if (!trained.empty() &&
-      jobs[begin].spec->options.exec == ExecMode::kPlan) {
-    RunPlanJobs(pool_, trained.data(), static_cast<int>(trained.size()));
-  } else {
-    for (const PlanJob& job : trained) {  // a layer-path unit is one slot
-      job.client->Train(pool_, *job.init_params, *job.spec, *job.rng,
-                        *job.result);
+    if (!trained.empty() && plan) {
+      RunPlanJobs(pool_, trained.data(), static_cast<int>(trained.size()));
+    } else {
+      for (const PlanJob& job : trained) {  // a layer-path unit is one slot
+        job.client->Train(pool_, *job.init_params, *job.spec, *job.rng,
+                          *job.result);
+      }
     }
-  }
-  for (int slot = begin; slot < end; ++slot) {
-    SlotRun& run = runs[slot - begin];
-    if (!run.trains) continue;
-    FinishClientJob(jobs[slot], residual_slots_[slot], run.decision,
-                    run.streams, wire_scratch_[slot], results_[slot]);
-  }
-}
-
-const std::vector<LocalTrainResult>& FlAlgorithm::TrainClientsAsync(
-    int round, int salt, const std::vector<ClientJob>& jobs) {
-  int count = static_cast<int>(jobs.size());
-  Metrics().client_jobs.Add(count);
-  if (static_cast<int>(wire_scratch_.size()) < count) {
-    wire_scratch_.resize(count);
-  }
-  PinClientSlots(jobs);
-  async_outcomes_.resize(count);
-
-  const AsyncOptions& async = config_.async;
-  const double timeout = async.dispatch_timeout;
-  const double t_round = virtual_now_;
-  const std::int64_t version = model_version_;
-  const bool screen = config_.screening.Enabled();
-
-  // Dispatch every slot, running its whole timeout/retry chain to a
-  // terminal outcome on the worker: clients are simulations, so nothing
-  // actually waits — "in flight" is just an arrival timestamp. Each attempt
-  // derives its training / fault / codec / clock streams from
-  // `salt + attempt * stride`, making the outcome a pure function of
-  // (seed, round, salt, slot, attempt) — bit-identical across thread
-  // counts — with retry streams that cannot collide with other batches'.
-  auto dispatch_slot = [&](int slot) {
-    AsyncOutcome& out = async_outcomes_[slot];
-    out.attempts.clear();
-    out.retries = 0;
-    const ClientJob& job = jobs[slot];
-    ClockProfile profile =
-        DrawClockProfile(async.clock, config_.seed, job.client_id);
-    double t_dispatch = t_round;
-    for (int attempt = 0;; ++attempt) {
-      int attempt_salt = salt + attempt * kAsyncRetrySaltStride;
-      JobStreams streams(config_.seed, round, attempt_salt, slot);
-      util::Rng clock_rng(ClockSeed(config_.seed, round, attempt_salt, slot));
-      LocalTrainResult& result = out.result;
-      WireScratch& wire = wire_scratch_[slot];
-      // The engine owns the deadline race (round_deadline = 0): stragglers
-      // train slowly and land late instead of being dropped at a barrier.
-      FaultDecision decision;
-      if (PrepareClientJob(job, *client_slots_[slot], streams,
-                           /*round_deadline=*/0.0, wire, result, decision)) {
-        client_slots_[slot]->Train(pool_, wire.dispatched, *job.spec,
-                                   streams.train, result);
-        FinishClientJob(job, residual_slots_[slot], decision, streams, wire,
-                        result);
+    for (int slot = begin; slot < end; ++slot) {
+      SlotRun& run = runs[slot - begin];
+      if (!run.live) continue;
+      const ClientJob& job = jobs[slot];
+      LocalTrainResult& result = results_[slot];
+      SlotRecord& record = records_[slot];
+      if (run.trains) {
+        FinishClientJob(job, residual_slots_[slot], run.decision, run.streams,
+                        wire_scratch_[slot], result);
       }
       result.client_id = job.client_id;
       result.slot = slot;
-      result.dispatch_version = version;
-      double jitter = DrawJitter(async.clock, clock_rng);
-      double duration = SimulatedDuration(
-          profile, result.slowdown, static_cast<double>(result.num_steps),
-          result.wire_bytes_down, result.wire_bytes_up, jitter);
-      const bool vanished = result.dropped;  // dropout: no upload, ever
-      // A dropout under a timeout is retried like a straggler: the server
-      // cannot tell a vanished device from a slow one — both just miss the
-      // deadline. Without a timeout the server notices the silence at the
-      // would-be transfer time.
+      result.dispatch_version = model_version_;
+      // A straggler that missed the sync round deadline never trained, but
+      // holds the barrier for the full budget: the deadline times the
+      // fault-free compute time of the work it was sent.
+      double steps = static_cast<double>(result.num_steps);
+      double slowdown = result.slowdown;
+      if (result.fault == FaultKind::kStraggler) {
+        steps = NominalSteps(job.spec->options, result.num_samples);
+        slowdown = round_deadline;
+      }
+      util::Rng clock_rng(ClockSeed(config_.seed, round, attempt_salt, slot));
+      const double duration = SimulatedDuration(
+          run.profile, slowdown, steps, result.wire_bytes_down,
+          result.wire_bytes_up, DrawJitter(config_.async.clock, clock_rng));
+      const bool vanished = result.dropped;  // no upload, ever
+      // Under a timeout a dropout is retried like a straggler: the server
+      // cannot tell a vanished device from a slow one. Without one the
+      // server notices the silence at the would-be transfer time.
       const bool late = timeout > 0.0 && (vanished || duration > timeout);
-      AsyncAttempt log;
-      log.wire_down = result.wire_bytes_down;
-      log.wire_up = vanished ? 0 : result.wire_bytes_up;
-      log.uploaded = !vanished;
-      log.timed_out = late;
-      out.attempts.push_back(log);
+      record.attempts.push_back(
+          {result.wire_bytes_down, result.wire_bytes_up, !vanished, late});
+      run.live = false;
       if (!late && !vanished) {
         // The upload arrives. Screen it now: the dispatched reference dies
         // with this TrainClients call, and rejection is terminal (a
-        // Byzantine device is not worth a retry).
-        if (screen) {
-          util::Status verdict = ScreenUpload(*job.init_params, result.params,
-                                              config_.screening);
-          if (!verdict.ok()) {
-            result.params = *job.init_params;
-            result.dropped = true;
-            result.fault = FaultKind::kRejected;
-          }
+        // Byzantine device is not worth a retry). Degrade exactly like a
+        // dropout: params echo the dispatched model, so FedCross keeps its
+        // middleware copy.
+        if (config_.screening.Enabled() &&
+            !ScreenUpload(*job.init_params, result.params, config_.screening)
+                 .ok()) {
+          result.params = *job.init_params;
+          result.dropped = true;
+          result.fault = FaultKind::kRejected;
         }
-        out.arrival = t_dispatch + duration;
-        return;
+        record.arrival = run.t_dispatch + duration;
+      } else {
+        const double t_fail = run.t_dispatch + (late ? timeout : duration);
+        if (late && attempt < config_.async.max_retries) {
+          ++record.retries;
+          run.t_dispatch = t_fail;
+          run.live = true;
+          continue;
+        }
+        if (late && !vanished) {
+          // Terminal timeout of a device that did train: degrade like a
+          // sync straggler.
+          result.params = *job.init_params;
+          result.dropped = true;
+          result.fault = FaultKind::kStraggler;
+        }
+        record.arrival = t_fail;
       }
-      double t_fail = late ? t_dispatch + timeout : t_dispatch + duration;
-      if (late && attempt < async.max_retries) {
-        ++out.retries;
-        t_dispatch = t_fail;
-        continue;
-      }
-      if (late && !vanished) {
-        // Terminal timeout of a device that did train: degrade like a sync
-        // straggler — params echo the dispatch, which every consumer
-        // already handles.
-        result.params = *job.init_params;
-        result.dropped = true;
-        result.fault = FaultKind::kStraggler;
-      }
-      out.arrival = t_fail;
-      return;
+      --unresolved;
     }
-  };
-  {
-    PhaseScope phase(*this, RoundPhase::kTrain);
-    ParallelFor(count, dispatch_slot);
   }
+}
 
-  PhaseScope phase(*this, RoundPhase::kScreen);
-  // Fold the dispatch logs serially in slot order — comm accounting, wasted
-  // bytes (every non-final attempt bought nothing; so did the final one
-  // when the slot terminally failed), timeout/retry tallies — then push the
-  // terminal event onto the in-flight heap.
-  auto after = [](const PendingUpload& a, const PendingUpload& b) {
-    return a.arrival != b.arrival ? a.arrival > b.arrival : a.seq > b.seq;
-  };
-  for (int slot = 0; slot < count; ++slot) {
-    AsyncOutcome& out = async_outcomes_[slot];
-    int attempts = static_cast<int>(out.attempts.size());
-    for (int a = 0; a < attempts; ++a) {
-      const AsyncAttempt& log = out.attempts[a];
-      comm_.AddDownload(CommTracker::FloatBytes(model_size_), log.wire_down);
-      if (log.uploaded) {
-        comm_.AddUpload(CommTracker::FloatBytes(model_size_), log.wire_up);
-      }
-      if (log.timed_out) ++fault_stats_.timeouts;
-      if (a + 1 < attempts || out.result.dropped) {
-        std::uint64_t raw = CommTracker::FloatBytes(model_size_);
-        comm_.AddWasted(log.uploaded ? raw * 2 : raw,
-                        log.wire_down + (log.uploaded ? log.wire_up : 0));
-      }
-    }
-    fault_stats_.retries += out.retries;
-    inflight_.push_back(
-        PendingUpload{out.arrival, dispatch_seq_++, std::move(out.result)});
-    std::push_heap(inflight_.begin(), inflight_.end(), after);
+bool FlAlgorithm::Receive(const LocalTrainResult& result) {
+  // Corruption and clipping are counted when the upload reaches the server,
+  // whether or not screening then discarded it; a dropout or a terminal
+  // straggler never uploaded at all.
+  const bool reached = !result.dropped || result.fault == FaultKind::kRejected;
+  if (reached && result.upload_corrupt) ++fault_stats_.corrupted;
+  if (reached && result.dp_clipped) ++privacy_stats_.clipped;
+  if (result.dropped) {
+    if (result.fault == FaultKind::kDropout) ++fault_stats_.dropouts;
+    if (result.fault == FaultKind::kStraggler) ++fault_stats_.stragglers;
+    if (result.fault == FaultKind::kRejected) ++fault_stats_.rejected;
+    return false;
   }
-
-  // Collect arrivals in (arrival, seq) order — advancing the virtual clock
-  // — until `buffer_size` usable uploads land or the sky empties. Dropped /
-  // rejected arrivals free their buffer slot: they are tallied and skipped
-  // without counting against the buffer, so a straggler-heavy cohort
-  // degrades the round instead of stalling it.
-  const int want = async.buffer_size > 0 ? async.buffer_size : count;
-  results_.clear();
-  mask_indices_.clear();
-  int collected = 0;
-  while (collected < want && !inflight_.empty()) {
-    std::pop_heap(inflight_.begin(), inflight_.end(), after);
-    PendingUpload event = std::move(inflight_.back());
-    inflight_.pop_back();
-    virtual_now_ = std::max(virtual_now_, event.arrival);
-    LocalTrainResult& result = event.result;
-    // Corruption is counted when the mangled upload reaches the server,
-    // whether or not screening then discarded it.
-    if (result.upload_corrupt && (result.fault == FaultKind::kCorrupted ||
-                                  result.fault == FaultKind::kRejected)) {
-      ++fault_stats_.corrupted;
-    }
-    // Clipping mirrors corruption: tallied when the clipped upload reaches
-    // the server. A rejected arrival did reach it (screening then discarded
-    // it); a dropout or terminal straggler never uploaded at all.
-    if (result.dp_clipped &&
-        (!result.dropped || result.fault == FaultKind::kRejected)) {
-      ++privacy_stats_.clipped;
-    }
-    if (result.dropped) {
-      if (result.fault == FaultKind::kDropout) ++fault_stats_.dropouts;
-      if (result.fault == FaultKind::kStraggler) ++fault_stats_.stragglers;
-      if (result.fault == FaultKind::kRejected) ++fault_stats_.rejected;
-      // A rejected arrival is a dropped member of this collection event's
-      // masking cohort: its pair masks dangle and recovery reconstructs
-      // them. (Dropouts and terminal stragglers never uploaded a masked
-      // sum, so they were never in the cohort.)
-      if (config_.secure_agg.Enabled() &&
-          result.fault == FaultKind::kRejected) {
-        mask_indices_.push_back(-1);
-      }
-      continue;
-    }
-    const int tau = static_cast<int>(model_version_ - result.dispatch_version);
-    result.staleness = tau;
-    result.weight_scale =
-        StalenessWeight(async.staleness, async.staleness_exponent, tau);
-    round_staleness_sum_ += tau;
-    ++round_staleness_count_;
-    round_staleness_max_ = std::max(round_staleness_max_, tau);
-    if (obs::MetricsEnabled()) {
-      Metrics().staleness.Observe(static_cast<double>(tau));
-    }
-    Metrics().uploads_accepted.Add(1);
-    round_loss_sum_ += result.mean_loss;
-    ++round_loss_count_;
-    if (config_.secure_agg.Enabled()) {
-      mask_indices_.push_back(static_cast<int>(results_.size()));
-    }
-    results_.push_back(std::move(result));
-    ++collected;
-  }
-  // Secure-aggregation overlay over this collection event's cohort — the
-  // arrivals popped above, in pop order. Indices (not pointers) were
-  // recorded because results_ reallocates as it grows; pair masks key on
-  // cohort position, so duplicate client ids (the same client sampled by
-  // overlapping rounds) still cancel exactly.
-  if (config_.secure_agg.Enabled() && !mask_indices_.empty()) {
-    mask_slots_.clear();
-    mask_slots_.reserve(mask_indices_.size());
-    for (int index : mask_indices_) {
-      mask_slots_.push_back(index < 0 ? nullptr : &results_[index].params);
-    }
-    ApplyMaskingOverlay(round, salt, mask_slots_);
-  }
-  // Every dispatched job ran the DP mechanism once, so one noised event at
-  // this dispatch batch's sampling rate enters the ledger — regardless of
-  // when its upload is collected.
-  if (config_.dp.Noised() && count > 0) {
-    accountant_.AccumulateRound(
-        std::min(1.0, static_cast<double>(count) /
-                          static_cast<double>(num_clients())),
-        config_.dp.noise_multiplier);
-  }
-  // The aggregation the caller performs on these results is one version.
-  ++model_version_;
-  return results_;
+  Metrics().uploads_accepted.Add(1);
+  round_loss_sum_ += result.mean_loss;
+  ++round_loss_count_;
+  return true;
 }
 
 FlatParams FlAlgorithm::WeightedAverage(const std::vector<FlatParams>& models,

@@ -277,29 +277,34 @@ class FlAlgorithm {
     const ClientTrainSpec* spec = nullptr;
   };
 
-  // Runs every job's local training — in parallel across the shared pool
-  // when SetFlThreads allows — and returns the results in job order. Each
-  // job trains under an independent Rng seeded deterministically from
-  // (config.seed, round, salt, slot), so the outcome is bit-identical
-  // regardless of thread count or schedule. `salt` distinguishes multiple
-  // batches issued within one round (e.g. FedCluster's per-cluster steps).
-  // Model down/up traffic and the round's mean client loss are accounted on
-  // the calling thread, in job order.
+  // Dispatches every job against the current model version and returns
+  // what the server collects. One pipeline serves both round modes:
+  //   1. one fan-out over dispatch units (TrainUnit), in parallel across the
+  //      shared pool when SetFlThreads allows, each resolving its slots'
+  //      whole attempt chains to a terminal result and an arrival time;
+  //   2. one serial fold of every attempt's traffic, in slot order;
+  //   3. the mode's collection policy, then one receipt rule (tallies and
+  //      the round's mean client loss, in handover order);
+  //   4. the masking overlay, the DP ledger and the version bump, once.
+  // Every attempt draws only from streams seeded by (config.seed, round,
+  // salt + attempt * 2^16, slot), so results are bit-identical regardless
+  // of thread count or schedule. `salt` distinguishes multiple batches
+  // issued within one round (e.g. FedCluster's per-cluster steps).
   //
-  // Sync training is one fan-out over dispatch units (TrainUnit). Plan-path
-  // models under the lockstep line (fl::kLockstepStateBytes, a fixed 2 MiB
-  // of parameter state per replica) train in min(K, ParallelWidth())
+  // Sync hands every slot over in job order (client_id ==
+  // jobs[slot].client_id, weight_scale == 1.0; a dropped slot echoes its
+  // dispatch) and moves the clock to the latest arrival. Plan-path models
+  // under the lockstep line (fl::kLockstepStateBytes, a fixed 2 MiB of
+  // parameter state per replica) train in min(K, ParallelWidth())
   // contiguous lockstep cohorts; every other job is a unit of its own.
   //
-  // Under RoundMode::kAsync this delegates to the buffered event engine:
-  // every job is dispatched against the current model version, and the
+  // Under RoundMode::kAsync every slot is a unit of its own, and the
   // returned results are the next `buffer_size` *arrivals* in virtual-time
   // order — possibly stragglers from earlier rounds, possibly fewer than
   // jobs.size(), never positionally aligned with `jobs`. Async consumers
   // must key on result.client_id / result.slot and weight by
-  // result.num_samples * result.weight_scale (sync keeps slot order,
-  // client_id == jobs[slot].client_id and weight_scale == 1.0, so the
-  // same consumer code is bit-identical to the historical integer weight).
+  // result.num_samples * result.weight_scale (sync's weight_scale of 1.0
+  // keeps the same consumer code bit-identical to the integer weight).
   //
   // Returns a reference to an internal results vector that is recycled on
   // the next TrainClients call: read (or copy) what you need before then.
@@ -366,19 +371,19 @@ class FlAlgorithm {
   // from (seed, round, salt, slot) and independent of the others.
   struct JobStreams;
 
-  // One ClientJob, split at the training boundary so a sync dispatch unit
-  // can train its surviving jobs as one lockstep cohort in between. Prepare
-  // draws faults and round-trips the dispatch frame; it returns false
-  // (echoing the dispatch into `result`) when the job resolved to a
-  // dropout/straggler. Finish applies DP sanitisation, upload corruption
-  // and the upload round trip. Both draw only from the job's own streams,
-  // so jobs are order- and thread-independent, and both write into
-  // `result`, recycling its buffers. `client` and `residual` are resolved
-  // per slot on the coordinating thread before the parallel fan-out
-  // (population cache and state store are not thread-safe).
-  // `round_deadline` is the sync straggler budget (the async engine passes
-  // 0: its own dispatch_timeout replaces it, so stragglers train slowly and
-  // land late instead of being dropped by the fault model).
+  // One dispatch attempt of a ClientJob, split at the training boundary so
+  // a dispatch unit can train its live slots as one wave in between.
+  // Prepare draws faults and round-trips the dispatch frame; it returns
+  // false (echoing the dispatch into `result`) when the attempt resolved to
+  // a dropout or a deadline-missing straggler. Finish applies DP
+  // sanitisation, upload corruption and the upload round trip. Both draw
+  // only from the attempt's own streams, so jobs are order- and
+  // thread-independent, and both write into `result`, recycling its
+  // buffers. `client` and `residual` are resolved per slot on the
+  // coordinating thread before the parallel fan-out (population cache and
+  // state store are not thread-safe). `round_deadline` is the sync
+  // straggler budget; async passes 0, because its dispatch timeout races
+  // the whole attempt instead, so stragglers train slowly and land late.
   bool PrepareClientJob(const ClientJob& job, const FlClient& client,
                         JobStreams& streams, double round_deadline,
                         WireScratch& wire, LocalTrainResult& result,
@@ -387,14 +392,24 @@ class FlAlgorithm {
                        const FaultDecision& decision, JobStreams& streams,
                        WireScratch& wire, LocalTrainResult& result);
 
-  // One sync dispatch unit: slots [begin, end) of `jobs`, run on one worker
-  // from the dispatch round trip through local training to the upload
-  // codec, while their buffers are hot. On the plan path the unit's
-  // surviving jobs train as one lockstep cohort (RunPlanJobs); on the layer
-  // path a unit is one slot and trains through FlClient::Train. Writes
-  // results_[begin, end).
+  // One dispatch unit: slots [begin, end) of `jobs`, run on one worker
+  // through their whole attempt chains while their buffers are hot. Each
+  // wave prepares the live slots, trains them (one RunPlanJobs cohort when
+  // `plan`, else FlClient::Train per slot), finishes them, then clocks
+  // each attempt and gives its verdict: a late attempt with retries left
+  // stays live for the next wave under salt + k * kRetrySaltStride; an
+  // upload that arrives is screened. The chain sees the round mode only
+  // through `round_deadline` (see PrepareClientJob) and `timeout` (<= 0:
+  // none). Writes results_[begin, end) and records_[begin, end).
   void TrainUnit(int round, int salt, const std::vector<ClientJob>& jobs,
-                 int begin, int end);
+                 int begin, int end, bool plan, double round_deadline,
+                 double timeout);
+
+  // The server's receipt of one handed-over result, in handover order:
+  // counts corruption and DP clips when the upload reached the server,
+  // drops by kind, and an accepted upload's loss. Returns true when the
+  // upload is accepted into aggregation.
+  bool Receive(const LocalTrainResult& result);
 
   // The secure-aggregation verification overlay for one aggregation event:
   // recomputes the cohort's sum under pairwise fixed-point masks, recovers
@@ -419,31 +434,20 @@ class FlAlgorithm {
     LocalTrainResult result;
   };
 
-  // Per-slot async dispatch scratch (recycled): the terminal outcome plus
-  // one comm log entry per attempt, folded into the trackers in slot order
-  // on the coordinating thread after the parallel fan-out.
-  struct AsyncAttempt {
+  // What one slot's attempt chain leaves for the serial fold and the
+  // collection policy (recycled): one wire log entry per attempt, the
+  // retries issued and the virtual time the server learns the outcome.
+  struct AttemptLog {
     std::uint64_t wire_down = 0;
-    std::uint64_t wire_up = 0;
+    std::uint64_t wire_up = 0;  // 0 unless uploaded
     bool uploaded = false;   // an upload frame crossed the wire
     bool timed_out = false;  // abandoned at the per-dispatch deadline
   };
-  struct AsyncOutcome {
-    std::vector<AsyncAttempt> attempts;
-    LocalTrainResult result;
+  struct SlotRecord {
+    std::vector<AttemptLog> attempts;
     double arrival = 0.0;
     int retries = 0;
   };
-
-  // The buffered event engine behind TrainClients in RoundMode::kAsync:
-  // dispatches every job (running retry chains to termination), pushes the
-  // terminal events onto the in-flight min-heap, then pops arrivals in
-  // (arrival, seq) order — advancing the virtual clock — until buffer_size
-  // usable uploads are collected (drops and rejections free their slot and
-  // are tallied in passing). Increments model_version_ for the aggregation
-  // that follows.
-  const std::vector<LocalTrainResult>& TrainClientsAsync(
-      int round, int salt, const std::vector<ClientJob>& jobs);
 
   // Resolves every slot's client and codec residual into client_slots_ /
   // residual_slots_ on the calling thread, before the fan-out, timed as
@@ -497,8 +501,8 @@ class FlAlgorithm {
   // aggregation event, at that event's actual sampling rate. Checkpointed,
   // so a resumed run's eps(delta) is bit-exact.
   privacy::RdpAccountant accountant_;
-  // Masking-overlay cohort scratch, recycled: per-member upload pointers
-  // (sync) and popped-arrival result indices (async; -1 = dropped member).
+  // Masking-overlay cohort scratch, recycled: each member's index into
+  // results_ (-1 = dropped member) and the upload pointers built from it.
   std::vector<const FlatParams*> mask_slots_;
   std::vector<int> mask_indices_;
   privacy::MaskScratch mask_scratch_;  // masked-sum buffers, recycled
@@ -513,7 +517,7 @@ class FlAlgorithm {
   // checkpoint serialises the array verbatim, so a resumed heap pops in
   // exactly the original order.
   std::vector<PendingUpload> inflight_;
-  std::vector<AsyncOutcome> async_outcomes_;  // per-slot scratch, recycled
+  std::vector<SlotRecord> records_;  // per-slot chain records, recycled
   double virtual_now_ = 0.0;
   std::int64_t model_version_ = 0;
   std::int64_t dispatch_seq_ = 0;

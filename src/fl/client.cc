@@ -3,7 +3,6 @@
 #include <optional>
 
 #include "data/dataloader.h"
-#include "fl/plan_runner.h"
 #include "nn/loss.h"
 #include "obs/trace.h"
 #include "optim/sgd.h"
@@ -63,17 +62,6 @@ void FlClient::Train(ModelPool& pool, const FlatParams& init_params,
                      const ClientTrainSpec& spec, util::Rng& rng,
                      LocalTrainResult& result) const {
   FC_TRACE_SPAN_ARG("client.train", id_);
-  if (spec.options.exec == ExecMode::kPlan) {
-    // Plan-mode single job: a lockstep batch of one.
-    PlanJob job;
-    job.client = this;
-    job.init_params = &init_params;
-    job.spec = &spec;
-    job.rng = &rng;
-    job.result = &result;
-    RunPlanJobs(pool, &job, 1);
-    return;
-  }
   ModelPool::Lease lease = pool.Acquire();
   ModelPool::Replica& replica = *lease;
   detail::ArmReplica(replica, init_params, spec.options);

@@ -73,11 +73,11 @@ struct LocalTrainResult {
   double slowdown = 1.0;
   // The upload left the device mangled (fl/faults.h corruption). Kept
   // separate from `fault` because a later screening rejection overwrites
-  // it, and the async engine still counts the corruption at arrival.
+  // it, and the server still counts the corruption at receipt.
   bool upload_corrupt = false;
   // The DP mechanism (privacy/dp.h) scaled this upload's update down to the
-  // clipping bound. Counted when the upload reaches the server — at the
-  // sync screen loop, or at arrival for a buffered async upload (so it
+  // clipping bound. Counted when the upload reaches the server — at its
+  // handover, which for a buffered async upload is its arrival (so it
   // rides the in-flight checkpoint table).
   bool dp_clipped = false;
 };
@@ -94,7 +94,9 @@ class FlClient {
   const data::Dataset& dataset() const { return *dataset_; }
 
   // Trains a pooled model replica initialised from `init_params` for
-  // spec.options.local_epochs epochs, writing into `result` (whose buffers
+  // spec.options.local_epochs epochs on the layer interpreter
+  // (Layer::Forward/Backward; spec.options.exec is not read: plan-path jobs
+  // train through RunPlanJobs), writing into `result` (whose buffers
   // are recycled round-over-round: at steady state this performs zero
   // tensor heap allocations). `rng` drives batch shuffling (forked
   // internally so client runs are reproducible). Resets every result field,

@@ -1,6 +1,7 @@
 #include "fl/clock.h"
 
 #include <cmath>
+#include <cstdio>
 
 namespace fedcross::fl {
 namespace {
@@ -13,6 +14,13 @@ std::uint64_t MixSeed(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
+}
+
+// %g rendering for option diagnostics ("1e+09", not "1000000000.000000").
+std::string Num(double value) {
+  char text[32];
+  std::snprintf(text, sizeof(text), "%g", value);
+  return text;
 }
 
 // Log-uniform draw over [lo, hi]; degenerate ranges cost no stream draws,
@@ -91,6 +99,38 @@ std::uint64_t ClockSeed(std::uint64_t seed, int round, int salt, int slot) {
   h = MixSeed(h + static_cast<std::uint64_t>(round));
   h = MixSeed(h + static_cast<std::uint64_t>(salt));
   return MixSeed(h + static_cast<std::uint64_t>(slot));
+}
+
+util::Status ValidateAsyncOptions(const AsyncOptions& options) {
+  auto invalid = [](const char* field, const std::string& what) {
+    return util::Status::InvalidArgument(std::string(field) + " " + what);
+  };
+  if (options.max_retries < 0 || options.max_retries > kMaxRetries) {
+    return invalid("max_retries", std::to_string(options.max_retries) +
+                                      " is outside [0, " +
+                                      std::to_string(kMaxRetries) + "]");
+  }
+  if (options.buffer_size < 0) {
+    return invalid("buffer_size",
+                   std::to_string(options.buffer_size) + " is negative");
+  }
+  const ClockModel& clock = options.clock;
+  const struct {
+    const char* field;
+    double lo, hi;
+  } ranges[] = {{"compute_speed", clock.compute_speed_min,
+                 clock.compute_speed_max},
+                {"bandwidth", clock.bandwidth_min, clock.bandwidth_max}};
+  for (const auto& [field, lo, hi] : ranges) {
+    if (!(std::isfinite(hi) && lo > 0.0 && lo <= hi)) {
+      return invalid(field, "range [" + Num(lo) + ", " + Num(hi) +
+                                "] is not finite, positive and ordered");
+    }
+  }
+  if (!(std::isfinite(clock.jitter) && clock.jitter >= 0.0)) {
+    return invalid("jitter", Num(clock.jitter) + " is not finite and >= 0");
+  }
+  return util::Status::Ok();
 }
 
 double SimulatedDuration(const ClockProfile& profile, double slowdown,

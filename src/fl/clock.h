@@ -2,10 +2,12 @@
 #define FEDCROSS_FL_CLOCK_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "fl/types.h"
 #include "util/rng.h"
+#include "util/status.h"
 
 namespace fedcross::fl {
 
@@ -120,6 +122,25 @@ struct AsyncOptions {
 
   ClockModel clock;
 };
+
+// Salt stride between retry attempts of one slot: attempt k draws its
+// streams from salt + k * kRetrySaltStride. Every in-round salt is tiny
+// (FedCluster uses salt = cluster step < K), so no retry stream can collide
+// with another job's.
+inline constexpr int kRetrySaltStride = 1 << 16;
+
+// The largest max_retries (32767) whose attempt salts fit an int for every
+// in-round salt below kRetrySaltStride.
+inline constexpr int kMaxRetries =
+    (std::numeric_limits<int>::max() - (kRetrySaltStride - 1)) /
+    kRetrySaltStride;
+
+// InvalidArgument, naming the offending field first, when the options
+// cannot mean what they say: max_retries outside [0, kMaxRetries], a
+// negative buffer_size, a compute-speed or bandwidth range that is not
+// finite, positive and ordered, or a negative jitter. dispatch_timeout
+// <= 0 is valid: it means no timeout.
+util::Status ValidateAsyncOptions(const AsyncOptions& options);
 
 }  // namespace fedcross::fl
 

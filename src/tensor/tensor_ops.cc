@@ -548,8 +548,10 @@ typedef double Double4 __attribute__((vector_size(4 * sizeof(double))));
 // Elements t..t+3 widened to doubles: CosineSimilarity's lanes 0..3. Built
 // element-wise because GCC lowers that to one widening load, where
 // __builtin_convertvector takes two half conversions and a shuffle.
-inline Double4 Widen4(const float* p) {
-  return Double4{p[0], p[1], p[2], p[3]};
+// Returned through a reference: a 32-byte vector returned by value changes
+// ABI with -mavx, which a portable build warns about.
+inline void Widen4(const float* p, Double4& out) {
+  out = Double4{p[0], p[1], p[2], p[3]};
 }
 
 // Partners that share each load of the widened chunk: independent
@@ -572,7 +574,11 @@ void GramTile(const double* __restrict__ wide, const float* const* ys,
   for (std::size_t t = 0; t < len; t += 4) {
     Double4 x;
     std::memcpy(&x, wide + t, sizeof(x));
-    for (int p = 0; p < kTile; ++p) a[p] += x * Widen4(y[p] + t);
+    for (int p = 0; p < kTile; ++p) {
+      Double4 yw;
+      Widen4(y[p] + t, yw);
+      a[p] += x * yw;
+    }
   }
   for (int p = 0; p < kTile; ++p) acc[p] = a[p];
 }
@@ -601,7 +607,8 @@ void CosineGramRow(const float* const* models, int k, int row, std::size_t n,
   for (std::size_t begin = 0; begin < main; begin += kCosineGramChunk) {
     const std::size_t len = std::min(kCosineGramChunk, main - begin);
     for (std::size_t t = 0; t < len; t += 4) {
-      const Double4 v = Widen4(x + begin + t);
+      Double4 v;
+      Widen4(x + begin + t, v);
       std::memcpy(wide + t, &v, sizeof(v));
     }
     for (int p = 0; p < partners; p += kGramTile) {

@@ -5,6 +5,9 @@
 //   * virtual time and the whole async trajectory are pure functions of the
 //     config — bit-identical across --fl_threads values and across reruns;
 //   * staleness weights match the FedBuff family by hand;
+//   * a sync round is an async round whose buffer is the whole batch,
+//     handed over in slot order (one dispatch pipeline serves both);
+//   * engine options that cannot mean what they say are rejected;
 //   * buffered aggregation beats the sync barrier on virtual time under
 //     straggler-heavy fleets;
 //   * checkpoints capture the engine mid-buffer (save -> kill -> load
@@ -14,6 +17,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -248,6 +252,52 @@ TEST(ClockTest, ParseRoundTrips) {
   EXPECT_FALSE(ParseStalenessPolicy("bogus", &policy));
 }
 
+TEST(ClockTest, ValidateAsyncOptionsRejectsWhatCannotMeanWhatItSays) {
+  AsyncOptions edge;
+  EXPECT_TRUE(ValidateAsyncOptions(edge).ok());
+  edge.dispatch_timeout = -1.0;  // <= 0 means no timeout
+  edge.max_retries = kMaxRetries;
+  edge.clock.jitter = 0.0;
+  EXPECT_TRUE(ValidateAsyncOptions(edge).ok());
+  // The largest budget's last attempt salt still fits an int.
+  EXPECT_EQ(kMaxRetries, 32767);
+  EXPECT_LE(static_cast<std::int64_t>(kMaxRetries) * kRetrySaltStride +
+                kRetrySaltStride - 1,
+            std::numeric_limits<int>::max());
+
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto rejects = [](const std::string& field, auto mutate) {
+    AsyncOptions options;
+    mutate(options);
+    const util::Status status = ValidateAsyncOptions(options);
+    EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument) << field;
+    EXPECT_EQ(status.message().rfind(field, 0), 0u) << status.message();
+  };
+  rejects("max_retries", [](AsyncOptions& o) { o.max_retries = -1; });
+  rejects("max_retries",
+          [](AsyncOptions& o) { o.max_retries = kMaxRetries + 1; });
+  rejects("buffer_size", [](AsyncOptions& o) { o.buffer_size = -2; });
+  rejects("compute_speed",
+          [](AsyncOptions& o) { o.clock.compute_speed_min = 0.0; });
+  rejects("compute_speed",
+          [](AsyncOptions& o) { o.clock.compute_speed_min = -1.0; });
+  rejects("compute_speed",
+          [](AsyncOptions& o) { o.clock.compute_speed_min = 200.0; });
+  rejects("compute_speed",
+          [&](AsyncOptions& o) { o.clock.compute_speed_max = inf; });
+  rejects("bandwidth", [](AsyncOptions& o) { o.clock.bandwidth_min = 0.0; });
+  rejects("bandwidth", [](AsyncOptions& o) { o.clock.bandwidth_max = 1.0; });
+  rejects("bandwidth", [&](AsyncOptions& o) { o.clock.bandwidth_min = nan; });
+  rejects("jitter", [](AsyncOptions& o) { o.clock.jitter = -0.1; });
+  rejects("jitter", [&](AsyncOptions& o) { o.clock.jitter = nan; });
+
+  // The server refuses them too, rather than simulating them.
+  AlgorithmConfig config = ToyConfig();
+  config.async.max_retries = kMaxRetries + 1;
+  EXPECT_DEATH(MakeAlgorithm("FedAvg", config), "max_retries");
+}
+
 // --------------------------------------------------------------------------
 // Sync mode: the clock is observation-only
 // --------------------------------------------------------------------------
@@ -384,6 +434,148 @@ TEST(AsyncTest, SyncDropoutCountsWastedDispatchBytes) {
   EXPECT_EQ(algo->comm().total_wasted_bytes(),
             algo->comm().total_download_bytes());
   EXPECT_EQ(algo->comm().total_upload_bytes(), 0u);
+}
+
+// --------------------------------------------------------------------------
+// Sync and async share one dispatch pipeline
+// --------------------------------------------------------------------------
+
+// Exposes TrainClients: each call dispatches `jobs` clients, chosen by the
+// round, against the probe's model, which then moves to the accepted upload
+// of the lowest slot (the same upload in sync and async).
+class DispatchProbe : public FlAlgorithm {
+ public:
+  DispatchProbe(AlgorithmConfig config, data::FederatedDataset data,
+                models::ModelFactory factory)
+      : FlAlgorithm("probe", config, std::move(data), std::move(factory)),
+        model_(InitialParams()) {
+    spec_.options = config.train;
+  }
+
+  std::vector<LocalTrainResult> Dispatch(int round, int jobs) {
+    std::vector<ClientJob> batch(jobs);
+    for (int slot = 0; slot < jobs; ++slot) {
+      batch[slot].client_id = (3 * round + slot) % num_clients();
+      batch[slot].init_params = &model_;
+      batch[slot].spec = &spec_;
+    }
+    std::vector<LocalTrainResult> results = TrainClients(round, 0, batch);
+    const LocalTrainResult* lowest = nullptr;
+    for (const LocalTrainResult& result : results) {
+      if (!result.dropped && (lowest == nullptr || result.slot < lowest->slot)) {
+        lowest = &result;
+      }
+    }
+    if (lowest != nullptr) model_ = lowest->params;
+    return results;
+  }
+
+  void RunRound(int) override {}
+  FlatParams GlobalParams() override { return model_; }
+
+ private:
+  FlatParams model_;
+  ClientTrainSpec spec_;
+};
+
+TEST(AsyncTest, SyncIsAsyncWithAFullBufferInSlotOrder) {
+  // With no round deadline and no dispatch timeout, a sync round and an
+  // async round whose buffer is the whole batch resolve every slot to the
+  // same bytes, tallies and virtual time: sync only hands the slots over in
+  // slot order, dropped ones included, where async hands over arrivals.
+  ThreadGuard guard;
+  constexpr int kJobs = 8;
+  constexpr int kRounds = 4;
+  int compared = 0;
+  for (ExecMode exec : {ExecMode::kLayers, ExecMode::kPlan}) {
+    for (comm::Scheme scheme : {comm::Scheme::kIdentity,
+                                comm::Scheme::kInt8TopK}) {
+      for (int threads : {1, 4}) {
+        SCOPED_TRACE(std::string(ExecModeName(exec)) + "/" +
+                     comm::SchemeName(scheme) + "/" + std::to_string(threads));
+        SetFlThreads(threads);
+        AlgorithmConfig config = ToyConfig();
+        config.clients_per_round = kJobs;
+        config.train.exec = exec;
+        config.codec.scheme = scheme;
+        config.faults.profile.dropout_prob = 0.1;
+        config.faults.profile.straggler_prob = 0.3;
+        config.faults.profile.corrupt_prob = 0.3;
+        config.faults.profile.corruption = CorruptionKind::kNanInject;
+        config.screening.check_finite = true;
+        config.dp.clip_norm = 0.02f;
+        config.dp.noise_multiplier = 0.2f;
+        config.async.clock.compute_speed_min = 25.0;
+        config.async.clock.compute_speed_max = 400.0;
+        config.async.clock.bandwidth_min = 1e5;
+        config.async.clock.bandwidth_max = 1e8;
+        config.async.clock.jitter = 0.2;
+        AlgorithmConfig async_config = config;
+        async_config.async.mode = RoundMode::kAsync;
+        async_config.async.buffer_size = kJobs;
+
+        DispatchProbe sync(config, MakeToyFederated(12, 40, 4, 41),
+                           LinearFactory(4));
+        DispatchProbe async(async_config, MakeToyFederated(12, 40, 4, 41),
+                            LinearFactory(4));
+        for (int round = 0; round < kRounds; ++round) {
+          const std::vector<LocalTrainResult> by_slot =
+              sync.Dispatch(round, kJobs);
+          const std::vector<LocalTrainResult> arrivals =
+              async.Dispatch(round, kJobs);
+          ASSERT_EQ(by_slot.size(), static_cast<std::size_t>(kJobs));
+          int uploads = 0;
+          for (int slot = 0; slot < kJobs; ++slot) {
+            EXPECT_EQ(by_slot[slot].slot, slot);
+            if (!by_slot[slot].dropped) ++uploads;
+          }
+          ASSERT_EQ(arrivals.size(), static_cast<std::size_t>(uploads));
+          for (const LocalTrainResult& got : arrivals) {
+            const LocalTrainResult& want = by_slot[got.slot];
+            EXPECT_FALSE(want.dropped) << "slot " << got.slot;
+            ExpectBitIdentical(got.params, want.params);
+            EXPECT_EQ(got.client_id, want.client_id);
+            EXPECT_EQ(got.num_steps, want.num_steps);
+            EXPECT_EQ(got.wire_bytes_down, want.wire_bytes_down);
+            EXPECT_EQ(got.wire_bytes_up, want.wire_bytes_up);
+            EXPECT_EQ(got.fault, want.fault);
+            EXPECT_EQ(got.dp_clipped, want.dp_clipped);
+            EXPECT_EQ(got.mean_loss, want.mean_loss);
+            EXPECT_EQ(got.weight_scale, 1.0);
+            ++compared;
+          }
+          EXPECT_EQ(async.inflight_dispatches(), 0);
+        }
+
+        EXPECT_EQ(sync.virtual_now(), async.virtual_now());
+        EXPECT_GT(sync.virtual_now(), 0.0);
+        const CommTracker& a = sync.comm();
+        const CommTracker& b = async.comm();
+        EXPECT_EQ(a.total_download_bytes(), b.total_download_bytes());
+        EXPECT_EQ(a.total_upload_bytes(), b.total_upload_bytes());
+        EXPECT_EQ(a.total_wire_download_bytes(), b.total_wire_download_bytes());
+        EXPECT_EQ(a.total_wire_upload_bytes(), b.total_wire_upload_bytes());
+        EXPECT_EQ(a.total_wasted_bytes(), b.total_wasted_bytes());
+        EXPECT_EQ(a.total_wire_wasted_bytes(), b.total_wire_wasted_bytes());
+        const FaultStats& fa = sync.fault_stats();
+        const FaultStats& fb = async.fault_stats();
+        EXPECT_EQ(fa.dropouts, fb.dropouts);
+        EXPECT_EQ(fa.stragglers, fb.stragglers);
+        EXPECT_EQ(fa.corrupted, fb.corrupted);
+        EXPECT_EQ(fa.rejected, fb.rejected);
+        EXPECT_EQ(fa.timeouts, fb.timeouts);
+        EXPECT_EQ(fa.retries, fb.retries);
+        EXPECT_GT(fa.dropouts, 0);
+        EXPECT_GT(fa.rejected, 0);
+        EXPECT_EQ(sync.privacy_stats().clipped, async.privacy_stats().clipped);
+        EXPECT_GT(sync.privacy_stats().clipped, 0);
+        EXPECT_EQ(sync.model_version(), async.model_version());
+        EXPECT_EQ(sync.privacy_epsilon(), async.privacy_epsilon());
+        ExpectBitIdentical(sync.GlobalParams(), async.GlobalParams());
+      }
+    }
+  }
+  EXPECT_GT(compared, 0);
 }
 
 // --------------------------------------------------------------------------

@@ -929,18 +929,19 @@ TEST(PlanExecutionTest, SteadyStatePlanTrainingAllocatesNoTensors) {
   spec.options.local_epochs = 2;
   spec.options.batch_size = 10;  // 70 examples: short tail batch every epoch
   spec.options.lr = 0.05f;
-  spec.options.exec = ExecMode::kPlan;
 
   LocalTrainResult result;
+  util::Rng rng(0);
+  const PlanJob job{&client, &init, &spec, &rng, &result};
   for (int round = 0; round < 2; ++round) {
-    util::Rng rng(100 + round);
-    client.Train(pool, init, spec, rng, result);
+    rng = util::Rng(100 + round);
+    RunPlanJobs(pool, &job, 1);
   }
 
   Tensor::ResetHeapAllocations();
   for (int round = 2; round < 5; ++round) {
-    util::Rng rng(100 + round);
-    client.Train(pool, init, spec, rng, result);
+    rng = util::Rng(100 + round);
+    RunPlanJobs(pool, &job, 1);
   }
   EXPECT_EQ(Tensor::HeapAllocations(), 0u);
   EXPECT_EQ(pool.replicas_created(), 1u);
@@ -961,20 +962,21 @@ void CheckSteadyStateConvPlan(const models::ModelFactory& factory) {
   spec.options.local_epochs = 2;
   spec.options.batch_size = 7;  // 40 examples: short tail batch every epoch
   spec.options.lr = 0.05f;
-  spec.options.exec = ExecMode::kPlan;
 
   LocalTrainResult result;
+  util::Rng rng(0);
+  const PlanJob job{&client, &init, &spec, &rng, &result};
   for (int round = 0; round < 2; ++round) {
-    util::Rng rng(200 + round);
-    client.Train(pool, init, spec, rng, result);
+    rng = util::Rng(200 + round);
+    RunPlanJobs(pool, &job, 1);
   }
 
   Tensor::ResetHeapAllocations();
   const std::int64_t scratch_before =
       nn::plan::testing::ScratchReallocEvents();
   for (int round = 2; round < 5; ++round) {
-    util::Rng rng(200 + round);
-    client.Train(pool, init, spec, rng, result);
+    rng = util::Rng(200 + round);
+    RunPlanJobs(pool, &job, 1);
   }
   EXPECT_EQ(Tensor::HeapAllocations(), 0u);
   EXPECT_EQ(nn::plan::testing::ScratchReallocEvents(), scratch_before);
