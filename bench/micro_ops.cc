@@ -147,7 +147,7 @@ void BM_ConvForward(benchmark::State& state) {
   nn::Conv2d conv(channels, channels, 3, 1, 1, rng);
   Tensor input = Tensor::RandomNormal({8, channels, 16, 16}, rng);
   for (auto _ : state) {
-    Tensor output = conv.Forward(input, true);
+    Tensor output = conv.Forward(input);
     benchmark::DoNotOptimize(output.data());
   }
 }
@@ -158,7 +158,7 @@ void BM_ConvBackward(benchmark::State& state) {
   util::Rng rng(3);
   nn::Conv2d conv(channels, channels, 3, 1, 1, rng);
   Tensor input = Tensor::RandomNormal({8, channels, 16, 16}, rng);
-  Tensor output = conv.Forward(input, true);
+  Tensor output = conv.Forward(input);
   for (auto _ : state) {
     Tensor grad = conv.Backward(output);
     benchmark::DoNotOptimize(grad.data());

@@ -44,6 +44,7 @@
 #include "data/partition.h"
 #include "data/synthetic_image.h"
 #include "fl/clock.h"
+#include "fl/faults.h"
 #include "fl/fedavg.h"
 #include "models/model_zoo.h"
 #include "util/flags.h"
@@ -209,6 +210,15 @@ int Run(int argc, char** argv) {
   config.faults.profile.slowdown_min = slowdown_min;
   config.faults.profile.slowdown_max = slowdown_max;
   config.faults.round_deadline = round_deadline;
+  if (util::Status faults = fl::ValidateFaultModel(config.faults);
+      !faults.ok()) {
+    // The message leads with the field, which is also the flag's name.
+    const std::string field =
+        faults.message().substr(0, faults.message().find(' '));
+    std::fprintf(stderr, "--%s: %s\n", field.c_str(),
+                 faults.ToString().c_str());
+    return 1;
+  }
   config.dp.clip_norm = static_cast<float>(dp_clip);
   config.dp.noise_multiplier = static_cast<float>(dp_noise);
   config.dp.delta = dp_delta;

@@ -207,6 +207,8 @@ FlAlgorithm::FlAlgorithm(std::string name, AlgorithmConfig config,
   FC_CHECK(codec.ok()) << codec.ToString();
   const util::Status async = ValidateAsyncOptions(config_.async);
   FC_CHECK(async.ok()) << async.ToString();
+  const util::Status faults = ValidateFaultModel(config_.faults);
+  FC_CHECK(faults.ok()) << faults.ToString();
   residual_store_.Configure(config_.state_store);
   // Probe the pool's first replica once for the model size and the factory's
   // initial parameters; the replica is recycled by every later job.
@@ -906,22 +908,6 @@ void FlAlgorithm::WeightedAverageInto(
           float factor = static_cast<float>(weights[m] / total_weight);
           flat_ops::AxpyRange(out.data() + begin, factor,
                               models[m]->data() + begin,
-                              static_cast<std::size_t>(end - begin));
-        }
-      });
-}
-
-void FlAlgorithm::AverageInto(const std::vector<const FlatParams*>& models,
-                              FlatParams& out) {
-  FC_CHECK(!models.empty());
-  float factor = 1.0f / static_cast<float>(models.size());
-  out.assign(models[0]->size(), 0.0f);
-  ParallelRanges(
-      static_cast<std::int64_t>(out.size()), kMinAggRangeElems,
-      [&](std::int64_t begin, std::int64_t end) {
-        for (const FlatParams* model : models) {
-          flat_ops::AxpyRange(out.data() + begin, factor,
-                              model->data() + begin,
                               static_cast<std::size_t>(end - begin));
         }
       });

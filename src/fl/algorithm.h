@@ -328,14 +328,12 @@ class FlAlgorithm {
   // 1/K, range-sharded across the fl pool.
   static FlatParams Average(const std::vector<FlatParams>& models);
 
-  // In-place variants over pointers into the results vector: `out` is
+  // In-place variant over pointers into the results vector: `out` is
   // resized (capacity-retaining) and overwritten, so aggregation adds no
   // steady-state allocations and no params copies.
   static void WeightedAverageInto(const std::vector<const FlatParams*>& models,
                                   const std::vector<double>& weights,
                                   FlatParams& out);
-  static void AverageInto(const std::vector<const FlatParams*>& models,
-                          FlatParams& out);
 
   // Aggregates client models under the configured rule (fl/aggregators.h).
   // `reference` is the model the round dispatched (the norm-clipped rule's

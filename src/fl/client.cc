@@ -86,7 +86,7 @@ void FlClient::Train(ModelPool& pool, const FlatParams& init_params,
   for (int epoch = 0; epoch < spec.options.local_epochs; ++epoch) {
     while (loader.NextBatch(features, labels)) {
       model.ZeroGrad();
-      const Tensor& logits = model.Forward(features, /*train=*/true);
+      const Tensor& logits = model.Forward(features);
       criterion.Compute(logits, labels, loss);
       model.Backward(loss.grad_logits);
       detail::AdjustGradients(model, spec);
@@ -105,7 +105,7 @@ void FlClient::Train(ModelPool& pool, const FlatParams& init_params,
           if (!augment_loader->NextBatch(features, labels)) break;
         }
         model.ZeroGrad();
-        const Tensor& logits = model.Forward(features, /*train=*/true);
+        const Tensor& logits = model.Forward(features);
         criterion.Compute(logits, labels, loss);
         loss.grad_logits.Scale(spec.augment_weight);
         model.Backward(loss.grad_logits);

@@ -29,8 +29,7 @@ void EvalBatchRange(ModelPool::Replica& replica, const data::Dataset& dataset,
     indices.resize(end - start);
     std::iota(indices.begin(), indices.end(), start);
     dataset.GetBatch(indices, replica.features, replica.labels);
-    const Tensor& logits = replica.model.Forward(replica.features,
-                                                 /*train=*/false);
+    const Tensor& logits = replica.model.Forward(replica.features);
     criterion.Compute(logits, replica.labels, replica.loss,
                       /*compute_grad=*/false);
     batch_loss[batch] = static_cast<double>(replica.loss.loss) * (end - start);
@@ -57,7 +56,7 @@ EvalResult EvaluateModel(nn::Sequential& model, const data::Dataset& dataset,
     indices.resize(end - start);
     std::iota(indices.begin(), indices.end(), start);
     dataset.GetBatch(indices, features, labels);
-    const Tensor& logits = model.Forward(features, /*train=*/false);
+    const Tensor& logits = model.Forward(features);
     criterion.Compute(logits, labels, loss, /*compute_grad=*/false);
     total_loss += static_cast<double>(loss.loss) * (end - start);
     total_correct += loss.correct;

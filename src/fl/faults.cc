@@ -1,7 +1,10 @@
 #include "fl/faults.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <limits>
+#include <vector>
 
 namespace fedcross::fl {
 namespace {
@@ -66,6 +69,55 @@ bool FaultModel::AnyActive() const {
     if (override_profile.Active()) return true;
   }
   return false;
+}
+
+util::Status ValidateFaultModel(const FaultModel& model) {
+  auto num = [](double value) {
+    char text[32];
+    std::snprintf(text, sizeof(text), "%g", value);
+    return std::string(text);
+  };
+  auto validate = [&](const FaultProfile& profile, const std::string& where) {
+    auto invalid = [&](const char* field, const std::string& what) {
+      return util::Status::InvalidArgument(std::string(field) + " " + what +
+                                           where);
+    };
+    const struct {
+      const char* field;
+      double prob;
+    } probs[] = {{"dropout_prob", profile.dropout_prob},
+                 {"straggler_prob", profile.straggler_prob},
+                 {"corrupt_prob", profile.corrupt_prob}};
+    for (const auto& [field, prob] : probs) {
+      if (!(prob >= 0.0 && prob <= 1.0)) {  // NaN fails both
+        return invalid(field, num(prob) + " is outside [0, 1]");
+      }
+    }
+    if (!(std::isfinite(profile.slowdown_min) && profile.slowdown_min >= 1.0)) {
+      return invalid("slowdown_min",
+                     num(profile.slowdown_min) + " is not finite and >= 1");
+    }
+    if (!(std::isfinite(profile.slowdown_max) &&
+          profile.slowdown_max >= profile.slowdown_min)) {
+      return invalid("slowdown_max", num(profile.slowdown_max) +
+                                         " is not finite and >= slowdown_min " +
+                                         num(profile.slowdown_min));
+    }
+    return util::Status::Ok();
+  };
+  if (!std::isfinite(model.round_deadline)) {
+    return util::Status::InvalidArgument(
+        "round_deadline " + num(model.round_deadline) + " is not finite");
+  }
+  FC_RETURN_IF_ERROR(validate(model.profile, ""));
+  std::vector<std::int64_t> ids;
+  for (const auto& entry : model.overrides) ids.push_back(entry.first);
+  std::sort(ids.begin(), ids.end());
+  for (std::int64_t id : ids) {
+    FC_RETURN_IF_ERROR(validate(model.overrides.at(id),
+                                " (client " + std::to_string(id) + ")"));
+  }
+  return util::Status::Ok();
 }
 
 std::uint64_t FaultSeed(std::uint64_t seed, int round, int salt, int slot) {

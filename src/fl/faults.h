@@ -89,6 +89,14 @@ struct FaultModel {
   bool AnyActive() const;
 };
 
+// InvalidArgument, naming the offending field first, when the model cannot
+// mean what it says: a dropout, straggler or corruption probability that is
+// not finite or not in [0, 1], a slowdown_min below 1, a slowdown_max below
+// slowdown_min, either one non-finite, or a non-finite round_deadline. An
+// error in a per-client override also names the client id (the lowest one
+// when several are invalid).
+util::Status ValidateFaultModel(const FaultModel& model);
+
 // What actually happened to one client job this round.
 enum class FaultKind {
   kNone = 0,

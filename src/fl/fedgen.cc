@@ -88,12 +88,12 @@ void FedGen::TrainGenerator() {
   for (int step = 0; step < options_.generator_steps_per_round; ++step) {
     SampleGeneratorInput(options_.generator_batch, input, labels);
     generator_.ZeroGrad();
-    fake = generator_.Forward(input, /*train=*/true);
+    fake = generator_.Forward(input);
     fake.Reshape(batch_shape);
 
     // Teacher pass: the global model should classify fakes as their label.
     global_model.ZeroGrad();
-    const Tensor& logits = global_model.Forward(fake, /*train=*/false);
+    const Tensor& logits = global_model.Forward(fake);
     criterion.Compute(logits, labels, loss);
     grad_input = global_model.Backward(loss.grad_logits);
     grad_input.Reshape(
@@ -107,7 +107,7 @@ void FedGen::RegenerateSyntheticSet() {
   std::vector<int> labels;
   Tensor input;
   SampleGeneratorInput(options_.synthetic_samples, input, labels);
-  const Tensor& fake = generator_.Forward(input, /*train=*/false);
+  const Tensor& fake = generator_.Forward(input);
 
   std::vector<float> features(
       static_cast<std::size_t>(options_.synthetic_samples) * example_numel_);

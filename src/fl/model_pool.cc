@@ -58,10 +58,6 @@ ModelPool::Lease ModelPool::Acquire() {
     replica = std::make_unique<Replica>();
     replica->model = factory_();
   }
-  // A recycled replica must be indistinguishable from a fresh factory model
-  // once its parameters are overwritten; reset non-parameter state (dropout
-  // RNG streams, ...) here so every checkout starts from the same point.
-  replica->model.ResetState();
   return Lease(this, std::move(replica));
 }
 

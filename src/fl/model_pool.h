@@ -23,10 +23,10 @@ namespace fedcross::fl {
 //
 // Checkout contract: Acquire() returns a replica whose observable behaviour
 // is identical to a freshly constructed factory() model *after* the caller
-// overwrites its parameters (ParamsFromFlat). Acquire resets all
-// non-parameter layer state (e.g. dropout RNG streams) via
-// Sequential::ResetState, so a recycled replica and a fresh model produce
-// bit-identical outputs given the same parameters and inputs.
+// overwrites its parameters (ParamsFromFlat). Layers keep no state besides
+// their Params and caches that every Forward overwrites (nn::Layer), so a
+// recycled replica and a fresh model produce bit-identical outputs given
+// the same parameters and inputs.
 //
 // Thread safety: Acquire/checkin are mutex-protected; concurrent jobs each
 // hold a distinct replica. The pool grows to the high-water mark of

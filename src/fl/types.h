@@ -19,7 +19,7 @@ using FlatParams = std::vector<float>;
 // modes train bit-identically at every --fl_threads value. The whole model
 // zoo compiles — MLP/CNN/VGG straight lines, ResNet residual blocks, the
 // Embedding+LSTM head; kPlan refuses (stops the process on) a topology it
-// cannot compile, such as one with batch-norm, which trains only under
+// cannot compile, such as a mid-network embedding, which trains only under
 // kLayers. Not part of the checkpoint fingerprint: a run may switch modes
 // across resume boundaries.
 enum class ExecMode { kLayers = 0, kPlan = 1 };

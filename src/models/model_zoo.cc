@@ -119,43 +119,4 @@ ModelFactory MakeLstm(const LstmConfig& config) {
   };
 }
 
-util::StatusOr<ModelFactory> MakeModelByName(const ModelSpec& spec) {
-  if (spec.arch == "cnn") {
-    CnnConfig config;
-    config.in_channels = spec.in_channels;
-    config.height = spec.height;
-    config.width = spec.width;
-    config.num_classes = spec.num_classes;
-    config.seed = spec.seed;
-    return MakeCnn(config);
-  }
-  if (spec.arch == "resnet") {
-    ResNetConfig config;
-    config.in_channels = spec.in_channels;
-    config.height = spec.height;
-    config.width = spec.width;
-    config.num_classes = spec.num_classes;
-    config.seed = spec.seed;
-    return MakeResNet(config);
-  }
-  if (spec.arch == "vgg") {
-    VggConfig config;
-    config.in_channels = spec.in_channels;
-    config.height = spec.height;
-    config.width = spec.width;
-    config.num_classes = spec.num_classes;
-    config.seed = spec.seed;
-    return MakeVgg(config);
-  }
-  if (spec.arch == "lstm") {
-    LstmConfig config;
-    config.vocab_size = spec.vocab_size;
-    config.seq_len = spec.seq_len;
-    config.num_classes = spec.num_classes;
-    config.seed = spec.seed;
-    return MakeLstm(config);
-  }
-  return util::Status::InvalidArgument("unknown model arch: " + spec.arch);
-}
-
 }  // namespace fedcross::models

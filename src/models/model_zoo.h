@@ -4,10 +4,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 
 #include "nn/sequential.h"
-#include "util/status.h"
 
 namespace fedcross::models {
 
@@ -74,23 +72,6 @@ struct LstmConfig {
 
 // Embedding -> LSTM -> Linear classifier (Shakespeare / Sent140 head).
 ModelFactory MakeLstm(const LstmConfig& config);
-
-// Name-based dispatch ("cnn" | "resnet" | "vgg" | "lstm") with the given
-// image/text geometry; used by example binaries and the bench harness.
-struct ModelSpec {
-  std::string arch = "cnn";
-  int num_classes = 10;
-  // Image geometry.
-  int in_channels = 3;
-  int height = 16;
-  int width = 16;
-  // Text geometry.
-  int vocab_size = 32;
-  int seq_len = 16;
-  std::uint64_t seed = 1;
-};
-
-util::StatusOr<ModelFactory> MakeModelByName(const ModelSpec& spec);
 
 }  // namespace fedcross::models
 

@@ -12,33 +12,9 @@ namespace fedcross::nn {
 // kept.
 class Relu : public Layer {
  public:
-  const Tensor& Forward(const Tensor& input, bool train) override;
+  const Tensor& Forward(const Tensor& input) override;
   const Tensor& Backward(const Tensor& grad_output) override;
   std::string Name() const override { return "Relu"; }
-
- private:
-  Tensor output_;
-  Tensor grad_input_;
-};
-
-// Elementwise tanh(x).
-class Tanh : public Layer {
- public:
-  const Tensor& Forward(const Tensor& input, bool train) override;
-  const Tensor& Backward(const Tensor& grad_output) override;
-  std::string Name() const override { return "Tanh"; }
-
- private:
-  Tensor output_;
-  Tensor grad_input_;
-};
-
-// Elementwise logistic sigmoid.
-class Sigmoid : public Layer {
- public:
-  const Tensor& Forward(const Tensor& input, bool train) override;
-  const Tensor& Backward(const Tensor& grad_output) override;
-  std::string Name() const override { return "Sigmoid"; }
 
  private:
   Tensor output_;

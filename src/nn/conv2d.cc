@@ -21,8 +21,7 @@ Conv2d::Conv2d(int in_channels, int out_channels, int kernel, int stride,
   FC_CHECK_GT(kernel, 0);
 }
 
-const Tensor& Conv2d::Forward(const Tensor& input, bool train) {
-  (void)train;
+const Tensor& Conv2d::Forward(const Tensor& input) {
   FC_CHECK_EQ(input.ndim(), 4);
   FC_CHECK_EQ(input.dim(1), in_channels_);
   int batch = input.dim(0);

@@ -19,7 +19,7 @@ class Conv2d : public Layer {
   Conv2d(int in_channels, int out_channels, int kernel, int stride, int pad,
          util::Rng& rng);
 
-  const Tensor& Forward(const Tensor& input, bool train) override;
+  const Tensor& Forward(const Tensor& input) override;
   const Tensor& Backward(const Tensor& grad_output) override;
   void CollectParams(std::vector<Param*>& out) override;
   std::string Name() const override { return "Conv2d"; }

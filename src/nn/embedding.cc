@@ -15,8 +15,7 @@ Embedding::Embedding(int vocab_size, int embed_dim, util::Rng& rng)
   FC_CHECK_GT(embed_dim, 0);
 }
 
-const Tensor& Embedding::Forward(const Tensor& input, bool train) {
-  (void)train;
+const Tensor& Embedding::Forward(const Tensor& input) {
   FC_CHECK_EQ(input.ndim(), 2);
   cached_batch_ = input.dim(0);
   cached_time_ = input.dim(1);

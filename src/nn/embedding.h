@@ -21,7 +21,7 @@ class Embedding : public Layer {
  public:
   Embedding(int vocab_size, int embed_dim, util::Rng& rng);
 
-  const Tensor& Forward(const Tensor& input, bool train) override;
+  const Tensor& Forward(const Tensor& input) override;
   const Tensor& Backward(const Tensor& grad_output) override;
   void CollectParams(std::vector<Param*>& out) override;
   std::string Name() const override { return "Embedding"; }

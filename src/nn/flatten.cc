@@ -2,8 +2,7 @@
 
 namespace fedcross::nn {
 
-const Tensor& Flatten::Forward(const Tensor& input, bool train) {
-  (void)train;
+const Tensor& Flatten::Forward(const Tensor& input) {
   FC_CHECK_GE(input.ndim(), 2);
   cached_input_shape_ = input.shape();
   int batch = input.dim(0);

@@ -11,7 +11,7 @@ namespace fedcross::nn {
 // original shape. Metadata-only on contiguous tensors.
 class Flatten : public Layer {
  public:
-  const Tensor& Forward(const Tensor& input, bool train) override;
+  const Tensor& Forward(const Tensor& input) override;
   const Tensor& Backward(const Tensor& grad_output) override;
   std::string Name() const override { return "Flatten"; }
 

@@ -22,41 +22,6 @@ void ReluBackward(const float* y, const float* dy, float* dx, std::int64_t n) {
   }
 }
 
-void TanhForward(const float* x, float* y, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) y[i] = std::tanh(x[i]);
-}
-
-void TanhBackward(const float* y, const float* dy, float* dx, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) {
-    dx[i] = dy[i] * (1.0f - y[i] * y[i]);
-  }
-}
-
-void SigmoidForward(const float* x, float* y, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) {
-    y[i] = 1.0f / (1.0f + std::exp(-x[i]));
-  }
-}
-
-void SigmoidBackward(const float* y, const float* dy, float* dx,
-                     std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) {
-    dx[i] = dy[i] * (y[i] * (1.0f - y[i]));
-  }
-}
-
-void DropoutMask(util::Rng& rng, float rate, float scale, float* mask,
-                 std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) {
-    mask[i] = rng.Uniform() < rate ? 0.0f : scale;
-  }
-}
-
-void DropoutApply(const float* x, const float* mask, float* y,
-                  std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) y[i] = x[i] * mask[i];
-}
-
 void BiasAddRows(float* y, const float* bias, int rows, int cols) {
   for (int r = 0; r < rows; ++r) {
     for (int j = 0; j < cols; ++j) {

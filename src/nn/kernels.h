@@ -3,8 +3,6 @@
 
 #include <cstdint>
 
-#include "util/rng.h"
-
 namespace fedcross::nn::kernels {
 
 // Raw-buffer kernels shared by the per-layer classes and the execution-plan
@@ -20,20 +18,6 @@ namespace fedcross::nn::kernels {
 void ReluForward(const float* x, float* y, std::int64_t n);
 // dx from the cached *output* (y == 0 iff the forward input was <= 0).
 void ReluBackward(const float* y, const float* dy, float* dx, std::int64_t n);
-void TanhForward(const float* x, float* y, std::int64_t n);
-void TanhBackward(const float* y, const float* dy, float* dx, std::int64_t n);
-void SigmoidForward(const float* x, float* y, std::int64_t n);
-void SigmoidBackward(const float* y, const float* dy, float* dx,
-                     std::int64_t n);
-
-// ---- Dropout --------------------------------------------------------------
-// Draws the scaled keep-mask: mask[i] = Uniform() < rate ? 0 : scale.
-// Consumes exactly n draws from `rng` — the contract that keeps the plan
-// executor on the same mask stream as Dropout::Forward.
-void DropoutMask(util::Rng& rng, float rate, float scale, float* mask,
-                 std::int64_t n);
-// y = x * mask (also the backward rule with x = dy).
-void DropoutApply(const float* x, const float* mask, float* y, std::int64_t n);
 
 // ---- Linear bias ----------------------------------------------------------
 // y[r, j] += bias[j] over a rows x cols matrix.

@@ -10,22 +10,14 @@ namespace fedcross::nn {
 
 // A model parameter: value and accumulated gradient, always the same
 // shape. Layers own their Params; optimizers and the FL aggregation code
-// access them through Layer::CollectParams pointers.
-//
-// `trainable == false` marks state that is part of the model but not
-// touched by optimizers (e.g. BatchNorm running statistics). Such state
-// still participates in the flat parameter vector, so FL aggregation
-// transfers and averages it — the standard (if imperfect) treatment of
-// BatchNorm statistics in federated learning.
+// access them through Layer::CollectParams pointers. Every Param is
+// trained: the optimizer updates each one.
 struct Param {
   Tensor value;
   Tensor grad;
-  bool trainable = true;
 
-  explicit Param(Tensor initial, bool is_trainable = true)
-      : value(std::move(initial)),
-        grad(Tensor::Zeros(value.shape())),
-        trainable(is_trainable) {}
+  explicit Param(Tensor initial)
+      : value(std::move(initial)), grad(Tensor::Zeros(value.shape())) {}
 
   void ZeroGrad() { grad.Fill(0.0f); }
 };
@@ -33,8 +25,11 @@ struct Param {
 // Base class for differentiable layers using module-style manual backprop.
 //
 // Contract:
-//  - Forward(input, train) caches whatever Backward needs and returns the
-//    layer output. `train` toggles training-only behaviour (dropout).
+//  - Forward(input) caches whatever Backward needs and returns the layer
+//    output. A layer computes the same function in training and in
+//    evaluation and keeps no state besides its Params and these caches, so
+//    a pooled replica loaded with ParamsFromFlat behaves exactly like a
+//    freshly built model: every Forward fully overwrites the caches.
 //  - Backward(grad_output) consumes the cached state from the most recent
 //    Forward, accumulates parameter gradients (+=), and returns the
 //    gradient w.r.t. the layer input. Calling Backward twice without an
@@ -52,18 +47,12 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  virtual const Tensor& Forward(const Tensor& input, bool train) = 0;
+  virtual const Tensor& Forward(const Tensor& input) = 0;
   virtual const Tensor& Backward(const Tensor& grad_output) = 0;
 
   // Appends pointers to this layer's parameters (stable for the layer's
   // lifetime). Default: no parameters.
   virtual void CollectParams(std::vector<Param*>& out) { (void)out; }
-
-  // Restores any non-parameter state (e.g. Dropout's mask RNG) to its
-  // just-constructed value, so a pooled model replica behaves exactly like
-  // a freshly built one after ParamsFromFlat. Cached activations need no
-  // reset: every Forward fully overwrites them. Default: nothing to reset.
-  virtual void ResetState() {}
 
   // Human-readable layer type for debugging / summaries.
   virtual std::string Name() const = 0;

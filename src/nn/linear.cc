@@ -15,8 +15,7 @@ Linear::Linear(int in_features, int out_features, util::Rng& rng)
   FC_CHECK_GT(out_features, 0);
 }
 
-const Tensor& Linear::Forward(const Tensor& input, bool train) {
-  (void)train;
+const Tensor& Linear::Forward(const Tensor& input) {
   FC_CHECK_EQ(input.ndim(), 2);
   FC_CHECK_EQ(input.dim(1), in_features_);
   cached_input_ = input;

@@ -18,7 +18,7 @@ class Linear : public Layer {
  public:
   Linear(int in_features, int out_features, util::Rng& rng);
 
-  const Tensor& Forward(const Tensor& input, bool train) override;
+  const Tensor& Forward(const Tensor& input) override;
   const Tensor& Backward(const Tensor& grad_output) override;
   void CollectParams(std::vector<Param*>& out) override;
   std::string Name() const override { return "Linear"; }

@@ -1,9 +1,6 @@
 #include "nn/loss.h"
 
-#include <cmath>
-
 #include "nn/kernels.h"
-#include "tensor/tensor_ops.h"
 #include "util/check.h"
 
 namespace fedcross::nn {
@@ -31,50 +28,6 @@ void CrossEntropyLoss::Compute(const Tensor& logits,
   probs = logits;  // capacity-reusing copy
   kernels::CrossEntropyInPlace(probs.data(), batch, classes, labels.data(),
                                compute_grad, &result.loss, &result.correct);
-}
-
-LossResult SoftCrossEntropyLoss::Compute(const Tensor& logits,
-                                         const Tensor& targets,
-                                         bool compute_grad) const {
-  LossResult result;
-  Compute(logits, targets, result, compute_grad);
-  return result;
-}
-
-void SoftCrossEntropyLoss::Compute(const Tensor& logits, const Tensor& targets,
-                                   LossResult& result,
-                                   bool compute_grad) const {
-  FC_CHECK_EQ(logits.ndim(), 2);
-  FC_CHECK(logits.SameShape(targets));
-  int batch = logits.dim(0);
-  int classes = logits.dim(1);
-
-  Tensor& probs = result.grad_logits;
-  probs = logits;
-  ops::SoftmaxRows(probs);
-
-  result.loss = 0.0f;
-  result.correct = 0;
-  double total_loss = 0.0;
-  const float* p = probs.data();
-  const float* t = targets.data();
-  for (int b = 0; b < batch; ++b) {
-    const float* prob_row = p + static_cast<std::int64_t>(b) * classes;
-    const float* target_row = t + static_cast<std::int64_t>(b) * classes;
-    int target_argmax = 0;
-    for (int c = 0; c < classes; ++c) {
-      total_loss -=
-          target_row[c] * std::log(std::max(prob_row[c], 1e-12f));
-      if (target_row[c] > target_row[target_argmax]) target_argmax = c;
-    }
-    if (ops::ArgMaxRow(probs, b) == target_argmax) ++result.correct;
-  }
-  result.loss = static_cast<float>(total_loss / batch);
-
-  if (compute_grad) {
-    probs.SubInPlace(targets);
-    probs.Scale(1.0f / static_cast<float>(batch));
-  }
 }
 
 }  // namespace fedcross::nn

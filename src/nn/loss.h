@@ -31,18 +31,6 @@ class CrossEntropyLoss {
                LossResult& result, bool compute_grad = true) const;
 };
 
-// Cross-entropy against an arbitrary target distribution (soft labels);
-// used by knowledge-distillation baselines (FedGen). targets must be a
-// probability distribution per row.
-class SoftCrossEntropyLoss {
- public:
-  LossResult Compute(const Tensor& logits, const Tensor& targets,
-                     bool compute_grad = true) const;
-  // In-place variant; same contract as CrossEntropyLoss::Compute above.
-  void Compute(const Tensor& logits, const Tensor& targets, LossResult& result,
-               bool compute_grad = true) const;
-};
-
 }  // namespace fedcross::nn
 
 #endif  // FEDCROSS_NN_LOSS_H_

@@ -23,8 +23,7 @@ Lstm::Lstm(int input_dim, int hidden_dim, util::Rng& rng)
   for (int j = hidden_dim_; j < 2 * hidden_dim_; ++j) bias[j] = 1.0f;
 }
 
-const Tensor& Lstm::Forward(const Tensor& input, bool train) {
-  (void)train;
+const Tensor& Lstm::Forward(const Tensor& input) {
   FC_CHECK_EQ(input.ndim(), 3);
   FC_CHECK_EQ(input.dim(2), input_dim_);
   int batch = input.dim(0);

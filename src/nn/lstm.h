@@ -21,7 +21,7 @@ class Lstm : public Layer {
  public:
   Lstm(int input_dim, int hidden_dim, util::Rng& rng);
 
-  const Tensor& Forward(const Tensor& input, bool train) override;
+  const Tensor& Forward(const Tensor& input) override;
   const Tensor& Backward(const Tensor& grad_output) override;
   void CollectParams(std::vector<Param*>& out) override;
   std::string Name() const override { return "Lstm"; }

@@ -1,7 +1,5 @@
 #include "nn/norm.h"
 
-#include <cmath>
-
 #include "nn/kernels.h"
 
 namespace fedcross::nn {
@@ -16,8 +14,7 @@ GroupNorm::GroupNorm(int channels, int groups, float eps)
   FC_CHECK_EQ(channels % groups, 0) << "channels must divide into groups";
 }
 
-const Tensor& GroupNorm::Forward(const Tensor& input, bool train) {
-  (void)train;
+const Tensor& GroupNorm::Forward(const Tensor& input) {
   FC_CHECK_EQ(input.ndim(), 4);
   FC_CHECK_EQ(input.dim(1), channels_);
   int batch = input.dim(0);
@@ -51,143 +48,6 @@ const Tensor& GroupNorm::Backward(const Tensor& grad_output) {
 void GroupNorm::CollectParams(std::vector<Param*>& out) {
   out.push_back(&gamma_);
   out.push_back(&beta_);
-}
-
-BatchNorm2d::BatchNorm2d(int channels, float momentum, float eps)
-    : channels_(channels),
-      momentum_(momentum),
-      eps_(eps),
-      gamma_(Tensor::Full({channels}, 1.0f)),
-      beta_(Tensor::Zeros({channels})),
-      running_mean_(Tensor::Zeros({channels}), /*is_trainable=*/false),
-      running_var_(Tensor::Full({channels}, 1.0f), /*is_trainable=*/false) {
-  FC_CHECK_GT(channels, 0);
-  FC_CHECK_GT(momentum, 0.0f);
-  FC_CHECK_LE(momentum, 1.0f);
-}
-
-const Tensor& BatchNorm2d::Forward(const Tensor& input, bool train) {
-  FC_CHECK_EQ(input.ndim(), 4);
-  FC_CHECK_EQ(input.dim(1), channels_);
-  int batch = input.dim(0);
-  int area = input.dim(2) * input.dim(3);
-  std::int64_t per_channel = static_cast<std::int64_t>(batch) * area;
-  last_was_train_ = train;
-
-  output_.ResizeTo(input.shape());
-  const float* in = input.data();
-  float* out = output_.data();
-  const float* gamma = gamma_.value.data();
-  const float* beta = beta_.value.data();
-
-  if (train) {
-    cached_xhat_.ResizeTo(input.shape());
-    cached_inv_std_.assign(channels_, 0.0f);
-    float* xhat = cached_xhat_.data();
-    float* run_mean = running_mean_.value.data();
-    float* run_var = running_var_.value.data();
-    for (int c = 0; c < channels_; ++c) {
-      double mean = 0.0;
-      for (int b = 0; b < batch; ++b) {
-        const float* plane =
-            in + (static_cast<std::int64_t>(b) * channels_ + c) * area;
-        for (int i = 0; i < area; ++i) mean += plane[i];
-      }
-      mean /= per_channel;
-      double var = 0.0;
-      for (int b = 0; b < batch; ++b) {
-        const float* plane =
-            in + (static_cast<std::int64_t>(b) * channels_ + c) * area;
-        for (int i = 0; i < area; ++i) {
-          double d = plane[i] - mean;
-          var += d * d;
-        }
-      }
-      var /= per_channel;
-      float inv_std = static_cast<float>(1.0 / std::sqrt(var + eps_));
-      cached_inv_std_[c] = inv_std;
-      run_mean[c] = (1.0f - momentum_) * run_mean[c] +
-                    momentum_ * static_cast<float>(mean);
-      run_var[c] =
-          (1.0f - momentum_) * run_var[c] + momentum_ * static_cast<float>(var);
-      for (int b = 0; b < batch; ++b) {
-        std::int64_t base =
-            (static_cast<std::int64_t>(b) * channels_ + c) * area;
-        for (int i = 0; i < area; ++i) {
-          float normalized =
-              (in[base + i] - static_cast<float>(mean)) * inv_std;
-          xhat[base + i] = normalized;
-          out[base + i] = gamma[c] * normalized + beta[c];
-        }
-      }
-    }
-  } else {
-    const float* run_mean = running_mean_.value.data();
-    const float* run_var = running_var_.value.data();
-    for (int c = 0; c < channels_; ++c) {
-      float inv_std = 1.0f / std::sqrt(run_var[c] + eps_);
-      for (int b = 0; b < batch; ++b) {
-        std::int64_t base =
-            (static_cast<std::int64_t>(b) * channels_ + c) * area;
-        for (int i = 0; i < area; ++i) {
-          out[base + i] =
-              gamma[c] * (in[base + i] - run_mean[c]) * inv_std + beta[c];
-        }
-      }
-    }
-  }
-  return output_;
-}
-
-const Tensor& BatchNorm2d::Backward(const Tensor& grad_output) {
-  FC_CHECK(last_was_train_) << "BatchNorm2d::Backward after eval Forward";
-  FC_CHECK(grad_output.SameShape(cached_xhat_));
-  int batch = grad_output.dim(0);
-  int area = grad_output.dim(2) * grad_output.dim(3);
-  std::int64_t per_channel = static_cast<std::int64_t>(batch) * area;
-
-  grad_input_.ResizeTo(grad_output.shape());
-  const float* grad_out = grad_output.data();
-  const float* xhat = cached_xhat_.data();
-  const float* gamma = gamma_.value.data();
-  float* gamma_grad = gamma_.grad.data();
-  float* beta_grad = beta_.grad.data();
-  float* grad_in = grad_input_.data();
-
-  for (int c = 0; c < channels_; ++c) {
-    double sum_dxhat = 0.0;
-    double sum_dxhat_xhat = 0.0;
-    for (int b = 0; b < batch; ++b) {
-      std::int64_t base = (static_cast<std::int64_t>(b) * channels_ + c) * area;
-      for (int i = 0; i < area; ++i) {
-        float dy = grad_out[base + i];
-        gamma_grad[c] += dy * xhat[base + i];
-        beta_grad[c] += dy;
-        float dxhat = dy * gamma[c];
-        sum_dxhat += dxhat;
-        sum_dxhat_xhat += static_cast<double>(dxhat) * xhat[base + i];
-      }
-    }
-    float mean_dxhat = static_cast<float>(sum_dxhat / per_channel);
-    float mean_dxhat_xhat = static_cast<float>(sum_dxhat_xhat / per_channel);
-    float inv_std = cached_inv_std_[c];
-    for (int b = 0; b < batch; ++b) {
-      std::int64_t base = (static_cast<std::int64_t>(b) * channels_ + c) * area;
-      for (int i = 0; i < area; ++i) {
-        float dxhat = grad_out[base + i] * gamma[c];
-        grad_in[base + i] =
-            inv_std * (dxhat - mean_dxhat - xhat[base + i] * mean_dxhat_xhat);
-      }
-    }
-  }
-  return grad_input_;
-}
-
-void BatchNorm2d::CollectParams(std::vector<Param*>& out) {
-  out.push_back(&gamma_);
-  out.push_back(&beta_);
-  out.push_back(&running_mean_);
-  out.push_back(&running_var_);
 }
 
 }  // namespace fedcross::nn

@@ -20,7 +20,7 @@ class GroupNorm : public Layer {
  public:
   GroupNorm(int channels, int groups, float eps = 1e-5f);
 
-  const Tensor& Forward(const Tensor& input, bool train) override;
+  const Tensor& Forward(const Tensor& input) override;
   const Tensor& Backward(const Tensor& grad_output) override;
   void CollectParams(std::vector<Param*>& out) override;
   std::string Name() const override { return "GroupNorm"; }
@@ -43,38 +43,6 @@ class GroupNorm : public Layer {
   std::vector<float> cached_inv_std_;  // per (batch, group)
   Tensor output_;
   Tensor grad_input_;
-};
-
-// Batch normalisation over [batch, channels, H, W] with per-channel
-// statistics. Training normalises by the mini-batch mean/variance and
-// updates exponential running statistics; evaluation uses the running
-// statistics. The running stats are registered as non-trainable Params so
-// they ride along in the flat parameter vector: FL aggregation averages
-// them across clients (the standard, known-imperfect treatment — the
-// GroupNorm models avoid the issue entirely; BatchNorm is provided for
-// ablations).
-class BatchNorm2d : public Layer {
- public:
-  BatchNorm2d(int channels, float momentum = 0.1f, float eps = 1e-5f);
-
-  const Tensor& Forward(const Tensor& input, bool train) override;
-  const Tensor& Backward(const Tensor& grad_output) override;
-  void CollectParams(std::vector<Param*>& out) override;
-  std::string Name() const override { return "BatchNorm2d"; }
-
- private:
-  int channels_;
-  float momentum_;
-  float eps_;
-  Param gamma_;
-  Param beta_;
-  Param running_mean_;  // non-trainable
-  Param running_var_;   // non-trainable
-  Tensor cached_xhat_;
-  std::vector<float> cached_inv_std_;  // per channel (training forward only)
-  Tensor output_;
-  Tensor grad_input_;
-  bool last_was_train_ = false;
 };
 
 }  // namespace fedcross::nn

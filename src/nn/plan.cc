@@ -6,7 +6,6 @@
 
 #include "nn/activations.h"
 #include "nn/conv2d.h"
-#include "nn/dropout.h"
 #include "nn/embedding.h"
 #include "nn/flatten.h"
 #include "nn/kernels.h"
@@ -250,19 +249,6 @@ std::optional<Program> Program::Compile(Sequential& model,
     } else if (dynamic_cast<Relu*>(layer) != nullptr) {
       op.kind = OpKind::kRelu;
       op.numel = NumelOf(shape);
-    } else if (dynamic_cast<Tanh*>(layer) != nullptr) {
-      op.kind = OpKind::kTanh;
-      op.numel = NumelOf(shape);
-    } else if (dynamic_cast<Sigmoid*>(layer) != nullptr) {
-      op.kind = OpKind::kSigmoid;
-      op.numel = NumelOf(shape);
-    } else if (auto* drop = dynamic_cast<Dropout*>(layer)) {
-      if (drop->rate() <= 0.0f) continue;  // identity under training too
-      op.kind = OpKind::kDropout;
-      op.numel = NumelOf(shape);
-      op.rate = drop->rate();
-      op.scale = 1.0f / (1.0f - drop->rate());
-      op.s0 = alloc(op.numel);  // mask, kept for backward
     } else if (dynamic_cast<Flatten*>(layer) != nullptr) {
       // Metadata-only on contiguous row-major buffers: alias, no op.
       std::int64_t features = NumelOf(shape) / shape[0];
@@ -460,7 +446,7 @@ std::optional<Program> Program::Compile(Sequential& model,
       p.ops.push_back(op);
       continue;
     } else {
-      return std::nullopt;  // BatchNorm / future layers: no lowering
+      return std::nullopt;  // a layer kind with no lowering
     }
 
     std::int64_t out_numel = NumelOf(shape);
@@ -525,10 +511,6 @@ void PlanState::Bind(const Program& prog, Sequential& m) {
       case OpKind::kGroupNorm:
         bindings[j].gn = dynamic_cast<GroupNorm*>(layer);
         FC_CHECK(bindings[j].gn != nullptr);
-        break;
-      case OpKind::kDropout:
-        bindings[j].dropout = dynamic_cast<Dropout*>(layer);
-        FC_CHECK(bindings[j].dropout != nullptr);
         break;
       case OpKind::kLstm:
         bindings[j].lstm = dynamic_cast<Lstm*>(layer);
@@ -637,35 +619,11 @@ void ExecuteStep(const Program& p, PlanState* const* states,
                                op.numel);
         }
         break;
-      case OpKind::kTanh:
-        for (int r = 0; r < count; ++r) {
-          kernels::TanhForward(Resolve(*states[r], batches[r], op.x),
-                               Resolve(*states[r], batches[r], op.y),
-                               op.numel);
-        }
-        break;
-      case OpKind::kSigmoid:
-        for (int r = 0; r < count; ++r) {
-          kernels::SigmoidForward(Resolve(*states[r], batches[r], op.x),
-                                  Resolve(*states[r], batches[r], op.y),
-                                  op.numel);
-        }
-        break;
       case OpKind::kAdd:
         for (int r = 0; r < count; ++r) {
           kernels::Add(Resolve(*states[r], batches[r], op.x),
                        Resolve(*states[r], batches[r], op.x2),
                        Resolve(*states[r], batches[r], op.y), op.numel);
-        }
-        break;
-      case OpKind::kDropout:
-        for (int r = 0; r < count; ++r) {
-          float* mask = Resolve(*states[r], batches[r], op.s0);
-          kernels::DropoutMask(states[r]->bindings[j].dropout->mask_rng(),
-                               op.rate, op.scale, mask, op.numel);
-          kernels::DropoutApply(Resolve(*states[r], batches[r], op.x), mask,
-                                Resolve(*states[r], batches[r], op.y),
-                                op.numel);
         }
         break;
       case OpKind::kMaxPool:
@@ -927,33 +885,6 @@ void ExecuteStep(const Program& p, PlanState* const* states,
         for (int r = 0; r < count; ++r) {
           kernels::ReluBackward(Resolve(*states[r], batches[r], op.y),
                                 Resolve(*states[r], batches[r], op.dy),
-                                Resolve(*states[r], batches[r], op.dx),
-                                op.numel);
-        }
-        break;
-      case OpKind::kTanh:
-        if (op.skip_dx) break;
-        for (int r = 0; r < count; ++r) {
-          kernels::TanhBackward(Resolve(*states[r], batches[r], op.y),
-                                Resolve(*states[r], batches[r], op.dy),
-                                Resolve(*states[r], batches[r], op.dx),
-                                op.numel);
-        }
-        break;
-      case OpKind::kSigmoid:
-        if (op.skip_dx) break;
-        for (int r = 0; r < count; ++r) {
-          kernels::SigmoidBackward(Resolve(*states[r], batches[r], op.y),
-                                   Resolve(*states[r], batches[r], op.dy),
-                                   Resolve(*states[r], batches[r], op.dx),
-                                   op.numel);
-        }
-        break;
-      case OpKind::kDropout:
-        if (op.skip_dx) break;
-        for (int r = 0; r < count; ++r) {
-          kernels::DropoutApply(Resolve(*states[r], batches[r], op.dy),
-                                Resolve(*states[r], batches[r], op.s0),
                                 Resolve(*states[r], batches[r], op.dx),
                                 op.numel);
         }

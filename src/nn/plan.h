@@ -11,7 +11,6 @@
 namespace fedcross::nn {
 
 class Conv2d;
-class Dropout;
 class Embedding;
 class GroupNorm;
 class Linear;
@@ -36,16 +35,14 @@ namespace plan {
 // for small shapes).
 //
 // Invariant: a plan step is bit-identical to Layer::Forward / loss /
-// Layer::Backward on the same replica. Three mechanisms enforce this:
+// Layer::Backward on the same replica. Two mechanisms enforce this:
 //  * every GEMM goes through ops::Gemm / ops::GemmGrouped / ops::ConvGrouped,
 //    whose grouped instances are bit-identical to standalone calls, and a
 //    batch-wide conv GEMM runs only where ops::detail::BatchWideGemmExact
 //    proves it equal to the layer path's per-image calls;
 //  * every non-GEMM arithmetic loop is a shared out-of-line kernel in
 //    nn/kernels.cc, called by both the layer classes and the executor, so
-//    no expression can be FP-contracted differently in two TUs;
-//  * dropout masks are drawn from the layer's own RNG in layer order, so
-//    both paths consume the same stream.
+//    no expression can be FP-contracted differently in two TUs.
 // The plan also skips work the layer path wastes: the input gradient of
 // the first layer (nothing consumes it) and the copy-in/copy-out of
 // elementwise layers (ops read and write arena buffers out of place).
@@ -63,9 +60,6 @@ enum class OpKind : std::uint8_t {
   kLinear,
   kConv,
   kRelu,
-  kTanh,
-  kSigmoid,
-  kDropout,
   kMaxPool,
   kGlobalAvgPool,
   kGroupNorm,
@@ -95,8 +89,8 @@ struct Op {
   Ref x, y;    // input / output activations
   Ref x2;      // second input (kAdd: the skip branch)
   Ref dx, dy;  // their gradients (dx may be kNone when skip_dx)
-  Ref s0, s1;  // float scratch: conv columns+dcolumns, dropout mask,
-               // groupnorm xhat+inv_std, lstm gates+cells
+  Ref s0, s1;  // float scratch: conv columns+dcolumns, groupnorm
+               // xhat+inv_std, lstm gates+cells
   Ref s2;      // lstm hiddens slab ((time+1) windows; window 0 is h_{-1}=0)
   int argmax_slot = -1;  // MaxPool argmax / Embedding token ids
 
@@ -117,7 +111,6 @@ struct Op {
   int out_channels = 0, out_h = 0, out_w = 0;
   int kernel = 0, stride = 0, pad = 0;
   int groups = 0;                     // groupnorm
-  float rate = 0.0f, scale = 0.0f;    // dropout
   float eps = 0.0f;                   // groupnorm
 };
 
@@ -133,20 +126,20 @@ struct Program {
   int classes = 0;    // final logits width
   Ref logits, dlogits;
 
-  // Compiles `model` for `input_shape` (training semantics: dropout
-  // active). The whole model zoo lowers — MLP/CNN/VGG straight lines,
-  // ResNet residual blocks (skip-branch refs), LSTM heads (embedding
-  // gather + bounded timestep loop). Returns nullopt for layer kinds the
-  // runtime has no lowering for (BatchNorm, mid-network embeddings, ...);
-  // such a model trains only under --exec layers.
+  // Compiles `model` for `input_shape`. The whole model zoo lowers —
+  // MLP/CNN/VGG straight lines, ResNet residual blocks (skip-branch refs),
+  // LSTM heads (embedding gather + bounded timestep loop). Returns nullopt
+  // for a topology the runtime has no lowering for (a mid-network
+  // embedding, a layer class outside the library's set); such a model
+  // trains only under --exec layers.
   static std::optional<Program> Compile(Sequential& model,
                                         const Tensor::Shape& input_shape);
 };
 
 // Per-replica executor state: the fp32 arena, MaxPool argmax / Embedding id
-// slots, and borrowed layer pointers (parameters and the dropout RNG live
-// in the model). Bind() reuses storage capacity, so rebinding the same
-// program is allocation-free after the first call.
+// slots, and borrowed layer pointers (parameters live in the model). Bind()
+// reuses storage capacity, so rebinding the same program is allocation-free
+// after the first call.
 // Non-copyable: each state accounts its arena bytes in the process-wide
 // fl.pool.arena_bytes gauge and settles up in the destructor.
 struct PlanState {
@@ -154,7 +147,6 @@ struct PlanState {
     Linear* linear = nullptr;
     Conv2d* conv = nullptr;
     GroupNorm* gn = nullptr;
-    Dropout* dropout = nullptr;
     Lstm* lstm = nullptr;
     Embedding* embedding = nullptr;
   };

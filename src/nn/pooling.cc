@@ -10,8 +10,7 @@ MaxPool2d::MaxPool2d(int kernel, int stride) : kernel_(kernel), stride_(stride) 
   FC_CHECK_GT(stride, 0);
 }
 
-const Tensor& MaxPool2d::Forward(const Tensor& input, bool train) {
-  (void)train;
+const Tensor& MaxPool2d::Forward(const Tensor& input) {
   FC_CHECK_EQ(input.ndim(), 4);
   int batch = input.dim(0);
   int channels = input.dim(1);
@@ -41,8 +40,7 @@ const Tensor& MaxPool2d::Backward(const Tensor& grad_output) {
   return grad_input_;
 }
 
-const Tensor& GlobalAvgPool::Forward(const Tensor& input, bool train) {
-  (void)train;
+const Tensor& GlobalAvgPool::Forward(const Tensor& input) {
   FC_CHECK_EQ(input.ndim(), 4);
   int batch = input.dim(0);
   int channels = input.dim(1);

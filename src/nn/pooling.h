@@ -14,7 +14,7 @@ class MaxPool2d : public Layer {
  public:
   MaxPool2d(int kernel, int stride);
 
-  const Tensor& Forward(const Tensor& input, bool train) override;
+  const Tensor& Forward(const Tensor& input) override;
   const Tensor& Backward(const Tensor& grad_output) override;
   std::string Name() const override { return "MaxPool2d"; }
 
@@ -34,7 +34,7 @@ class MaxPool2d : public Layer {
 // Global average pooling: [batch, channels, H, W] -> [batch, channels].
 class GlobalAvgPool : public Layer {
  public:
-  const Tensor& Forward(const Tensor& input, bool train) override;
+  const Tensor& Forward(const Tensor& input) override;
   const Tensor& Backward(const Tensor& grad_output) override;
   std::string Name() const override { return "GlobalAvgPool"; }
 

@@ -19,23 +19,22 @@ ResidualBlock::ResidualBlock(int in_channels, int out_channels, int stride,
   }
 }
 
-const Tensor& ResidualBlock::Forward(const Tensor& input, bool train) {
-  const Tensor* x = &conv1_.Forward(input, train);
-  x = &norm1_.Forward(*x, train);
-  x = &relu1_.Forward(*x, train);
-  x = &conv2_.Forward(*x, train);
-  sum_ = norm2_.Forward(*x, train);  // copy: we mutate it with the skip add
+const Tensor& ResidualBlock::Forward(const Tensor& input) {
+  const Tensor* x = &conv1_.Forward(input);
+  x = &norm1_.Forward(*x);
+  x = &relu1_.Forward(*x);
+  x = &conv2_.Forward(*x);
+  sum_ = norm2_.Forward(*x);  // copy: we mutate it with the skip add
 
   // The skip add goes through the shared kernel so the plan executor's kAdd
   // op evaluates the identical expression in the identical TU.
   if (has_projection_) {
-    const Tensor& skip =
-        proj_norm_->Forward(proj_conv_->Forward(input, train), train);
+    const Tensor& skip = proj_norm_->Forward(proj_conv_->Forward(input));
     kernels::Add(sum_.data(), skip.data(), sum_.data(), sum_.numel());
   } else {
     kernels::Add(sum_.data(), input.data(), sum_.data(), sum_.numel());
   }
-  return relu_out_.Forward(sum_, train);
+  return relu_out_.Forward(sum_);
 }
 
 const Tensor& ResidualBlock::Backward(const Tensor& grad_output) {

@@ -20,7 +20,7 @@ class ResidualBlock : public Layer {
   ResidualBlock(int in_channels, int out_channels, int stride, int gn_groups,
                 util::Rng& rng);
 
-  const Tensor& Forward(const Tensor& input, bool train) override;
+  const Tensor& Forward(const Tensor& input) override;
   const Tensor& Backward(const Tensor& grad_output) override;
   void CollectParams(std::vector<Param*>& out) override;
   std::string Name() const override { return "ResidualBlock"; }

@@ -13,11 +13,9 @@ void Sequential::Add(std::unique_ptr<Layer> layer) {
   layers_.push_back(std::move(layer));
 }
 
-const Tensor& Sequential::Forward(const Tensor& input, bool train) {
+const Tensor& Sequential::Forward(const Tensor& input) {
   const Tensor* activation = &input;
-  for (auto& layer : layers_) {
-    activation = &layer->Forward(*activation, train);
-  }
+  for (auto& layer : layers_) activation = &layer->Forward(*activation);
   return *activation;
 }
 
@@ -32,10 +30,6 @@ const Tensor& Sequential::Backward(const Tensor& grad_output) {
 
 void Sequential::CollectParams(std::vector<Param*>& out) {
   for (auto& layer : layers_) layer->CollectParams(out);
-}
-
-void Sequential::ResetState() {
-  for (auto& layer : layers_) layer->ResetState();
 }
 
 const std::vector<Param*>& Sequential::Params() {

@@ -31,14 +31,12 @@ class Sequential : public Layer {
   // Chains layer-owned output buffers; the returned reference is owned by
   // the last layer (or is the input itself for an empty pipeline) and stays
   // valid until the next Forward call.
-  const Tensor& Forward(const Tensor& input, bool train) override;
+  const Tensor& Forward(const Tensor& input) override;
   // Propagates gradients back through the stack; stops early if a layer
   // (e.g. Embedding) reports an empty input gradient. Returns the gradient
   // w.r.t. the pipeline input (possibly empty).
   const Tensor& Backward(const Tensor& grad_output) override;
   void CollectParams(std::vector<Param*>& out) override;
-  // Resets every layer's non-parameter state (see Layer::ResetState).
-  void ResetState() override;
   std::string Name() const override { return "Sequential"; }
 
   // ---- Model utilities ----------------------------------------------------
@@ -57,7 +55,7 @@ class Sequential : public Layer {
   // Stable parameter pointers (computed once, cached).
   const std::vector<Param*>& Params();
 
-  // Total trainable scalar count.
+  // Total scalar parameter count.
   std::int64_t NumParams();
 
   // Clears every parameter gradient.

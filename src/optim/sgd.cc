@@ -22,9 +22,7 @@ void Sgd::Step() {
   float clip_scale = 1.0f;
   if (options_.grad_clip_norm > 0.0f) {
     double total = 0.0;
-    for (nn::Param* param : params_) {
-      if (param->trainable) total += param->grad.SquaredL2Norm();
-    }
+    for (nn::Param* param : params_) total += param->grad.SquaredL2Norm();
     float norm = static_cast<float>(std::sqrt(total));
     if (norm > options_.grad_clip_norm) {
       clip_scale = options_.grad_clip_norm / norm;
@@ -33,7 +31,6 @@ void Sgd::Step() {
 
   for (std::size_t i = 0; i < params_.size(); ++i) {
     nn::Param* param = params_[i];
-    if (!param->trainable) continue;
     float* value = param->value.data();
     const float* grad = param->grad.data();
     float* vel = velocity_[i].data();

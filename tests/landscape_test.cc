@@ -68,7 +68,7 @@ TEST(LandscapeTest, TrainedMinimumHasPositiveSharpness) {
   for (int step = 0; step < 200; ++step) {
     model.ZeroGrad();
     nn::LossResult loss =
-        criterion.Compute(model.Forward(features, true), labels);
+        criterion.Compute(model.Forward(features), labels);
     model.Backward(loss.grad_logits);
     for (nn::Param* param : model.Params()) {
       param->value.Axpy(-0.2f, param->grad);
@@ -126,7 +126,7 @@ TEST(DirectionalSharpnessTest, ScaledLossIsSharper) {
   for (int step = 0; step < 200; ++step) {
     model.ZeroGrad();
     nn::LossResult loss =
-        criterion.Compute(model.Forward(features, true), labels);
+        criterion.Compute(model.Forward(features), labels);
     model.Backward(loss.grad_logits);
     for (nn::Param* param : model.Params()) {
       param->value.Axpy(-0.2f, param->grad);

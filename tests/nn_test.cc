@@ -8,7 +8,6 @@
 
 #include "nn/activations.h"
 #include "nn/conv2d.h"
-#include "nn/dropout.h"
 #include "nn/embedding.h"
 #include "nn/flatten.h"
 #include "nn/kernels.h"
@@ -30,7 +29,7 @@ TEST(LinearTest, OutputShapeAndBias) {
   util::Rng rng(1);
   Linear layer(3, 2, rng);
   Tensor input = Tensor::Zeros({4, 3});
-  Tensor output = layer.Forward(input, false);
+  Tensor output = layer.Forward(input);
   EXPECT_EQ(output.dim(0), 4);
   EXPECT_EQ(output.dim(1), 2);
   // Zero input -> outputs equal the (zero-initialised) bias.
@@ -48,7 +47,7 @@ TEST(LinearTest, KnownComputation) {
   params[0]->value = Tensor::FromVector({2, 1}, {2.0f, 3.0f});  // W
   params[1]->value = Tensor::FromVector({1}, {0.5f});           // b
   Tensor input = Tensor::FromVector({1, 2}, {1.0f, -1.0f});
-  Tensor output = layer.Forward(input, false);
+  Tensor output = layer.Forward(input);
   EXPECT_FLOAT_EQ(output.at(0), 2.0f - 3.0f + 0.5f);
 }
 
@@ -57,9 +56,9 @@ TEST(LinearTest, GradAccumulatesAcrossBatches) {
   Linear layer(2, 2, rng);
   Tensor input = Tensor::FromVector({1, 2}, {1.0f, 1.0f});
   Tensor grad = Tensor::FromVector({1, 2}, {1.0f, 0.0f});
-  layer.Forward(input, true);
+  layer.Forward(input);
   layer.Backward(grad);
-  layer.Forward(input, true);
+  layer.Forward(input);
   layer.Backward(grad);
   std::vector<Param*> params;
   layer.CollectParams(params);
@@ -72,7 +71,7 @@ TEST(LinearTest, GradAccumulatesAcrossBatches) {
 TEST(ReluTest, ClampsNegatives) {
   Relu relu;
   Tensor input = Tensor::FromVector({4}, {-1, 0, 2, -3});
-  Tensor output = relu.Forward(input, false);
+  Tensor output = relu.Forward(input);
   EXPECT_EQ(output.at(0), 0.0f);
   EXPECT_EQ(output.at(1), 0.0f);
   EXPECT_EQ(output.at(2), 2.0f);
@@ -82,7 +81,7 @@ TEST(ReluTest, ClampsNegatives) {
 TEST(ReluTest, BackwardMasksByInputSign) {
   Relu relu;
   Tensor input = Tensor::FromVector({3}, {-1, 1, 2});
-  relu.Forward(input, true);
+  relu.Forward(input);
   Tensor grad = Tensor::FromVector({3}, {5, 5, 5});
   Tensor grad_input = relu.Backward(grad);
   EXPECT_EQ(grad_input.at(0), 0.0f);
@@ -90,26 +89,12 @@ TEST(ReluTest, BackwardMasksByInputSign) {
   EXPECT_EQ(grad_input.at(2), 5.0f);
 }
 
-TEST(TanhTest, Saturation) {
-  Tanh tanh_layer;
-  Tensor input = Tensor::FromVector({2}, {100.0f, -100.0f});
-  Tensor output = tanh_layer.Forward(input, false);
-  EXPECT_NEAR(output.at(0), 1.0f, 1e-5f);
-  EXPECT_NEAR(output.at(1), -1.0f, 1e-5f);
-}
-
-TEST(SigmoidTest, Midpoint) {
-  Sigmoid sigmoid;
-  Tensor input = Tensor::Zeros({1});
-  EXPECT_FLOAT_EQ(sigmoid.Forward(input, false).at(0), 0.5f);
-}
-
 // --------------------------------------------------------------- Pooling
 
 TEST(MaxPoolTest, SelectsWindowMax) {
   MaxPool2d pool(2, 2);
   Tensor input = Tensor::FromVector({1, 1, 2, 2}, {1, 9, 3, 4});
-  Tensor output = pool.Forward(input, false);
+  Tensor output = pool.Forward(input);
   EXPECT_EQ(output.numel(), 1);
   EXPECT_FLOAT_EQ(output.at(0), 9.0f);
 }
@@ -117,7 +102,7 @@ TEST(MaxPoolTest, SelectsWindowMax) {
 TEST(MaxPoolTest, BackwardRoutesToArgmax) {
   MaxPool2d pool(2, 2);
   Tensor input = Tensor::FromVector({1, 1, 2, 2}, {1, 9, 3, 4});
-  pool.Forward(input, true);
+  pool.Forward(input);
   Tensor grad = Tensor::FromVector({1, 1, 1, 1}, {7.0f});
   Tensor grad_input = pool.Backward(grad);
   EXPECT_FLOAT_EQ(grad_input.at(0), 0.0f);
@@ -128,14 +113,14 @@ TEST(MaxPoolTest, BackwardRoutesToArgmax) {
 TEST(MaxPoolTest, HalvesSpatialDims) {
   MaxPool2d pool(2, 2);
   Tensor input = Tensor::Zeros({2, 3, 8, 6});
-  Tensor output = pool.Forward(input, false);
+  Tensor output = pool.Forward(input);
   EXPECT_EQ(output.shape(), (Tensor::Shape{2, 3, 4, 3}));
 }
 
 TEST(GlobalAvgPoolTest, AveragesPlane) {
   GlobalAvgPool pool;
   Tensor input = Tensor::FromVector({1, 2, 1, 2}, {1, 3, 10, 20});
-  Tensor output = pool.Forward(input, false);
+  Tensor output = pool.Forward(input);
   EXPECT_EQ(output.shape(), (Tensor::Shape{1, 2}));
   EXPECT_FLOAT_EQ(output.at(0), 2.0f);
   EXPECT_FLOAT_EQ(output.at(1), 15.0f);
@@ -147,7 +132,7 @@ TEST(GroupNormTest, NormalisesPerGroup) {
   GroupNorm norm(4, 2);
   util::Rng rng(3);
   Tensor input = Tensor::RandomNormal({2, 4, 3, 3}, rng, 5.0f, 2.0f);
-  Tensor output = norm.Forward(input, true);
+  Tensor output = norm.Forward(input);
   // Each (sample, group) slice should have ~zero mean and ~unit variance
   // (gamma=1, beta=0 initially).
   int area = 9;
@@ -178,7 +163,7 @@ TEST(GroupNormTest, GammaBetaApplied) {
   params[1]->value.Fill(-1.0f);  // beta
   util::Rng rng(4);
   Tensor input = Tensor::RandomNormal({1, 2, 2, 2}, rng);
-  Tensor output = norm.Forward(input, true);
+  Tensor output = norm.Forward(input);
   // Output mean should be beta (= -1) since normalised mean is 0.
   EXPECT_NEAR(output.Mean(), -1.0f, 1e-4f);
 }
@@ -366,49 +351,12 @@ TEST(GroupNormKernelTest, BackwardMayWriteDxOverDy) {
   ExpectSameBits(dbeta2, dbeta, "dbeta");
 }
 
-// ---------------------------------------------------------------- Dropout
-
-TEST(DropoutTest, EvalIsIdentity) {
-  Dropout dropout(0.5f, 1);
-  Tensor input = Tensor::Full({100}, 2.0f);
-  Tensor output = dropout.Forward(input, /*train=*/false);
-  for (std::int64_t i = 0; i < 100; ++i) EXPECT_EQ(output.at(i), 2.0f);
-}
-
-TEST(DropoutTest, TrainZeroesAndRescales) {
-  Dropout dropout(0.5f, 2);
-  Tensor input = Tensor::Full({2000}, 1.0f);
-  Tensor output = dropout.Forward(input, /*train=*/true);
-  int zeros = 0;
-  for (std::int64_t i = 0; i < 2000; ++i) {
-    if (output.at(i) == 0.0f) {
-      ++zeros;
-    } else {
-      EXPECT_FLOAT_EQ(output.at(i), 2.0f);  // 1/(1-0.5)
-    }
-  }
-  EXPECT_NEAR(zeros, 1000, 100);
-  // Inverted dropout keeps the expectation.
-  EXPECT_NEAR(output.Mean(), 1.0f, 0.1f);
-}
-
-TEST(DropoutTest, BackwardUsesSameMask) {
-  Dropout dropout(0.5f, 3);
-  Tensor input = Tensor::Full({100}, 1.0f);
-  Tensor output = dropout.Forward(input, true);
-  Tensor grad = Tensor::Full({100}, 1.0f);
-  Tensor grad_input = dropout.Backward(grad);
-  for (std::int64_t i = 0; i < 100; ++i) {
-    EXPECT_FLOAT_EQ(grad_input.at(i), output.at(i));
-  }
-}
-
 // ---------------------------------------------------------------- Flatten
 
 TEST(FlattenTest, RoundTrip) {
   Flatten flatten;
   Tensor input = Tensor::Zeros({2, 3, 4, 5});
-  Tensor output = flatten.Forward(input, false);
+  Tensor output = flatten.Forward(input);
   EXPECT_EQ(output.shape(), (Tensor::Shape{2, 60}));
   Tensor grad = Tensor::Zeros({2, 60});
   Tensor grad_input = flatten.Backward(grad);
@@ -425,7 +373,7 @@ TEST(EmbeddingTest, LooksUpRows) {
   params[0]->value =
       Tensor::FromVector({4, 3}, {0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3});
   Tensor input = Tensor::FromVector({1, 2}, {2.0f, 0.0f});
-  Tensor output = embedding.Forward(input, false);
+  Tensor output = embedding.Forward(input);
   EXPECT_EQ(output.shape(), (Tensor::Shape{1, 2, 3}));
   EXPECT_FLOAT_EQ(output.at(0), 2.0f);
   EXPECT_FLOAT_EQ(output.at(3), 0.0f);
@@ -435,7 +383,7 @@ TEST(EmbeddingTest, BackwardScattersIntoRows) {
   util::Rng rng(6);
   Embedding embedding(3, 2, rng);
   Tensor input = Tensor::FromVector({1, 2}, {1.0f, 1.0f});
-  embedding.Forward(input, true);
+  embedding.Forward(input);
   Tensor grad = Tensor::Full({1, 2, 2}, 1.0f);
   Tensor grad_input = embedding.Backward(grad);
   EXPECT_EQ(grad_input.numel(), 0);  // discrete input: no gradient
@@ -453,7 +401,7 @@ TEST(LstmTest, OutputShape) {
   util::Rng rng(7);
   Lstm lstm(4, 6, rng);
   Tensor input = Tensor::Zeros({3, 5, 4});
-  Tensor output = lstm.Forward(input, false);
+  Tensor output = lstm.Forward(input);
   EXPECT_EQ(output.shape(), (Tensor::Shape{3, 6}));
 }
 
@@ -461,7 +409,7 @@ TEST(LstmTest, HiddenStateIsBounded) {
   util::Rng rng(8);
   Lstm lstm(4, 6, rng);
   Tensor input = Tensor::RandomNormal({1, 10, 4}, rng, 0.0f, 3.0f);
-  Tensor output = lstm.Forward(input, false);
+  Tensor output = lstm.Forward(input);
   // h = o * tanh(c): |h| < 1 always.
   for (std::int64_t i = 0; i < output.numel(); ++i) {
     EXPECT_LT(std::abs(output.at(i)), 1.0f);
@@ -473,8 +421,8 @@ TEST(LstmTest, SequenceOrderMatters) {
   Lstm lstm(2, 4, rng);
   Tensor forward_seq = Tensor::FromVector({1, 3, 2}, {1, 0, 0, 1, 1, 1});
   Tensor reverse_seq = Tensor::FromVector({1, 3, 2}, {1, 1, 0, 1, 1, 0});
-  Tensor out1 = lstm.Forward(forward_seq, false);
-  Tensor out2 = lstm.Forward(reverse_seq, false);
+  Tensor out1 = lstm.Forward(forward_seq);
+  Tensor out2 = lstm.Forward(reverse_seq);
   double diff = 0.0;
   for (std::int64_t i = 0; i < out1.numel(); ++i) {
     diff += std::abs(out1.at(i) - out2.at(i));
@@ -522,7 +470,7 @@ TEST(SequentialTest, ZeroGradClearsAll) {
   Sequential model;
   model.Add(std::make_unique<Linear>(2, 2, rng));
   Tensor input = Tensor::Full({1, 2}, 1.0f);
-  model.Forward(input, true);
+  model.Forward(input);
   model.Backward(Tensor::Full({1, 2}, 1.0f));
   model.ZeroGrad();
   std::vector<float> grads = model.GradsToFlat();
@@ -578,30 +526,13 @@ TEST(CrossEntropyTest, GradSumsToZeroPerRow) {
   }
 }
 
-TEST(SoftCrossEntropyTest, MatchesHardWhenTargetsOneHot) {
-  util::Rng rng(17);
-  Tensor logits = Tensor::RandomNormal({2, 3}, rng);
-  CrossEntropyLoss hard;
-  SoftCrossEntropyLoss soft;
-  Tensor targets = Tensor::Zeros({2, 3});
-  targets.at(0, 1) = 1.0f;
-  targets.at(1, 2) = 1.0f;
-  LossResult hard_result = hard.Compute(logits, {1, 2});
-  LossResult soft_result = soft.Compute(logits, targets);
-  EXPECT_NEAR(hard_result.loss, soft_result.loss, 1e-5f);
-  for (std::int64_t i = 0; i < hard_result.grad_logits.numel(); ++i) {
-    EXPECT_NEAR(hard_result.grad_logits.at(i), soft_result.grad_logits.at(i),
-                1e-6f);
-  }
-}
-
 // --------------------------------------------------------------- Residual
 
 TEST(ResidualBlockTest, IdentitySkipPreservesShape) {
   util::Rng rng(18);
   ResidualBlock block(4, 4, 1, 2, rng);
   Tensor input = Tensor::Zeros({2, 4, 8, 8});
-  Tensor output = block.Forward(input, false);
+  Tensor output = block.Forward(input);
   EXPECT_EQ(output.shape(), input.shape());
 }
 
@@ -609,7 +540,7 @@ TEST(ResidualBlockTest, ProjectionChangesShape) {
   util::Rng rng(19);
   ResidualBlock block(4, 8, 2, 2, rng);
   Tensor input = Tensor::Zeros({2, 4, 8, 8});
-  Tensor output = block.Forward(input, false);
+  Tensor output = block.Forward(input);
   EXPECT_EQ(output.shape(), (Tensor::Shape{2, 8, 4, 4}));
 }
 
@@ -634,7 +565,7 @@ TEST(Conv2dTest, IdentityKernelReproducesInput) {
   params[0]->value = Tensor::FromVector({1, 1}, {1.0f});
   params[1]->value = Tensor::Zeros({1});
   Tensor input = Tensor::FromVector({1, 1, 2, 2}, {1, 2, 3, 4});
-  Tensor output = conv.Forward(input, false);
+  Tensor output = conv.Forward(input);
   for (std::int64_t i = 0; i < 4; ++i) {
     EXPECT_FLOAT_EQ(output.at(i), input.at(i));
   }
@@ -644,7 +575,7 @@ TEST(Conv2dTest, OutputGeometry) {
   util::Rng rng(22);
   Conv2d conv(3, 5, 3, 2, 1, rng);
   Tensor input = Tensor::Zeros({2, 3, 9, 9});
-  Tensor output = conv.Forward(input, false);
+  Tensor output = conv.Forward(input);
   EXPECT_EQ(output.shape(), (Tensor::Shape{2, 5, 5, 5}));
 }
 
@@ -656,7 +587,7 @@ TEST(Conv2dTest, BiasBroadcastsOverPlane) {
   params[0]->value.Fill(0.0f);
   params[1]->value = Tensor::FromVector({2}, {1.5f, -2.5f});
   Tensor input = Tensor::Zeros({1, 1, 4, 4});
-  Tensor output = conv.Forward(input, false);
+  Tensor output = conv.Forward(input);
   EXPECT_FLOAT_EQ(output.at(0), 1.5f);
   EXPECT_FLOAT_EQ(output.at(16), -2.5f);  // second channel plane
 }

@@ -6,7 +6,6 @@
 #include "nn/linear.h"
 #include "nn/loss.h"
 #include "nn/sequential.h"
-#include "optim/schedule.h"
 #include "optim/sgd.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -111,41 +110,18 @@ TEST(SgdTest, TrainingReducesLossOnToyProblem) {
   for (int i = 0; i < dataset->size(); ++i) all[i] = i;
   dataset->GetBatch(all, features, labels);
 
-  float initial_loss = criterion.Compute(model.Forward(features, false),
-                                         labels, false).loss;
+  float initial_loss =
+      criterion.Compute(model.Forward(features), labels, false).loss;
   for (int step = 0; step < 50; ++step) {
     model.ZeroGrad();
     nn::LossResult loss =
-        criterion.Compute(model.Forward(features, true), labels);
+        criterion.Compute(model.Forward(features), labels);
     model.Backward(loss.grad_logits);
     sgd.Step();
   }
-  float final_loss = criterion.Compute(model.Forward(features, false),
-                                       labels, false).loss;
+  float final_loss =
+      criterion.Compute(model.Forward(features), labels, false).loss;
   EXPECT_LT(final_loss, initial_loss * 0.5f);
-}
-
-// -------------------------------------------------------------- Schedules
-
-TEST(ScheduleTest, ConstantLr) {
-  ConstantLr schedule(0.05f);
-  EXPECT_FLOAT_EQ(schedule.LrAt(0), 0.05f);
-  EXPECT_FLOAT_EQ(schedule.LrAt(1000000), 0.05f);
-}
-
-TEST(ScheduleTest, InverseTimeDecays) {
-  InverseTimeLr schedule(2.0f, 9.0f);
-  EXPECT_FLOAT_EQ(schedule.LrAt(0), 0.2f);  // 2/(0+9+1)
-  EXPECT_GT(schedule.LrAt(10), schedule.LrAt(100));
-  EXPECT_GT(schedule.LrAt(100), schedule.LrAt(1000));
-}
-
-TEST(ScheduleTest, InverseTimeAsymptoticRate) {
-  InverseTimeLr schedule(1.0f, 0.0f);
-  // lr(t) * (t+1) = c: exact hyperbolic decay.
-  for (std::int64_t t : {10, 100, 1000}) {
-    EXPECT_NEAR(schedule.LrAt(t) * (t + 1), 1.0, 1e-5);
-  }
 }
 
 }  // namespace

@@ -31,10 +31,10 @@
 #include "models/model_zoo.h"
 #include "nn/activations.h"
 #include "nn/conv2d.h"
-#include "nn/dropout.h"
+#include "nn/embedding.h"
 #include "nn/flatten.h"
 #include "nn/linear.h"
-#include "nn/norm.h"
+#include "nn/lstm.h"
 #include "nn/plan.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -385,17 +385,15 @@ TEST(PlanConvTest, CompiledConvStepsPickTheBatchWidePathByShape) {
 // Shared fixtures
 // ---------------------------------------------------------------------------
 
-// MLP with every plan-supported elementwise kind: linear, relu, dropout,
-// tanh, sigmoid.
+// Three-layer Linear/ReLU MLP.
 models::ModelFactory MlpFactory(int dim, int classes) {
   return [dim, classes]() {
     util::Rng rng(11);
     nn::Sequential model;
     model.Add(std::make_unique<nn::Linear>(dim, 16, rng));
     model.Add(std::make_unique<nn::Relu>());
-    model.Add(std::make_unique<nn::Dropout>(0.25f, 99));
     model.Add(std::make_unique<nn::Linear>(16, 12, rng));
-    model.Add(std::make_unique<nn::Tanh>());
+    model.Add(std::make_unique<nn::Relu>());
     model.Add(std::make_unique<nn::Linear>(12, classes, rng));
     return model;
   };
@@ -809,16 +807,39 @@ TEST(PlanConvTest, BatchWidePathBitIdenticalAcrossBatchGeometries) {
 // Support matrix + program properties
 // ---------------------------------------------------------------------------
 
-// Conv2d -> BatchNorm2d: a layer kind the plan runtime has no lowering for.
-models::ModelFactory BatchNormConvFactory() {
+// A layer class the plan runtime has no lowering for.
+class UnloweredIdentity : public nn::Layer {
+ public:
+  const Tensor& Forward(const Tensor& input) override { return input; }
+  const Tensor& Backward(const Tensor& grad_output) override {
+    return grad_output;
+  }
+  std::string Name() const override { return "UnloweredIdentity"; }
+};
+
+models::ModelFactory UnloweredConvFactory() {
   return []() {
     util::Rng rng(3);
     nn::Sequential model;
     model.Add(std::make_unique<nn::Conv2d>(3, 4, 3, 1, 1, rng));
-    model.Add(std::make_unique<nn::BatchNorm2d>(4));
+    model.Add(std::make_unique<UnloweredIdentity>());
     model.Add(std::make_unique<nn::Relu>());
     model.Add(std::make_unique<nn::Flatten>());
     model.Add(std::make_unique<nn::Linear>(4 * 8 * 8, 4, rng));
+    return model;
+  };
+}
+
+// An embedding below another op: the layer path stops backprop at it, which
+// the plan cannot reproduce there, so it refuses the topology.
+models::ModelFactory MidNetworkEmbeddingFactory() {
+  return []() {
+    util::Rng rng(5);
+    nn::Sequential model;
+    model.Add(std::make_unique<nn::Relu>());
+    model.Add(std::make_unique<nn::Embedding>(32, 8, rng));
+    model.Add(std::make_unique<nn::Lstm>(8, 8, rng));
+    model.Add(std::make_unique<nn::Linear>(8, 4, rng));
     return model;
   };
 }
@@ -846,7 +867,8 @@ TEST(PlanCompileTest, SupportMatrixMatchesTopologies) {
   EXPECT_TRUE(Compiles(models::MakeVgg(vgg), {2, 3, 8, 8}));
   EXPECT_TRUE(Compiles(models::MakeResNet(resnet), {2, 3, 8, 8}));
   EXPECT_TRUE(Compiles(models::MakeLstm(lstm), {2, 16}));
-  EXPECT_FALSE(Compiles(BatchNormConvFactory(), {2, 3, 8, 8}));
+  EXPECT_FALSE(Compiles(UnloweredConvFactory(), {2, 3, 8, 8}));
+  EXPECT_FALSE(Compiles(MidNetworkEmbeddingFactory(), {2, 16}));
 }
 
 // --exec plan refuses a topology it cannot compile instead of training it
@@ -863,7 +885,7 @@ TEST(PlanCompileDeathTest, PlanTrainingStopsOnAnUncompilableTopology) {
     config.train.local_epochs = 1;
     config.train.batch_size = 10;
     config.train.exec = exec;
-    FedAvg server(config, MakeImageFederated(4, 9), BatchNormConvFactory());
+    FedAvg server(config, MakeImageFederated(4, 9), UnloweredConvFactory());
     server.RunRound(0);
     return server.GlobalParams();
   };

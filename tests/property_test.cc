@@ -4,20 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <memory>
 #include <set>
-#include <string_view>
 
 #include "core/fedcross.h"
 #include "data/partition.h"
 #include "fl/fedavg.h"
-#include "nn/checkpoint.h"
 #include "nn/embedding.h"
 #include "nn/linear.h"
 #include "nn/lstm.h"
 #include "nn/loss.h"
-#include "optim/adam.h"
 #include "optim/sgd.h"
 #include "test_util.h"
 
@@ -29,12 +25,22 @@ namespace {
 class ZooArchTest : public ::testing::TestWithParam<std::string> {};
 
 models::ModelFactory ZooFactory(const std::string& arch) {
-  models::ModelSpec spec;
-  spec.arch = arch;
-  spec.height = spec.width = 8;
-  spec.num_classes = 5;
-  spec.vocab_size = 11;
-  return models::MakeModelByName(spec).value();
+  if (arch == "lstm") {
+    models::LstmConfig config;
+    config.vocab_size = 11;
+    config.num_classes = 5;
+    return models::MakeLstm(config);
+  }
+  auto image = [](auto config) {
+    config.height = config.width = 8;
+    config.num_classes = 5;
+    return config;
+  };
+  if (arch == "resnet") {
+    return models::MakeResNet(image(models::ResNetConfig()));
+  }
+  if (arch == "vgg") return models::MakeVgg(image(models::VggConfig()));
+  return models::MakeCnn(image(models::CnnConfig()));
 }
 
 TEST_P(ZooArchTest, FlatRoundTripIsIdentity) {
@@ -56,21 +62,6 @@ TEST_P(ZooArchTest, TwoFactoryInstancesShareLayout) {
     EXPECT_TRUE(a.Params()[i]->value.SameShape(b.Params()[i]->value));
   }
   EXPECT_EQ(a.ParamsToFlat(), b.ParamsToFlat());
-}
-
-TEST_P(ZooArchTest, CheckpointRoundTrip) {
-  models::ModelFactory factory = ZooFactory(GetParam());
-  nn::Sequential model = factory();
-  std::string path =
-      ::testing::TempDir() + "/prop_" + GetParam() + ".fcpt";
-  ASSERT_TRUE(nn::SaveModel(model, path).ok());
-  nn::Sequential other = factory();
-  std::vector<float> flat = other.ParamsToFlat();
-  for (float& value : flat) value = 0.0f;
-  other.ParamsFromFlat(flat);
-  ASSERT_TRUE(nn::LoadModel(other, path).ok());
-  EXPECT_EQ(other.ParamsToFlat(), model.ParamsToFlat());
-  std::remove(path.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(Architectures, ZooArchTest,
@@ -238,36 +229,9 @@ TEST(FuzzTest, TensorDeserializeNeverCrashesOnRandomBytes) {
   SUCCEED();
 }
 
-TEST(FuzzTest, CheckpointLoadNeverCrashesOnRandomFiles) {
-  util::Rng rng(8);
-  std::string path = ::testing::TempDir() + "/fuzz.fcpt";
-  util::Rng model_rng(9);
-  nn::Sequential model;
-  model.Add(std::make_unique<nn::Linear>(3, 2, model_rng));
-  for (int trial = 0; trial < 50; ++trial) {
-    std::vector<std::uint8_t> bytes(rng.UniformInt(96));
-    // Half the trials start with the real magic to reach deeper code.
-    if (trial % 2 == 0 && bytes.size() >= 4) {
-      bytes[0] = 0x54;
-      bytes[1] = 0x50;
-      bytes[2] = 0x43;
-      bytes[3] = 0x46;
-    }
-    for (std::size_t i = 4; i < bytes.size(); ++i) {
-      bytes[i] = static_cast<std::uint8_t>(rng.UniformInt(256));
-    }
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    std::fwrite(bytes.data(), 1, bytes.size(), f);
-    std::fclose(f);
-    nn::LoadModel(model, path);  // must not crash
-  }
-  std::remove(path.c_str());
-  SUCCEED();
-}
-
 // -------------------------------------------------- Optimizer equivalence
 
-TEST(OptimizerPropertyTest, SgdAndAdamBothSolveToyProblem) {
+TEST(OptimizerPropertyTest, SgdSolvesToyProblem) {
   auto dataset = testing::MakeToyDataset(40, 4, 0.3f, 10);
   Tensor features;
   std::vector<int> labels;
@@ -276,36 +240,22 @@ TEST(OptimizerPropertyTest, SgdAndAdamBothSolveToyProblem) {
   dataset->GetBatch(all, features, labels);
   nn::CrossEntropyLoss criterion;
 
-  for (std::string_view which : {"sgd", "adam"}) {
-    util::Rng rng(11);
-    nn::Sequential model;
-    model.Add(std::make_unique<nn::Linear>(4, 2, rng));
-    std::unique_ptr<optim::Sgd> sgd;
-    std::unique_ptr<optim::Adam> adam;
-    if (which == "sgd") {
-      optim::SgdOptions options;
-      options.lr = 0.1f;
-      options.momentum = 0.9f;
-      sgd = std::make_unique<optim::Sgd>(model.Params(), options);
-    } else {
-      optim::AdamOptions options;
-      options.lr = 0.05f;
-      adam = std::make_unique<optim::Adam>(model.Params(), options);
-    }
-    for (int step = 0; step < 80; ++step) {
-      model.ZeroGrad();
-      nn::LossResult loss =
-          criterion.Compute(model.Forward(features, true), labels);
-      model.Backward(loss.grad_logits);
-      if (sgd) sgd->Step();
-      if (adam) adam->Step();
-    }
-    float final_loss = criterion
-                           .Compute(model.Forward(features, false), labels,
-                                    false)
-                           .loss;
-    EXPECT_LT(final_loss, 0.2f) << which;
+  util::Rng rng(11);
+  nn::Sequential model;
+  model.Add(std::make_unique<nn::Linear>(4, 2, rng));
+  optim::SgdOptions options;
+  options.lr = 0.1f;
+  options.momentum = 0.9f;
+  optim::Sgd sgd(model.Params(), options);
+  for (int step = 0; step < 80; ++step) {
+    model.ZeroGrad();
+    nn::LossResult loss = criterion.Compute(model.Forward(features), labels);
+    model.Backward(loss.grad_logits);
+    sgd.Step();
   }
+  float final_loss =
+      criterion.Compute(model.Forward(features), labels, false).loss;
+  EXPECT_LT(final_loss, 0.2f);
 }
 
 // --------------------------------------------------- Long-sequence LSTM

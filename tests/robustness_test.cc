@@ -298,6 +298,71 @@ TEST(FaultModelTest, ParseRoundTrips) {
   EXPECT_FALSE(ParseAggregatorKind("krum").ok());
 }
 
+TEST(FaultModelTest, ValidateFaultModelRejectsWhatCannotMeanWhatItSays) {
+  FaultModel edge;
+  EXPECT_TRUE(ValidateFaultModel(edge).ok());
+  edge.profile.dropout_prob = 1.0;
+  edge.profile.straggler_prob = 1.0;
+  edge.profile.corrupt_prob = 0.0;
+  edge.profile.slowdown_min = edge.profile.slowdown_max = 1.0;
+  edge.round_deadline = -1.0;  // <= 0 means no deadline
+  edge.overrides[7].slowdown_max = 2.0;  // == the default slowdown_min
+  EXPECT_TRUE(ValidateFaultModel(edge).ok());
+
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto rejects = [](const std::string& message, auto mutate) {
+    FaultModel model;
+    mutate(model);
+    const util::Status status = ValidateFaultModel(model);
+    EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument) << message;
+    EXPECT_EQ(status.message().rfind(message, 0), 0u) << status.message();
+  };
+  rejects("dropout_prob 1.5", [](FaultModel& m) {
+    m.profile.dropout_prob = 1.5;
+  });
+  rejects("dropout_prob -0.1", [](FaultModel& m) {
+    m.profile.dropout_prob = -0.1;
+  });
+  rejects("dropout_prob nan", [&](FaultModel& m) {
+    m.profile.dropout_prob = nan;
+  });
+  rejects("straggler_prob inf", [&](FaultModel& m) {
+    m.profile.straggler_prob = inf;
+  });
+  rejects("corrupt_prob 2", [](FaultModel& m) { m.profile.corrupt_prob = 2; });
+  rejects("slowdown_min 0.5", [](FaultModel& m) {
+    m.profile.slowdown_min = 0.5;
+  });
+  rejects("slowdown_min nan", [&](FaultModel& m) {
+    m.profile.slowdown_min = nan;
+  });
+  rejects("slowdown_max 1.5", [](FaultModel& m) {
+    m.profile.slowdown_max = 1.5;  // below the default slowdown_min of 2
+  });
+  rejects("slowdown_max inf", [&](FaultModel& m) {
+    m.profile.slowdown_max = inf;
+  });
+  rejects("round_deadline nan", [&](FaultModel& m) {
+    m.round_deadline = nan;
+  });
+  rejects("round_deadline inf", [&](FaultModel& m) {
+    m.round_deadline = inf;
+  });
+  // An override names its client: the lowest invalid id.
+  rejects("dropout_prob 3 is outside [0, 1] (client 5)", [](FaultModel& m) {
+    m.overrides[9].dropout_prob = 4.0;
+    m.overrides[5].dropout_prob = 3.0;
+  });
+
+  // The server refuses them too, rather than simulating them.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  AlgorithmConfig config = ToyConfig();
+  config.faults.profile.straggler_prob = 1.0;
+  config.faults.profile.slowdown_min = 0.5;
+  EXPECT_DEATH(MakeAlgorithm("FedAvg", config), "slowdown_min");
+}
+
 // --------------------------------------------------------------------------
 // Corruption and screening
 // --------------------------------------------------------------------------

@@ -38,7 +38,7 @@ inline double CheckParamGradients(nn::Sequential& model, const Tensor& input,
   nn::CrossEntropyLoss criterion;
 
   model.ZeroGrad();
-  Tensor logits = model.Forward(input, /*train=*/false);
+  Tensor logits = model.Forward(input);
   nn::LossResult loss = criterion.Compute(logits, labels);
   model.Backward(loss.grad_logits);
 
@@ -55,11 +55,11 @@ inline double CheckParamGradients(nn::Sequential& model, const Tensor& input,
     Tensor original = param->value;
     param->value.Axpy(eps / static_cast<float>(norm), param->grad);
     float loss_plus =
-        criterion.Compute(model.Forward(input, false), labels, false).loss;
+        criterion.Compute(model.Forward(input), labels, false).loss;
     param->value = original;
     param->value.Axpy(-eps / static_cast<float>(norm), param->grad);
     float loss_minus =
-        criterion.Compute(model.Forward(input, false), labels, false).loss;
+        criterion.Compute(model.Forward(input), labels, false).loss;
     param->value = original;
 
     double numeric =

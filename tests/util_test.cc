@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <set>
+#include <string_view>
 
 #include "util/csv_writer.h"
 #include "util/flags.h"
@@ -310,6 +315,128 @@ TEST(FlagParserTest, BoolVariants) {
   EXPECT_TRUE(flags.GetBool("a", false));
   EXPECT_FALSE(flags.GetBool("b", true));
   EXPECT_TRUE(flags.GetBool("c", false));
+}
+
+// Reference conversions for the flag fuzz, built on std::from_chars rather
+// than the strtoll/strtod calls the parser uses. nullopt means the text is
+// not a number the type can hold.
+std::optional<int> ReferenceInt(std::string_view text) {
+  if (text.size() > 1 && text[0] == '+' && text[1] != '+' && text[1] != '-') {
+    text.remove_prefix(1);
+  }
+  int value = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+std::optional<double> ReferenceDouble(std::string_view text) {
+  bool negative = false;
+  if (!text.empty() && (text[0] == '+' || text[0] == '-')) {
+    negative = text[0] == '-';
+    text.remove_prefix(1);
+  }
+  std::chars_format format = std::chars_format::general;
+  if (text.size() >= 2 && text[0] == '0' &&
+      (text[1] == 'x' || text[1] == 'X')) {
+    text.remove_prefix(2);
+    format = std::chars_format::hex;
+  }
+  if (text.empty() || text[0] == '+' || text[0] == '-') return std::nullopt;
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value, format);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return negative ? -value : value;
+}
+
+TEST(FlagFuzzTest, EveryUnrepresentableValueIsAnErrorNamingItsFlag) {
+  // argv tokens are glued from these fragments: flag syntax, the names the
+  // getters read (and one none reads), numbers at and past every range
+  // edge, hex, very long digit strings and bytes that are not UTF-8.
+  const std::string digits40(40, '7');
+  const std::string digits400 = "1" + std::string(399, '0');
+  const std::vector<std::string> fragments = {
+      "--", "-", "=", "", "count", "rate", "label", "verbose", "typo",
+      "nan", "inf", "-inf", "1e999", "-2147483649", "4294967297",
+      "2147483647", "-2147483648", "0x", "0x1f", "0xffffffff", "3", "-7",
+      "2.5", ".", "e5", "+", "true", "no", "yes", digits40, digits400,
+      "\xff\xfe", "\xc0\xaf", "\x80"};
+  const std::string names[] = {"count", "rate", "label", "verbose", "typo"};
+  util::Rng rng(2024);
+  auto fragment = [&] { return fragments[rng.UniformInt(fragments.size())]; };
+  auto named = [&](const std::string& name) {
+    return "flag --" + name + " ";
+  };
+
+  for (int trial = 0; trial < 10000; ++trial) {
+    std::vector<std::string> args = {"prog"};
+    const int tokens = static_cast<int>(rng.UniformInt(7));
+    for (int t = 0; t < tokens; ++t) {
+      // Half the tokens lead with a real flag name so values reach the
+      // getters; names repeat across tokens, and the last one wins.
+      std::string token;
+      if (rng.UniformInt(2) == 0) token = "--" + names[rng.UniformInt(5)];
+      for (int f = 1 + static_cast<int>(rng.UniformInt(3)); f > 0; --f) {
+        token += fragment();
+      }
+      args.push_back(token);
+    }
+    std::vector<char*> argv;
+    for (std::string& arg : args) argv.push_back(arg.data());
+    FlagParser flags(static_cast<int>(argv.size()), argv.data());
+
+    // Each typed getter either returns exactly the reference value of the
+    // provided text or leaves an error naming its flag and returns the
+    // default; an absent flag returns the default with no error.
+    const std::string count_text = flags.GetString("count", "");
+    const int count = flags.GetInt("count", 7);
+    const bool count_error = flags.error().rfind(named("count"), 0) == 0;
+    const std::optional<int> count_ref = ReferenceInt(count_text);
+    if (flags.Has("count") && count_ref) {
+      EXPECT_FALSE(count_error) << count_text;
+      EXPECT_EQ(count, *count_ref) << count_text;
+    } else {
+      EXPECT_EQ(count_error, flags.Has("count")) << count_text;
+      EXPECT_EQ(count, 7) << count_text;
+    }
+
+    const std::string rate_text = flags.GetString("rate", "");
+    const double rate = flags.GetDouble("rate", 0.5);
+    const bool rate_error = flags.error().rfind(named("rate"), 0) == 0;
+    const std::optional<double> rate_ref = ReferenceDouble(rate_text);
+    if (flags.Has("rate") && rate_ref) {
+      EXPECT_FALSE(rate_error) << rate_text;
+      EXPECT_EQ(std::memcmp(&rate, &*rate_ref, sizeof(double)), 0)
+          << rate_text;
+    } else {
+      EXPECT_EQ(rate_error, flags.Has("rate")) << rate_text;
+      EXPECT_EQ(rate, 0.5) << rate_text;
+    }
+
+    const std::string label = flags.GetString("label", "unset");
+    EXPECT_TRUE(flags.Has("label") || label == "unset") << label;
+
+    const std::string verbose_text = flags.GetString("verbose", "");
+    const bool verbose = flags.GetBool("verbose", false);
+    const bool verbose_error = flags.error().rfind(named("verbose"), 0) == 0;
+    const bool truthy = verbose_text == "true" || verbose_text == "1" ||
+                        verbose_text == "yes";
+    const bool falsy = verbose_text == "false" || verbose_text == "0" ||
+                       verbose_text == "no";
+    EXPECT_EQ(verbose_error, flags.Has("verbose") && !truthy && !falsy)
+        << verbose_text;
+    EXPECT_EQ(verbose, flags.Has("verbose") && truthy) << verbose_text;
+
+    // A provided flag no getter read is reported, whatever else failed.
+    const bool failed = count_error || rate_error || verbose_error ||
+                        !flags.UnusedFlags().empty();
+    EXPECT_TRUE(!failed || !flags.ok());
+    EXPECT_EQ(flags.ok(), flags.error().empty());
+  }
 }
 
 // ------------------------------------------------------------------- CSV
