@@ -30,6 +30,7 @@
 #include "obs/trace.h"
 #include "privacy/dp.h"
 #include "privacy/masking.h"
+#include "tensor/gemm_kernels.h"
 #include "tensor/tensor_ops.h"
 #include "util/mem_stats.h"
 #include "util/rng.h"
@@ -250,6 +251,11 @@ constexpr ConvShape kConvShapes[] = {
     {"resnet-async/stem", 5, 3, 8, 8, 3, 1, 1},
     {"resnet-async/stage2.conv1", 5, 8, 8, 16, 3, 2, 1},
     {"resnet-async/stage3.conv2", 5, 32, 2, 32, 3, 1, 1},
+    {"resnet-async/stage1.conv", 5, 8, 8, 8, 3, 1, 1},
+    {"resnet-async/stage2.conv2", 5, 16, 4, 16, 3, 1, 1},
+    {"resnet-async/stage2.proj", 5, 8, 8, 16, 1, 2, 0},
+    {"resnet-async/stage3.conv1", 5, 16, 4, 32, 3, 2, 1},
+    {"resnet-async/stage3.proj", 5, 16, 4, 32, 1, 2, 0},
 };
 constexpr int kNumConvShapes = sizeof(kConvShapes) / sizeof(kConvShapes[0]);
 
@@ -354,6 +360,79 @@ void BM_ConvForwardBatchWide(benchmark::State& state) {
   RunConvForwardGemms(state, true);
 }
 BENCHMARK(BM_ConvForwardBatchWide)->DenseRange(0, kNumConvShapes - 1);
+
+// The conv weight gradient of one replica's mini-batch, dW += sum_b dY_b *
+// columns_b^T, over the plan's batch-wide column layout: one Gemm call per
+// image (the layer path's loop) vs one GemmAccumulateImages call (the
+// plan's), which writes the same bytes.
+void RunConvWeightGrad(benchmark::State& state, bool batched) {
+  const ConvGeometry g(kConvShapes[state.range(0)]);
+  const ConvShape& s = g.shape;
+  const int m = s.out_channels, n = g.patch, k = g.area, batch = s.batch;
+  const int wide_n = batch * k;
+  std::vector<float> dy =
+      RandomFloats(static_cast<std::size_t>(batch) * m * k, 15);
+  std::vector<float> columns =
+      RandomFloats(static_cast<std::size_t>(n) * wide_n, 16);
+  std::vector<float> dw(static_cast<std::size_t>(m) * n, 0.0f);
+  for (auto _ : state) {
+    if (batched) {
+      ops::GemmAccumulateImages(batch, m, n, k, dy.data(), k,
+                                static_cast<std::int64_t>(m) * k,
+                                columns.data(), wide_n, k, dw.data(), n);
+    } else {
+      for (int b = 0; b < batch; ++b) {
+        ops::Gemm(false, true, m, n, k, 1.0f,
+                  dy.data() + static_cast<std::int64_t>(b) * m * k, k,
+                  columns.data() + static_cast<std::int64_t>(b) * k, wide_n,
+                  1.0f, dw.data(), n);
+      }
+    }
+    benchmark::DoNotOptimize(dw.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(s.name);
+  state.SetItemsProcessed(state.iterations() * 2LL * m * n * k * batch);
+}
+
+void BM_ConvWeightGradPerImage(benchmark::State& state) {
+  RunConvWeightGrad(state, false);
+}
+BENCHMARK(BM_ConvWeightGradPerImage)->DenseRange(0, kNumConvShapes - 1);
+
+void BM_ConvWeightGradBatched(benchmark::State& state) {
+  RunConvWeightGrad(state, true);
+}
+BENCHMARK(BM_ConvWeightGradBatched)->DenseRange(0, kNumConvShapes - 1);
+
+// The blocked rule's two schedules on the active tier at the wide-server
+// MLP's first-layer forward (batch 8, 192 -> 1024): arg 0 packs A and B
+// (gemm_blocked), arg 1 reads them in place (gemm_direct, which Gemm runs
+// on this shape). Both write the same bytes.
+void BM_GemmPackFree(benchmark::State& state) {
+  const bool direct = state.range(0) != 0;
+  const int m = 8, n = 1024, k = 192;
+  const ops::detail::GemmKernels& kernels =
+      ops::detail::TierGemmKernels(ops::ActiveSimdTier());
+  std::vector<float> a = RandomFloats(static_cast<std::size_t>(m) * k, 17);
+  std::vector<float> b = RandomFloats(static_cast<std::size_t>(k) * n, 18);
+  std::vector<float> c(static_cast<std::size_t>(m) * n);
+  for (auto _ : state) {
+    std::fill(c.begin(), c.end(), 0.0f);
+    if (direct) {
+      kernels.gemm_direct(false, m, n, k, 1.0f, a.data(), k, b.data(), n,
+                          c.data(), n);
+    } else {
+      kernels.gemm_blocked(false, false, m, n, k, 1.0f, a.data(), k, b.data(),
+                           n, c.data(), n);
+    }
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(direct ? "pack-free" : "packed");
+  state.SetItemsProcessed(state.iterations() * 2LL * m * n * k);
+}
+BENCHMARK(BM_GemmPackFree)->Arg(0)->Arg(1);
 
 nn::Sequential ZooModel(int scale) {
   models::VggConfig config;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 #include "tensor/tensor_ops.h"
 #include "util/check.h"
@@ -61,38 +62,44 @@ void ConvBiasGradImage(const float* dy_image, float* dbias, int channels,
 void MaxPoolForward(const float* x, float* y, std::int64_t* argmax, int batch,
                     int channels, int height, int width, int out_h, int out_w,
                     int kernel, int stride) {
+  const std::int64_t plane_size = static_cast<std::int64_t>(height) * width;
+  const std::int64_t planes = static_cast<std::int64_t>(batch) * channels;
   std::int64_t out_index = 0;
-  for (int b = 0; b < batch; ++b) {
-    for (int c = 0; c < channels; ++c) {
-      const float* plane =
-          x + (static_cast<std::int64_t>(b) * channels + c) * height * width;
-      std::int64_t plane_offset =
-          (static_cast<std::int64_t>(b) * channels + c) * height * width;
-      for (int oh = 0; oh < out_h; ++oh) {
-        for (int ow = 0; ow < out_w; ++ow) {
-          int h0 = oh * stride;
-          int w0 = ow * stride;
-          float best = plane[h0 * width + w0];
-          int best_h = h0;
-          int best_w = w0;
-          for (int kh = 0; kh < kernel; ++kh) {
-            int ih = h0 + kh;
-            if (ih >= height) break;
-            for (int kw = 0; kw < kernel; ++kw) {
-              int iw = w0 + kw;
-              if (iw >= width) break;
-              float value = plane[ih * width + iw];
-              if (value > best) {
-                best = value;
-                best_h = ih;
-                best_w = iw;
-              }
+  for (std::int64_t pl = 0; pl < planes; ++pl) {
+    const float* plane = x + pl * plane_size;
+    for (int oh = 0; oh < out_h; ++oh) {
+      const int h0 = oh * stride;
+      const int rows = std::min(kernel, height - h0);  // window cut at edge
+      for (int ow = 0; ow < out_w; ++ow) {
+        const int w0 = ow * stride;
+        const int cols = std::min(kernel, width - w0);
+        // The window's first element seeds the max, and a later one in
+        // (kh, kw) order replaces it only when strictly greater: ties keep
+        // the earlier element, and a NaN neither wins nor is replaced. The
+        // comparison feeds selects, not a branch, so random data costs no
+        // mispredictions.
+        int best_at = h0 * width + w0;
+        float best = plane[best_at];
+        auto scan = [&](int window_rows, int window_cols) {
+          for (int kh = 0; kh < window_rows; ++kh) {
+            for (int kw = 0; kw < window_cols; ++kw) {
+              const int at = (h0 + kh) * width + w0 + kw;
+              const float value = plane[at];
+              const bool greater = value > best;
+              best = greater ? value : best;
+              best_at = greater ? at : best_at;
             }
           }
-          y[out_index] = best;
-          argmax[out_index] = plane_offset + best_h * width + best_w;
-          ++out_index;
+        };
+        // The models' 2x2 pools get constant trip counts to unroll.
+        if (rows == 2 && cols == 2) {
+          scan(2, 2);
+        } else {
+          scan(rows, cols);
         }
+        y[out_index] = best;
+        argmax[out_index] = pl * plane_size + best_at;
+        ++out_index;
       }
     }
   }
@@ -389,6 +396,16 @@ void GroupNormBackward(const float* dy, const float* xhat,
                       dgamma + first, dbeta + first);
   }
 
+  // gamma_rows[g * group_size + e]: the gamma of element e of a group-g
+  // block, so the dx loop below runs over a whole block. Reused across
+  // calls (thread_local: client-training threads call concurrently).
+  thread_local std::vector<float> gamma_rows;
+  gamma_rows.resize(static_cast<std::size_t>(channels) * area);
+  for (int channel = 0; channel < channels; ++channel) {
+    std::fill_n(gamma_rows.data() + static_cast<std::int64_t>(channel) * area,
+                area, gamma[channel]);
+  }
+
   const int blocks = batch * groups;
   for (int first = 0; first < blocks; first += kNormChains) {
     const int width = std::min(kNormChains, blocks - first);
@@ -400,21 +417,21 @@ void GroupNormBackward(const float* dy, const float* xhat,
                   chans_per_group, area, sums_dxhat, sums_dxhat_xhat);
     for (int j = 0; j < width; ++j) {
       const int block = first + j;
-      const int g = block % groups;
       const std::int64_t base = block * group_size;
+      const float* gamma_el =
+          gamma_rows.data() + (block % groups) * group_size;
       float istd = inv_std[block];
       float mean_dxhat = static_cast<float>(sums_dxhat[j] / group_size);
       float mean_dxhat_xhat =
           static_cast<float>(sums_dxhat_xhat[j] / group_size);
-      for (int c = 0; c < chans_per_group; ++c) {
-        int channel = g * chans_per_group + c;
-        std::int64_t offset = base + static_cast<std::int64_t>(c) * area;
-        for (int i = 0; i < area; ++i) {
-          float dyv = dy[offset + i];
-          float xh = xhat[offset + i];
-          float dxhat = dyv * gamma[channel];
-          dx[offset + i] = istd * (dxhat - mean_dxhat - xh * mean_dxhat_xhat);
-        }
+      // One loop over the block's contiguous group, the element's channel
+      // gamma read from gamma_rows. Each element keeps the serial
+      // expression, and so its FMA contraction.
+      for (std::int64_t e = 0; e < group_size; ++e) {
+        float dyv = dy[base + e];
+        float xh = xhat[base + e];
+        float dxhat = dyv * gamma_el[e];
+        dx[base + e] = istd * (dxhat - mean_dxhat - xh * mean_dxhat_xhat);
       }
     }
   }

@@ -810,32 +810,27 @@ void ExecuteStep(const Program& p, PlanState* const* states,
         const std::int64_t wide_n = op.batch * out_area;
         const std::int64_t col_ld = op.wide_y ? wide_n : out_area;
         const std::int64_t col_image = op.wide_y ? out_area : col_size;
-        auto& groups = GroupScratch(count);
-        for (int b = 0; b < op.batch; ++b) {
-          // dW += dY_b * columns_b^T, one image at a time: the beta = 1
-          // chain over images is the layer path's summation order, which a
-          // batch-wide dW GEMM would merge.
-          for (int r = 0; r < count; ++r) {
-            groups[r] = {
-                Resolve(*states[r], batches[r], op.dy) + b * out_stride,
-                Resolve(*states[r], batches[r], op.s0) + b * col_image,
-                states[r]->bindings[j].conv->weight_param().grad.data()};
-          }
-          ops::GemmGrouped(false, true, op.out_channels,
-                           static_cast<int>(patch),
-                           static_cast<int>(out_area), 1.0f,
-                           static_cast<int>(out_area),
-                           static_cast<int>(col_ld), 1.0f,
-                           static_cast<int>(patch), groups.data(), count);
+        for (int r = 0; r < count; ++r) {
+          const float* dy = Resolve(*states[r], batches[r], op.dy);
+          Conv2d* conv = states[r]->bindings[j].conv;
+          // dW += sum_b dY_b * columns_b^T in one call, with the bytes of
+          // the layer path's per-image beta = 1 chain over images.
+          ops::GemmAccumulateImages(
+              op.batch, op.out_channels, static_cast<int>(patch),
+              static_cast<int>(out_area), dy, static_cast<int>(out_area),
+              out_stride, Resolve(*states[r], batches[r], op.s0),
+              static_cast<int>(col_ld), col_image,
+              conv->weight_param().grad.data(), static_cast<int>(patch));
           // db += spatial sums of dY_b
-          for (int r = 0; r < count; ++r) {
-            kernels::ConvBiasGradImage(
-                Resolve(*states[r], batches[r], op.dy) + b * out_stride,
-                states[r]->bindings[j].conv->bias_param().grad.data(),
-                op.out_channels, static_cast<int>(out_area));
+          for (int b = 0; b < op.batch; ++b) {
+            kernels::ConvBiasGradImage(dy + b * out_stride,
+                                       conv->bias_param().grad.data(),
+                                       op.out_channels,
+                                       static_cast<int>(out_area));
           }
         }
         if (op.skip_dx) break;
+        auto& groups = GroupScratch(count);
         // dColumns = W^T * dY, scattered back by Col2Im (which overwrites
         // each image of dx).
         if (op.wide_dx) {

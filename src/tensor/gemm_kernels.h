@@ -23,14 +23,30 @@ constexpr int kKc = 256;
 // bytes of `parts` separate Gemm calls of width n. Column position never
 // changes an element's chain, but the kernel choice can: the small and
 // blocked kernels compute the same ascending-k chain only while k fits one
-// blocked panel. Both kernels contract their multiply-adds alike on every
-// tier (fused iff the tier has FMA), which is what makes the k <= kKc case
+// blocked panel. Both kernels fuse their multiply-adds alike on every tier
+// (fused iff the tier has FMA), which is what makes the k <= kKc case
 // exact. The plan executor's batch-wide conv GEMMs take this as their rule.
 constexpr bool BatchWideGemmExact(std::int64_t m, std::int64_t n,
                                   std::int64_t k, std::int64_t parts) {
   const bool part_small = m * n * k <= kSmallGemmOps;
   const bool whole_small = m * n * parts * k <= kSmallGemmOps;
   return part_small == whole_small || k <= kKc;
+}
+
+// True when the blocked rule runs pack-free (gemm_direct) on an
+// untransposed-B shape: a thin operand means a packed panel is reused too
+// little to repay its copy. With n <= 20 the packed A panel serves at most
+// two kNr-wide B strips; with m <= 8 (or m <= 16) each packed B strip serves
+// at most two (four) micro-tile rows. The n and k bounds keep the in-place
+// B strip, whose rows lie ldb floats apart, cache-resident across those
+// rows. Fitted on a table of packed vs pack-free times over 1879 shapes on
+// the avx2 and avx512 tiers (EXPERIMENTS.md): every shape it picks runs
+// pack-free at least as fast, within timing noise; packing keeps the large
+// and the wide shapes, where it wins by up to 1.9x.
+constexpr bool GemmDirectPays(std::int64_t m, std::int64_t n, std::int64_t k) {
+  if (n <= 20) return true;
+  if (m <= 8) return n <= 1024 && k >= 16;
+  return m <= 16 && n <= 640 && n * k <= 48 * 1024;
 }
 
 // One ISA tier of the GEMM kernels. The function pointers are resolved once
@@ -48,6 +64,14 @@ constexpr bool BatchWideGemmExact(std::int64_t m, std::int64_t n,
 // conv_grouped_small is non-null on every tier: the portable tier carries a
 // scalar lane-interleaved body that the compiler may vectorise because each
 // lane's ascending-p MAddF chain is independent.
+//
+// gemm_direct is gemm_blocked (untransposed B only) without the operand
+// packing: the same kKc panels, zero-seeded micro-kernel chains and
+// write-back, with B's rows and A's elements read in place, so it writes
+// exactly gemm_blocked's bytes. gemm_accumulate_images writes exactly the
+// bytes of the per-image loop of Gemm(false, true, m, n, k, 1, A_b, lda,
+// B_b, ldb, 1, C, ldc) for b = 0..images-1, each image following the rule
+// (small or blocked) its own m*n*k selects.
 struct GemmKernels {
   SimdTier tier;
   void (*gemm_small)(bool trans_a, bool trans_b, int m, int n, int k,
@@ -56,6 +80,14 @@ struct GemmKernels {
   void (*gemm_blocked)(bool trans_a, bool trans_b, int m, int n, int k,
                        float alpha, const float* a, int lda, const float* b,
                        int ldb, float* c, int ldc);
+  void (*gemm_direct)(bool trans_a, int m, int n, int k, float alpha,
+                      const float* a, int lda, const float* b, int ldb,
+                      float* c, int ldc);
+  void (*gemm_accumulate_images)(int images, int m, int n, int k,
+                                 const float* a, int lda,
+                                 std::int64_t a_image_stride, const float* b,
+                                 int ldb, std::int64_t b_image_stride,
+                                 float* c, int ldc);
   void (*gemm_grouped_small)(bool trans_a, bool trans_b, int m, int n, int k,
                              float alpha, int lda, int ldb, int ldc,
                              const GemmGroup* groups, int count);
@@ -70,6 +102,8 @@ struct GemmKernels {
 const GemmKernels& GenericGemmKernels();
 const GemmKernels& Avx2GemmKernels();
 const GemmKernels& Avx512GemmKernels();
+// The accessor above for `tier`.
+const GemmKernels& TierGemmKernels(SimdTier tier);
 
 }  // namespace fedcross::ops::detail
 

@@ -82,7 +82,36 @@ inline void ScaleC(int m, int n, float beta, float* c, int ldc) {
   }
 }
 
+// One accumulate-only GEMM on the kernel its shape selects: the small rule
+// at or below kSmallGemmOps, otherwise the blocked rule, run pack-free where
+// GemmDirectPays says the packed panels would not repay their copies. The
+// two blocked schedules write the same bytes.
+inline void RunGemm(const GemmKernels& kernels, bool trans_a, bool trans_b,
+                    int m, int n, int k, float alpha, const float* a, int lda,
+                    const float* b, int ldb, float* c, int ldc) {
+  if (static_cast<std::int64_t>(m) * n * k <= kSmallGemmOps) {
+    kernels.gemm_small(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, c,
+                       ldc);
+  } else if (!trans_b && detail::GemmDirectPays(m, n, k)) {
+    kernels.gemm_direct(trans_a, m, n, k, alpha, a, lda, b, ldb, c, ldc);
+  } else {
+    kernels.gemm_blocked(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, c,
+                         ldc);
+  }
+}
+
 }  // namespace
+
+namespace detail {
+const GemmKernels& TierGemmKernels(SimdTier tier) {
+  switch (tier) {
+    case SimdTier::kAvx2: return Avx2GemmKernels();
+    case SimdTier::kAvx512: return Avx512GemmKernels();
+    case SimdTier::kGeneric: break;
+  }
+  return GenericGemmKernels();
+}
+}  // namespace detail
 
 SimdTier ActiveSimdTier() { return ActiveKernels().tier; }
 
@@ -98,14 +127,9 @@ const char* SimdTierName(SimdTier tier) {
 namespace testing {
 
 bool ForceSimdTier(SimdTier tier) {
-  const GemmKernels* kernels = nullptr;
-  switch (tier) {
-    case SimdTier::kGeneric: kernels = &detail::GenericGemmKernels(); break;
-    case SimdTier::kAvx2: kernels = &detail::Avx2GemmKernels(); break;
-    case SimdTier::kAvx512: kernels = &detail::Avx512GemmKernels(); break;
-  }
-  if (kernels == nullptr || !TierSupported(*kernels, tier)) return false;
-  g_forced_kernels.store(kernels, std::memory_order_relaxed);
+  const GemmKernels& kernels = detail::TierGemmKernels(tier);
+  if (!TierSupported(kernels, tier)) return false;
+  g_forced_kernels.store(&kernels, std::memory_order_relaxed);
   return true;
 }
 
@@ -125,15 +149,8 @@ void Gemm(bool trans_a, bool trans_b, int m, int n, int k, float alpha,
   // skips the traversal entirely.
   ScaleC(m, n, beta, c, ldc);
   if (m == 0 || n == 0 || k == 0 || alpha == 0.0f) return;
-  const GemmKernels& kernels = ActiveKernels();
-  std::int64_t ops = static_cast<std::int64_t>(m) * n * k;
-  if (ops <= kSmallGemmOps) {
-    kernels.gemm_small(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, c,
-                       ldc);
-  } else {
-    kernels.gemm_blocked(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, c,
-                         ldc);
-  }
+  RunGemm(ActiveKernels(), trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb,
+          c, ldc);
 }
 
 void GemmGrouped(bool trans_a, bool trans_b, int m, int n, int k, float alpha,
@@ -171,10 +188,24 @@ void GemmGrouped(bool trans_a, bool trans_b, int m, int n, int k, float alpha,
     // Large instances are compute-bound in the blocked kernel already;
     // batching would only re-pack shared-size panels without reuse.
     for (int g = 0; g < count; ++g) {
-      kernels.gemm_blocked(trans_a, trans_b, m, n, k, alpha, groups[g].a, lda,
-                           groups[g].b, ldb, groups[g].c, ldc);
+      RunGemm(kernels, trans_a, trans_b, m, n, k, alpha, groups[g].a, lda,
+              groups[g].b, ldb, groups[g].c, ldc);
     }
   }
+}
+
+void GemmAccumulateImages(int images, int m, int n, int k, const float* a,
+                          int lda, std::int64_t a_image_stride, const float* b,
+                          int ldb, std::int64_t b_image_stride, float* c,
+                          int ldc) {
+  FC_CHECK_GE(images, 0);
+  FC_CHECK_GE(m, 0);
+  FC_CHECK_GE(n, 0);
+  FC_CHECK_GE(k, 0);
+  if (images == 0 || m == 0 || n == 0 || k == 0) return;
+  ActiveKernels().gemm_accumulate_images(images, m, n, k, a, lda,
+                                         a_image_stride, b, ldb,
+                                         b_image_stride, c, ldc);
 }
 
 void ConvGrouped(int batch, int out_channels, int out_area, int patch,

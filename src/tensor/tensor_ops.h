@@ -58,6 +58,18 @@ void GemmGrouped(bool trans_a, bool trans_b, int m, int n, int k, float alpha,
                  int lda, int ldb, float beta, int ldc,
                  const GemmGroup* groups, int count);
 
+// C += sum_b A_b * B_b^T over `images` blocks at fixed strides: A_b =
+// a + b * a_image_stride (m x k, leading dimension lda), B_b = b +
+// b * b_image_stride (n x k, leading dimension ldb). The conv backward's
+// weight gradient of a mini-batch in one call (A_b = dY_b, B_b =
+// columns_b). Guarantee: exactly the bytes of the per-image loop
+// Gemm(false, true, m, n, k, 1, A_b, lda, B_b, ldb, 1, C, ldc) for
+// b = 0..images-1, so each image follows the rule its own m*n*k selects.
+void GemmAccumulateImages(int images, int m, int n, int k, const float* a,
+                          int lda, std::int64_t a_image_stride, const float* b,
+                          int ldb, std::int64_t b_image_stride, float* c,
+                          int ldc);
+
 // One instance of a grouped conv forward: the per-replica operand pointers.
 // `columns` holds the caller-filled im2col patches for the whole mini-batch
 // ([batch, patch * out_area], kept for the backward pass) and `output` the

@@ -10,7 +10,7 @@ FlagParser::FlagParser(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
-      error_ = "unexpected positional argument: " + arg;
+      errors_.push_back("unexpected positional argument: " + arg);
       return;
     }
     std::string body = arg.substr(2);
@@ -33,14 +33,16 @@ int FlagParser::GetInt(const std::string& name, int default_value) {
   char* end = nullptr;
   long long value = std::strtoll(text.c_str(), &end, 10);
   if (text.empty() || *end != '\0') {
-    error_ = "flag --" + name + " expects an integer, got '" + text + "'";
+    errors_.push_back("flag --" + name + " expects an integer, got '" + text +
+                      "'");
     return default_value;
   }
   // strtoll saturates on overflow, so this also catches what long long
   // cannot hold.
   if (value < std::numeric_limits<int>::min() ||
       value > std::numeric_limits<int>::max()) {
-    error_ = "flag --" + name + " is out of int range: '" + text + "'";
+    errors_.push_back("flag --" + name + " is out of int range: '" + text +
+                      "'");
     return default_value;
   }
   return static_cast<int>(value);
@@ -53,8 +55,8 @@ double FlagParser::GetDouble(const std::string& name, double default_value) {
   char* end = nullptr;
   double value = std::strtod(it->second.c_str(), &end);
   if (it->second.empty() || *end != '\0' || !std::isfinite(value)) {
-    error_ = "flag --" + name + " expects a finite number, got '" +
-             it->second + "'";
+    errors_.push_back("flag --" + name + " expects a finite number, got '" +
+                      it->second + "'");
     return default_value;
   }
   return value;
@@ -74,16 +76,21 @@ bool FlagParser::GetBool(const std::string& name, bool default_value) {
   const std::string& value = it->second;
   if (value == "true" || value == "1" || value == "yes") return true;
   if (value == "false" || value == "0" || value == "no") return false;
-  error_ = "flag --" + name + " expects a boolean, got '" + value + "'";
+  errors_.push_back("flag --" + name + " expects a boolean, got '" + value +
+                    "'");
   return default_value;
 }
 
 std::string FlagParser::error() const {
-  if (!error_.empty()) return error_;
   std::string message;
-  for (const std::string& name : UnusedFlags()) {
-    message += (message.empty() ? "unknown flag --" : ", --") + name;
+  for (const std::string& error : errors_) {
+    message += (message.empty() ? "" : "\n") + error;
   }
+  std::string unknown;
+  for (const std::string& name : UnusedFlags()) {
+    unknown += (unknown.empty() ? "unknown flag --" : ", --") + name;
+  }
+  if (!unknown.empty()) message += (message.empty() ? "" : "\n") + unknown;
   return message;
 }
 

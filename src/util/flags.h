@@ -29,7 +29,8 @@ class FlagParser {
 
   bool Has(const std::string& name) const { return values_.count(name) > 0; }
 
-  // Parse errors (bad syntax or bad typed value), then provided flags that
+  // Every parse error (bad syntax or bad typed value), one per line in the
+  // order the parser met them, then one line naming the provided flags that
   // no getter has read ("unknown flag --name"). Call after the last getter:
   // a flag read later would be reported here as unknown.
   bool ok() const { return error().empty(); }
@@ -42,7 +43,7 @@ class FlagParser {
  private:
   std::map<std::string, std::string> values_;
   std::map<std::string, bool> used_;
-  std::string error_;
+  std::vector<std::string> errors_;  // in the order they were found
 };
 
 }  // namespace fedcross::util

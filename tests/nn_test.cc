@@ -117,6 +117,98 @@ TEST(MaxPoolTest, HalvesSpatialDims) {
   EXPECT_EQ(output.shape(), (Tensor::Shape{2, 3, 4, 3}));
 }
 
+// The branching MaxPoolForward loop the kernel replaced, verbatim: the
+// branch-free kernel must write its y and argmax bytes.
+void ReferenceMaxPoolForward(const float* x, float* y, std::int64_t* argmax,
+                             int batch, int channels, int height, int width,
+                             int out_h, int out_w, int kernel, int stride) {
+  std::int64_t out_index = 0;
+  for (int b = 0; b < batch; ++b) {
+    for (int c = 0; c < channels; ++c) {
+      const float* plane =
+          x + (static_cast<std::int64_t>(b) * channels + c) * height * width;
+      std::int64_t plane_offset =
+          (static_cast<std::int64_t>(b) * channels + c) * height * width;
+      for (int oh = 0; oh < out_h; ++oh) {
+        for (int ow = 0; ow < out_w; ++ow) {
+          int h0 = oh * stride;
+          int w0 = ow * stride;
+          float best = plane[h0 * width + w0];
+          int best_h = h0;
+          int best_w = w0;
+          for (int kh = 0; kh < kernel; ++kh) {
+            int ih = h0 + kh;
+            if (ih >= height) break;
+            for (int kw = 0; kw < kernel; ++kw) {
+              int iw = w0 + kw;
+              if (iw >= width) break;
+              float value = plane[ih * width + iw];
+              if (value > best) {
+                best = value;
+                best_h = ih;
+                best_w = iw;
+              }
+            }
+          }
+          y[out_index] = best;
+          argmax[out_index] = plane_offset + best_h * width + best_w;
+          ++out_index;
+        }
+      }
+    }
+  }
+}
+
+TEST(MaxPoolKernelTest, ForwardMatchesTheBranchingLoopBitForBit) {
+  struct Shape {
+    int batch, channels, height, width, kernel, stride, out_h, out_w;
+  };
+  // The fcbench CNN's two pools, overlapping windows, and out sizes one
+  // past ConvOutSize so the last window row and column are cut at the edge.
+  const Shape shapes[] = {
+      {10, 16, 8, 8, 2, 2, 4, 4}, {10, 32, 4, 4, 2, 2, 2, 2},
+      {3, 2, 7, 9, 3, 2, 3, 4},   {2, 3, 5, 5, 2, 2, 3, 3},
+      {1, 1, 6, 7, 3, 3, 2, 3},   {2, 2, 1, 1, 1, 1, 1, 1},
+  };
+  util::Rng rng(61);
+  for (const Shape& s : shapes) {
+    const std::size_t in_n =
+        static_cast<std::size_t>(s.batch) * s.channels * s.height * s.width;
+    const std::size_t out_n =
+        static_cast<std::size_t>(s.batch) * s.channels * s.out_h * s.out_w;
+    // Random values; then few distinct values so windows tie; then NaNs,
+    // first in every plane and scattered.
+    for (int fill = 0; fill < 3; ++fill) {
+      std::vector<float> x(in_n);
+      for (float& v : x) {
+        v = fill == 1 ? static_cast<float>(rng.UniformInt(3))
+                      : static_cast<float>(rng.Normal());
+      }
+      if (fill == 2) {
+        for (std::size_t i = 0; i < in_n; i += s.height * s.width) {
+          x[i] = std::nanf("");
+        }
+        for (std::size_t i = 5; i < in_n; i += 7) x[i] = std::nanf("");
+      }
+      std::vector<float> y(out_n), ref_y(out_n);
+      std::vector<std::int64_t> arg(out_n), ref_arg(out_n);
+      kernels::MaxPoolForward(x.data(), y.data(), arg.data(), s.batch,
+                              s.channels, s.height, s.width, s.out_h, s.out_w,
+                              s.kernel, s.stride);
+      ReferenceMaxPoolForward(x.data(), ref_y.data(), ref_arg.data(),
+                              s.batch, s.channels, s.height, s.width, s.out_h,
+                              s.out_w, s.kernel, s.stride);
+      EXPECT_EQ(std::memcmp(y.data(), ref_y.data(), out_n * sizeof(float)),
+                0)
+          << "fill " << fill << " " << s.height << "x" << s.width << " k"
+          << s.kernel << " s" << s.stride;
+      EXPECT_EQ(arg, ref_arg) << "fill " << fill << " " << s.height << "x"
+                              << s.width << " k" << s.kernel << " s"
+                              << s.stride;
+    }
+  }
+}
+
 TEST(GlobalAvgPoolTest, AveragesPlane) {
   GlobalAvgPool pool;
   Tensor input = Tensor::FromVector({1, 2, 1, 2}, {1, 3, 10, 20});

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "tensor/gemm_kernels.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"
@@ -380,6 +381,257 @@ TEST(GemmTest, AlphaBetaAccumulate) {
   EXPECT_FLOAT_EQ(c[3], 18.0f);
 }
 
+// ------------------------------------------- the GEMM arithmetic contract
+
+// Restores startup tier detection when a test that pins a tier ends.
+struct SimdTierGuard {
+  ~SimdTierGuard() { ops::testing::ResetForcedSimdTier(); }
+};
+
+// The tiers this build and CPU can run, each pinned in turn.
+std::vector<ops::SimdTier> AvailableTiers() {
+  std::vector<ops::SimdTier> tiers;
+  for (ops::SimdTier tier : {ops::SimdTier::kGeneric, ops::SimdTier::kAvx2,
+                             ops::SimdTier::kAvx512}) {
+    if (ops::testing::ForceSimdTier(tier)) tiers.push_back(tier);
+  }
+  ops::testing::ResetForcedSimdTier();
+  return tiers;
+}
+
+// A tier's multiply-add: fused iff the tier has FMA. The avx2 and avx512
+// tiers always do; the generic tier is compiled with this file's flags, so
+// it has FMA exactly when this translation unit does. The unfused form
+// rounds the product through a volatile, so no contraction can fuse it.
+bool TierFuses(ops::SimdTier tier) {
+#if defined(__FMA__)
+  (void)tier;
+  return true;
+#else
+  return tier != ops::SimdTier::kGeneric;
+#endif
+}
+
+float ModelMAddF(bool fused, float a, float b, float c) {
+  if (fused) return std::fma(a, b, c);
+  volatile float product = a * b;
+  return product + c;
+}
+
+// The scalar model of ops::Gemm: the beta pass, then the rule m*n*k picks.
+//  * small, untransposed B: per element c = MAddF(alpha * a, b, c) in
+//    ascending p, seeded with C;
+//  * small, transposed B: a double chain t += a * b from zero (a product of
+//    floats is exact in double, so fusing it changes nothing), then
+//    c = MAddF(alpha, (float)t, c);
+//  * blocked: per kKc panel a float chain acc = MAddF(a, b, acc) from zero,
+//    then c += acc (alpha == 1) or c = MAddF(alpha, acc, c).
+void ModelGemm(bool fused, bool trans_a, bool trans_b, int m, int n, int k,
+               float alpha, const float* a, int lda, const float* b, int ldb,
+               float beta, float* c, int ldc) {
+  auto op_a = [&](int i, int p) {
+    return trans_a ? a[static_cast<std::int64_t>(p) * lda + i]
+                   : a[static_cast<std::int64_t>(i) * lda + p];
+  };
+  auto op_b = [&](int p, int j) {
+    return trans_b ? b[static_cast<std::int64_t>(j) * ldb + p]
+                   : b[static_cast<std::int64_t>(p) * ldb + j];
+  };
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < n; ++j) {
+      float& cij = c[static_cast<std::int64_t>(i) * ldc + j];
+      if (beta == 0.0f) {
+        cij = 0.0f;
+      } else if (beta != 1.0f) {
+        cij *= beta;
+      }
+    }
+  }
+  if (m == 0 || n == 0 || k == 0 || alpha == 0.0f) return;
+  const bool small =
+      static_cast<std::int64_t>(m) * n * k <= ops::detail::kSmallGemmOps;
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < n; ++j) {
+      float& cij = c[static_cast<std::int64_t>(i) * ldc + j];
+      if (small && !trans_b) {
+        for (int p = 0; p < k; ++p) {
+          cij = ModelMAddF(fused, alpha * op_a(i, p), op_b(p, j), cij);
+        }
+      } else if (small) {
+        double t = 0.0;
+        for (int p = 0; p < k; ++p) {
+          t += static_cast<double>(op_a(i, p)) * op_b(p, j);
+        }
+        cij = ModelMAddF(fused, alpha, static_cast<float>(t), cij);
+      } else {
+        for (int pc = 0; pc < k; pc += ops::detail::kKc) {
+          float acc = 0.0f;
+          for (int p = pc; p < std::min(k, pc + ops::detail::kKc); ++p) {
+            acc = ModelMAddF(fused, op_a(i, p), op_b(p, j), acc);
+          }
+          cij = alpha == 1.0f ? cij + acc : ModelMAddF(fused, alpha, acc, cij);
+        }
+      }
+    }
+  }
+}
+
+std::vector<float> NormalVector(std::size_t n, util::Rng& rng) {
+  std::vector<float> v(n);
+  for (float& x : v) x = static_cast<float>(rng.Normal());
+  return v;
+}
+
+bool SameBytes(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+struct GemmShape {
+  int m, n, k;
+};
+
+// Both sides of kSmallGemmOps (16 * 1024) and of kKc (256), ragged m and n
+// against the 4 x 16 micro-tile and the 8-lane C tiles, and m on both sides
+// of the pack-free line.
+const GemmShape kContractShapes[] = {
+    {5, 7, 4},     {16, 32, 32},  {16, 32, 33},  {8, 8, 256},
+    {8, 8, 257},   {5, 17, 256},  {5, 17, 257},  {3, 13, 520},
+    {13, 29, 64},  {8, 27, 64},   {32, 288, 4},  {72, 320, 8},
+    {260, 20, 8},  {257, 33, 70}, {1, 300, 300}, {300, 1, 60},
+};
+
+TEST(GemmContractTest, GemmMatchesItsRuleModelOnEveryTier) {
+  SimdTierGuard guard;
+  util::Rng rng(404);
+  int cases = 0;
+  for (ops::SimdTier tier : AvailableTiers()) {
+    ASSERT_TRUE(ops::testing::ForceSimdTier(tier));
+    const bool fused = TierFuses(tier);
+    for (const GemmShape& s : kContractShapes) {
+      for (int transposes = 0; transposes < 4; ++transposes) {
+        const bool trans_a = (transposes & 1) != 0;
+        const bool trans_b = (transposes & 2) != 0;
+        // Padded leading dimensions of the stored matrices.
+        const int lda = (trans_a ? s.m : s.k) + 3;
+        const int ldb = (trans_b ? s.k : s.n) + 5;
+        const int ldc = s.n + 2;
+        const std::vector<float> a =
+            NormalVector(static_cast<std::size_t>(trans_a ? s.k : s.m) * lda,
+                         rng);
+        const std::vector<float> b =
+            NormalVector(static_cast<std::size_t>(trans_b ? s.n : s.k) * ldb,
+                         rng);
+        const std::vector<float> c0 =
+            NormalVector(static_cast<std::size_t>(s.m) * ldc, rng);
+        for (float alpha : {1.0f, 0.5f}) {
+          for (float beta : {0.0f, 1.0f, 0.5f}) {
+            std::vector<float> got = c0, want = c0;
+            ops::Gemm(trans_a, trans_b, s.m, s.n, s.k, alpha, a.data(), lda,
+                      b.data(), ldb, beta, got.data(), ldc);
+            ModelGemm(fused, trans_a, trans_b, s.m, s.n, s.k, alpha, a.data(),
+                      lda, b.data(), ldb, beta, want.data(), ldc);
+            EXPECT_TRUE(SameBytes(got, want))
+                << ops::SimdTierName(tier) << " m=" << s.m << " n=" << s.n
+                << " k=" << s.k << " ta=" << trans_a << " tb=" << trans_b
+                << " alpha=" << alpha << " beta=" << beta;
+            ++cases;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GE(cases, 16 * 4 * 6);
+}
+
+TEST(GemmContractTest, DirectScheduleWritesTheBlockedKernelsBytes) {
+  util::Rng rng(405);
+  int cases = 0;
+  for (ops::SimdTier tier : AvailableTiers()) {
+    const ops::detail::GemmKernels& kernels =
+        ops::detail::TierGemmKernels(tier);
+    for (const GemmShape& s : kContractShapes) {
+      for (bool trans_a : {false, true}) {
+        const int lda = (trans_a ? s.m : s.k) + 3;
+        const int ldb = s.n + 5;
+        const int ldc = s.n + 2;
+        const std::vector<float> a = NormalVector(
+            static_cast<std::size_t>(trans_a ? s.k : s.m) * lda, rng);
+        const std::vector<float> b =
+            NormalVector(static_cast<std::size_t>(s.k) * ldb, rng);
+        const std::vector<float> c0 =
+            NormalVector(static_cast<std::size_t>(s.m) * ldc, rng);
+        for (float alpha : {1.0f, 0.5f}) {
+          std::vector<float> direct = c0, blocked = c0;
+          kernels.gemm_direct(trans_a, s.m, s.n, s.k, alpha, a.data(), lda,
+                              b.data(), ldb, direct.data(), ldc);
+          kernels.gemm_blocked(trans_a, false, s.m, s.n, s.k, alpha, a.data(),
+                               lda, b.data(), ldb, blocked.data(), ldc);
+          EXPECT_TRUE(SameBytes(direct, blocked))
+              << ops::SimdTierName(tier) << " m=" << s.m << " n=" << s.n
+              << " k=" << s.k << " ta=" << trans_a << " alpha=" << alpha;
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_GE(cases, 16 * 2 * 2);
+}
+
+// The conv weight-gradient shapes (m = out_channels, n = patch, k = out
+// area) of the fcbench CNN and ResNet-8, on both sides of kSmallGemmOps,
+// plus ragged tiles and a k past kKc.
+const GemmShape kImageShapes[] = {
+    {8, 27, 64},  {8, 72, 64},  {16, 72, 16}, {16, 144, 16}, {16, 8, 16},
+    {32, 144, 4}, {32, 288, 4}, {32, 16, 4},  {16, 75, 64},  {32, 400, 16},
+    {5, 13, 7},   {13, 29, 300}, {9, 3, 2},   {1, 1, 1},     {12, 5, 280},
+};
+
+TEST(GemmContractTest, AccumulatedImagesWriteThePerImageLoopsBytes) {
+  SimdTierGuard guard;
+  util::Rng rng(406);
+  int cases = 0;
+  for (ops::SimdTier tier : AvailableTiers()) {
+    ASSERT_TRUE(ops::testing::ForceSimdTier(tier));
+    for (const GemmShape& s : kImageShapes) {
+      for (int images = 1; images <= 10; ++images) {
+        // B as the plan lays columns out: side by side in one wide matrix
+        // (image b at column b*k) or one padded block per image.
+        for (bool wide : {false, true}) {
+          const int lda = s.k + 1;
+          const std::int64_t a_stride = static_cast<std::int64_t>(s.m) * lda + 3;
+          const int ldb = wide ? images * s.k : s.k + 2;
+          const std::int64_t b_stride =
+              wide ? s.k : static_cast<std::int64_t>(s.n) * ldb;
+          const int ldc = s.n + 1;
+          const std::vector<float> a = NormalVector(
+              static_cast<std::size_t>(a_stride) * images, rng);
+          const std::vector<float> b = NormalVector(
+              static_cast<std::size_t>(wide ? s.n * ldb : b_stride * images),
+              rng);
+          const std::vector<float> c0 =
+              NormalVector(static_cast<std::size_t>(s.m) * ldc, rng);
+          std::vector<float> batched = c0, looped = c0;
+          ops::GemmAccumulateImages(images, s.m, s.n, s.k, a.data(), lda,
+                                    a_stride, b.data(), ldb, b_stride,
+                                    batched.data(), ldc);
+          for (int img = 0; img < images; ++img) {
+            ops::Gemm(false, true, s.m, s.n, s.k, 1.0f,
+                      a.data() + img * a_stride, lda,
+                      b.data() + img * b_stride, ldb, 1.0f, looped.data(),
+                      ldc);
+          }
+          EXPECT_TRUE(SameBytes(batched, looped))
+              << ops::SimdTierName(tier) << " m=" << s.m << " n=" << s.n
+              << " k=" << s.k << " images=" << images << " wide=" << wide;
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_GE(cases, 15 * 10 * 2);
+}
+
 // ----------------------------------------------------------- Im2Col etc.
 
 TEST(ConvOutSizeTest, StandardArithmetic) {
@@ -447,17 +699,6 @@ void ReferenceCol2Im(const float* columns, int channels, int height, int width,
       }
     }
   }
-}
-
-std::vector<float> NormalVector(std::size_t n, util::Rng& rng) {
-  std::vector<float> v(n);
-  for (float& x : v) x = static_cast<float>(rng.Normal());
-  return v;
-}
-
-bool SameBytes(const std::vector<float>& a, const std::vector<float>& b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
 struct LoweringCase {

@@ -309,6 +309,21 @@ TEST(FlagParserTest, ReportsUnusedFlags) {
   EXPECT_NE(flags.error().find("--typo"), std::string::npos) << flags.error();
 }
 
+TEST(FlagParserTest, ReportsEveryMalformedFlagInReadOrder) {
+  const char* argv[] = {"prog", "--rounds", "abc", "--k", "xyz",
+                        "--alpha", "nan", "--typo", "1"};
+  FlagParser flags(9, const_cast<char**>(argv));
+  EXPECT_EQ(flags.GetInt("rounds", 40), 40);
+  EXPECT_EQ(flags.GetInt("k", 10), 10);
+  EXPECT_EQ(flags.GetDouble("alpha", 0.99), 0.99);
+  EXPECT_FALSE(flags.ok());
+  EXPECT_EQ(flags.error(),
+            "flag --rounds expects an integer, got 'abc'\n"
+            "flag --k expects an integer, got 'xyz'\n"
+            "flag --alpha expects a finite number, got 'nan'\n"
+            "unknown flag --typo");
+}
+
 TEST(FlagParserTest, BoolVariants) {
   const char* argv[] = {"prog", "--a=true", "--b=0", "--c=yes"};
   FlagParser flags(4, const_cast<char**>(argv));
@@ -368,8 +383,17 @@ TEST(FlagFuzzTest, EveryUnrepresentableValueIsAnErrorNamingItsFlag) {
   const std::string names[] = {"count", "rate", "label", "verbose", "typo"};
   util::Rng rng(2024);
   auto fragment = [&] { return fragments[rng.UniformInt(fragments.size())]; };
-  auto named = [&](const std::string& name) {
-    return "flag --" + name + " ";
+  // error() holds one line per error; a getter's line names its flag first.
+  auto names_flag = [](const FlagParser& parser, const std::string& name) {
+    const std::string error = parser.error();
+    const std::string prefix = "flag --" + name + " ";
+    for (std::size_t line = 0; line < error.size();) {
+      if (error.compare(line, prefix.size(), prefix) == 0) return true;
+      const std::size_t end = error.find('\n', line);
+      if (end == std::string::npos) break;
+      line = end + 1;
+    }
+    return false;
   };
 
   for (int trial = 0; trial < 10000; ++trial) {
@@ -394,7 +418,7 @@ TEST(FlagFuzzTest, EveryUnrepresentableValueIsAnErrorNamingItsFlag) {
     // default; an absent flag returns the default with no error.
     const std::string count_text = flags.GetString("count", "");
     const int count = flags.GetInt("count", 7);
-    const bool count_error = flags.error().rfind(named("count"), 0) == 0;
+    const bool count_error = names_flag(flags, "count");
     const std::optional<int> count_ref = ReferenceInt(count_text);
     if (flags.Has("count") && count_ref) {
       EXPECT_FALSE(count_error) << count_text;
@@ -406,7 +430,7 @@ TEST(FlagFuzzTest, EveryUnrepresentableValueIsAnErrorNamingItsFlag) {
 
     const std::string rate_text = flags.GetString("rate", "");
     const double rate = flags.GetDouble("rate", 0.5);
-    const bool rate_error = flags.error().rfind(named("rate"), 0) == 0;
+    const bool rate_error = names_flag(flags, "rate");
     const std::optional<double> rate_ref = ReferenceDouble(rate_text);
     if (flags.Has("rate") && rate_ref) {
       EXPECT_FALSE(rate_error) << rate_text;
@@ -422,7 +446,7 @@ TEST(FlagFuzzTest, EveryUnrepresentableValueIsAnErrorNamingItsFlag) {
 
     const std::string verbose_text = flags.GetString("verbose", "");
     const bool verbose = flags.GetBool("verbose", false);
-    const bool verbose_error = flags.error().rfind(named("verbose"), 0) == 0;
+    const bool verbose_error = names_flag(flags, "verbose");
     const bool truthy = verbose_text == "true" || verbose_text == "1" ||
                         verbose_text == "yes";
     const bool falsy = verbose_text == "false" || verbose_text == "0" ||
